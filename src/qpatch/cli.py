@@ -207,15 +207,13 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     auroc_value = metrics.auroc(dev_scores, y_dev01)
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
-    spec = config.kernel_spec(kind)
+    # resolved on the train features: the structure block uses the model's gamma
+    spec = config.kernel_spec(kind).resolve(np.stack([fv.values for _, _, fv in train]))
     dev_feats = [fv for _, _, fv in dev]
     dev_gram = svm.build_gram(dev_feats, spec)
     structure = metrics.kernel_structure(
         dev_gram.values, [label for _, label, _ in dev],
         features=dev_feats, kernel=spec)
-
-    resolved = spec.resolve(np.stack([fv.values for _, _, fv in train]))
-    gamma_resolved = resolved.gamma if kind == "rbf" else None
     report = {
         "kind": kind,
         "auroc": float(auroc_value),
@@ -228,7 +226,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             "depth": config.depth,
             "s3_axis": config.s3_axis,
             "gamma_policy": str(config.gamma),
-            "gamma_resolved": gamma_resolved,
+            "gamma_resolved": spec.gamma if kind == "rbf" else None,
         },
         "svm": {
             "C": config.svm_c,

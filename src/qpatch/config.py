@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dsp import FrontEndConfig
+from .quantum import patch_circuit
 from .spoof import SpoofConfig, SplitCounts
 from .svm import KernelSpec
 
@@ -42,6 +43,12 @@ class ExperimentConfig:
     svm_c: float = 1.0
     gamma: float | str = "scale"
     seed: int = 7
+
+    def __post_init__(self):
+        # checked here so a bad value exits before any stage writes a file
+        if self.k != 1 and (self.k < 2 or self.k % 2):
+            raise ValueError(f"k must be 1 or even, got {self.k}")
+        patch_circuit(self.depth, self.s3_axis)  # rejects a bad depth or axis
 
     def front_end(self) -> FrontEndConfig:
         return FrontEndConfig(win_ms=self.win_ms, hop_ms=self.hop_ms,

@@ -102,14 +102,6 @@ class FrontEndConfig:
     f_low: float = 0.0
     f_high: float = 8000.0
 
-    @property
-    def win_length(self) -> int:
-        return int(round(self.win_ms * self.sample_rate / 1000.0))
-
-    @property
-    def hop_length(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate / 1000.0))
-
     def to_dict(self) -> dict:
         return {
             "sample_rate": self.sample_rate,

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .quantum import fidelity_kernel
-from .svm import KernelSpec, rbf_kernel
+from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
+from .svm import KernelSpec, _stack_features, kernel_matrix
 
 SCHEMA_VERSION = 1
 POSITIVE_LABEL = "bonafide"
@@ -153,12 +153,6 @@ class KernelStructureReport:
         }
 
 
-def _slot_kernel(x, y, kernel: KernelSpec) -> float:
-    if kernel.kind == "quantum":
-        return fidelity_kernel(x, y, kernel.depth, kernel.s3_axis)
-    return rbf_kernel(x, y, kernel.gamma)
-
-
 def kernel_structure(gram_values, labels, features=None,
                      kernel: KernelSpec | None = None) -> KernelStructureReport:
     """Group Gram entries into same-sample, within-class, and cross-class sets.
@@ -166,7 +160,8 @@ def kernel_structure(gram_values, labels, features=None,
     Off-diagonal groups use i < j pairs only, so the diagonal never leaks
     into the cross-sample statistics. When features and a kernel spec are
     given, the cross-class group is additionally recomputed per patch slot
-    with single-patch kernels over each length-4 block.
+    with single-patch kernels over each length-4 block: one n x n
+    kernel_matrix block per slot, indexed at the cross-class pairs.
     """
     k = np.asarray(gram_values, dtype=np.float64)
     labels = list(labels)
@@ -189,16 +184,13 @@ def kernel_structure(gram_values, labels, features=None,
     if features is not None:
         if kernel is None:
             raise ValueError("per-slot breakdown needs the kernel spec")
-        x = np.stack([np.asarray(f.values if hasattr(f, "values") else f,
-                                 dtype=np.float64) for f in features])
+        x = _stack_features(features)
         resolved = kernel.resolve(x)
-        n_slots = x.shape[1] // 4
         ci, cj = iu[cross_mask], ju[cross_mask]
-        for slot in range(n_slots):
+        for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]
-            vals = [_slot_kernel(block[a], block[b], resolved)
-                    for a, b in zip(ci, cj)]
-            per_slot[f"patch{slot + 1}"] = GroupStats.from_values(vals)
+            per_slot[f"patch{slot + 1}"] = GroupStats.from_values(
+                kernel_matrix(block, block, resolved)[ci, cj])
     return KernelStructureReport(same_sample, within, cross, per_slot)
 
 

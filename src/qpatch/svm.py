@@ -1,7 +1,8 @@
 """Kernel construction and a precomputed-kernel support vector machine.
 
-The Gram matrix is filled for i <= j and mirrored, either with the quantum
-fidelity kernel or an RBF baseline on the same features. Training solves
+Every kernel block (train Gram, cross rows, per-slot structure) comes from
+kernel_matrix: batched quantum fidelities, or an RBF baseline on the same
+features filled one row at a time. Training solves
 the standard soft-margin dual with a most-violating-pair SMO loop, which
 needs nothing beyond numpy and is deterministic.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantum import fidelity, fidelity_kernel, _embed_vector
+from .quantum import _embed_vector, fidelity_matrix
 
 KERNEL_KINDS = ("quantum", "rbf", "precomputed")
 
@@ -115,20 +116,14 @@ class SvmModel:
 
 
 def _stack_features(features) -> np.ndarray:
-    rows = []
-    length = None
-    for f in features:
-        vals = np.asarray(f.values if hasattr(f, "values") else f, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("each feature must be a flat vector")
-        if length is None:
-            length = vals.size
-        elif vals.size != length:
-            raise ValueError(
-                f"ragged features: got lengths {length} and {vals.size}")
-        rows.append(vals)
+    rows = [np.asarray(getattr(f, "values", f), dtype=np.float64) for f in features]
     if not rows:
         raise ValueError("empty feature list")
+    if any(r.ndim != 1 for r in rows):
+        raise ValueError("each feature must be a flat vector")
+    lengths = sorted({r.size for r in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"ragged features: got lengths {lengths}")
     return np.stack(rows)
 
 
@@ -148,25 +143,25 @@ def feature_hash(x: np.ndarray, params: dict) -> str:
     return h.hexdigest()[:16]
 
 
-def _pair_fidelity(states_a, states_b) -> float:
-    return float(np.mean([fidelity(a, b) for a, b in zip(states_a, states_b)]))
+def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """(n x m) kernel of the rows of a against the rows of b; spec must be resolved."""
+    if spec.kind == "quantum":
+        states_a = _embed_vector(a, spec.depth, spec.s3_axis)
+        states_b = states_a if b is a else _embed_vector(b, spec.depth, spec.s3_axis)
+        return fidelity_matrix(states_a, states_b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i, row in enumerate(a):
+        d = b - row
+        out[i] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+    return out
 
 
 def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
-    """Pairwise kernel matrix, filled on the upper triangle and mirrored."""
+    """Pairwise kernel matrix, with the upper triangle mirrored onto the lower."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    n = x.shape[0]
-    k = np.empty((n, n))
-    if spec.kind == "quantum":
-        states = [_embed_vector(row, spec.depth, spec.s3_axis) for row in x]
-        for i in range(n):
-            for j in range(i, n):
-                k[i, j] = k[j, i] = _pair_fidelity(states[i], states[j])
-    else:
-        for i in range(n):
-            for j in range(i, n):
-                k[i, j] = k[j, i] = rbf_kernel(x[i], x[j], spec.gamma)
+    k = np.triu(kernel_matrix(x, x, spec))
+    k += np.triu(k, 1).T
     return GramMatrix(k, spec.kind, feature_hash(x, spec.params()), spec.params())
 
 
@@ -179,19 +174,7 @@ def cross_gram(test_features, train_features, kernel: KernelSpec = KernelSpec())
     xr = _stack_features(train_features)
     if xt.shape[1] != xr.shape[1]:
         raise ValueError("test/train feature lengths differ")
-    spec = kernel.resolve(xr)
-    out = np.empty((xt.shape[0], xr.shape[0]))
-    if spec.kind == "quantum":
-        states_t = [_embed_vector(row, spec.depth, spec.s3_axis) for row in xt]
-        states_r = [_embed_vector(row, spec.depth, spec.s3_axis) for row in xr]
-        for i, st in enumerate(states_t):
-            for j, sr in enumerate(states_r):
-                out[i, j] = _pair_fidelity(st, sr)
-    else:
-        for i in range(xt.shape[0]):
-            for j in range(xr.shape[0]):
-                out[i, j] = rbf_kernel(xt[i], xr[j], spec.gamma)
-    return out
+    return kernel_matrix(xt, xr, kernel.resolve(xr))
 
 
 def _ensure_psd(k: np.ndarray) -> np.ndarray:

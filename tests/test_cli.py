@@ -183,6 +183,27 @@ class TestTrainEval:
         prepared(tmp_path)
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
 
+    def test_rbf_structure_uses_the_models_gamma(self, tmp_path):
+        """The structure block is computed with gamma_resolved (resolved on
+        the train features), not with a gamma re-resolved on the dev set."""
+        from qpatch.patches import read_features_csv
+        from qpatch.spoof import read_manifest
+        from qpatch.svm import rbf_kernel
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
+        report = json.loads((tmp_path / "report_rbf.json").read_text())
+        gamma = report["kernel"]["gamma_resolved"]
+        dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv").entries
+                   if e.split == "dev"}
+        dev = [(label, fv.values) for uid, label, fv
+               in read_features_csv(tmp_path / "features.csv") if uid in dev_ids]
+        cross = [rbf_kernel(a, b, gamma) for i, (la, a) in enumerate(dev)
+                 for lb, b in dev[i + 1:] if la != lb]
+        got = report["kernel_structure"]["cross_class"]
+        assert got["n_pairs"] == len(cross) == 4
+        assert got["mean"] == pytest.approx(np.mean(cross), abs=1e-12)
+
     def test_model_file_roundtrips(self, tmp_path):
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "rbf")
@@ -272,6 +293,21 @@ class TestConfigHandling:
         run_synth(tmp_path)
         monkeypatch.setenv("QPATCH_THREADS", "many")
         assert run_stage(tmp_path, "features") == 2
+
+    @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
+                                     {"s3_axis": "W"}],
+                             ids=["k3", "k0", "depth4", "depth0", "axisW"])
+    def test_bad_config_exits_before_any_work(self, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code = main(base_args(tmp_path / "w") + ["--config", str(cfg), "run-all"])
+        assert code == 2
+        assert not (tmp_path / "w" / "features.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--k", "3"], ["--depth", "4"]], ids=["k3", "depth4"])
+    def test_bad_flag_exits_before_any_work(self, tmp_path, flag):
+        assert main(base_args(tmp_path, *flag) + ["run-all"]) == 2
+        assert not (tmp_path / "features.csv").exists()
 
     def test_run_log_is_written(self, tmp_path):
         run_synth(tmp_path)

@@ -14,6 +14,7 @@ from qpatch.svm import (
     cross_gram,
     decision_scores,
     feature_hash,
+    kernel_matrix,
     load_gram,
     load_model,
     rbf_kernel,
@@ -21,6 +22,8 @@ from qpatch.svm import (
     save_model,
     train_svm,
 )
+
+from _oracles import dense_kernel
 
 
 def random_psd_kernel(rng, n, unit_diag=False):
@@ -160,6 +163,51 @@ class TestBuildGram:
         b = build_gram([f.copy() for f in feats])
         np.testing.assert_array_equal(a.values, b.values)
         assert a.config_hash == b.config_hash
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("length", [4, 8, 16])
+    @pytest.mark.parametrize("s3_axis", ["Z", "Y"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_quantum_matches_dense_oracle(self, depth, s3_axis, length):
+        rng = np.random.default_rng(10 * depth + length)
+        a = rng.uniform(-np.pi, np.pi, (2, length))
+        b = rng.uniform(-np.pi, np.pi, (1, length))
+        got = kernel_matrix(a, b, KernelSpec(depth=depth, s3_axis=s3_axis))
+        want = [[dense_kernel(x, y, depth, s3_axis) for y in b] for x in a]
+        assert got.shape == (2, 1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [4, 8, 16])
+    @pytest.mark.parametrize("s3_axis", ["Z", "Y"])
+    def test_depth_one_is_a_product_cosine_kernel(self, s3_axis, length):
+        """At depth 1 every CZ follows all rotations and is diagonal +-1, so it
+        cancels in the overlap: the kernel is the mean over blocks of
+        prod cos^2((x_j - y_j) / 2) over the slots whose axis is not Z."""
+        rng = np.random.default_rng(length)
+        a = rng.uniform(-np.pi, np.pi, (5, length))
+        b = rng.uniform(-np.pi, np.pi, (4, length))
+        got = kernel_matrix(a, b, KernelSpec(depth=1, s3_axis=s3_axis))
+        cos2 = np.cos((a[:, None, :] - b[None, :, :]) / 2.0) ** 2
+        cos2[..., np.tile(["X", "Y", s3_axis, "Y"], length // 4) == "Z"] = 1.0
+        want = cos2.reshape(5, 4, -1, min(length, 8)).prod(axis=-1).mean(axis=-1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quantum", "rbf"])
+    def test_gram_is_exactly_symmetric_with_unit_diagonal(self, kind):
+        """Past one row block of the overlap product (300 rows), the Gram is
+        still exactly symmetric and matches the single-pair kernel."""
+        rng = np.random.default_rng(11)
+        feats = rng.uniform(-np.pi, np.pi, (300, 16))
+        spec = KernelSpec(kind=kind)
+        g = build_gram(feats, spec).values
+        assert np.array_equal(g, g.T)
+        np.testing.assert_allclose(np.diag(g), 1.0, rtol=0, atol=1e-12)
+        if kind == "quantum":
+            expected = fidelity_kernel(feats[290], feats[10])
+        else:
+            expected = rbf_kernel(feats[290], feats[10], spec.resolve(feats).gamma)
+        assert g[290, 10] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCrossGram:
