@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,25 +31,24 @@ class CliInputError(Exception):
 
 
 def _setup_logging(work_dir: Path) -> None:
+    """Send qpatch's log and every Python warning to stderr and run.log."""
     work_dir.mkdir(parents=True, exist_ok=True)
-    log.setLevel(logging.INFO)
-    for handler in list(log.handlers):
-        log.removeHandler(handler)
     file_handler = logging.FileHandler(work_dir / "run.log")
     file_handler.setFormatter(
         logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    log.addHandler(file_handler)
     stream = logging.StreamHandler(sys.stderr)
     stream.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    log.addHandler(stream)
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("QPATCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliInputError(f"QPATCH_THREADS must be an integer, got {raw!r}")
+    # reinstalled on every setup: a caller may have restored
+    # warnings.showwarning since the last one (pytest does, per test)
+    logging.captureWarnings(False)
+    logging.captureWarnings(True)
+    log.setLevel(logging.INFO)
+    for logger in (log, logging.getLogger("py.warnings")):
+        for handler in list(logger.handlers):
+            logger.removeHandler(handler)
+            handler.close()
+        logger.addHandler(file_handler)
+        logger.addHandler(stream)
 
 
 def _paths(config: ExperimentConfig) -> dict:
@@ -105,34 +103,21 @@ def cmd_features(config: ExperimentConfig) -> None:
     if not p["manifest"].exists():
         raise CliInputError(f"no manifest at {p['manifest']}; run synth first")
     manifest = spoof.read_manifest(p["manifest"], seed=config.seed)
-    workers = _n_workers()
     rows = []
     skipped = []
-
-    def job(entry):
+    for entry in manifest.entries:
         try:
-            return _extract_one(entry, p["work"], config)
+            rows.append(_extract_one(entry, p["work"], config))
         except Exception as err:  # noqa: BLE001 - per-file isolation
-            return entry.uid, None, err
-
-    if workers == 1:
-        results = [job(e) for e in manifest.entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, manifest.entries))
-    for uid, label, payload in results:
-        if label is None:
-            log.error("skipping %s: %s", uid, payload)
-            skipped.append(uid)
-        else:
-            rows.append((uid, label, payload))
+            log.error("skipping %s: %s", entry.uid, err)
+            skipped.append(entry.uid)
     if not rows:
         raise CliInputError("no feature rows could be extracted")
     patches.write_features_csv(p["features"], rows)
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
-            f"{len(skipped)} of {len(results)} files were unreadable: "
+            f"{len(skipped)} of {len(manifest.entries)} files were unreadable: "
             + ", ".join(skipped))
 
 

@@ -7,7 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import FrontEndConfig
+from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig
+from .patches import check_patch_size
 from .quantum import patch_circuit
 from .spoof import SpoofConfig, SplitCounts
 from .svm import KernelSpec
@@ -49,6 +50,11 @@ class ExperimentConfig:
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
         patch_circuit(self.depth, self.s3_axis)  # rejects a bad depth or axis
+        check_patch_size(self.patch_size, self.n_mels)
+        win_len = round(self.win_ms * TARGET_SAMPLE_RATE / 1000)
+        if self.fft_size < win_len:
+            raise ValueError(
+                f"fft_size {self.fft_size} shorter than window ({win_len} samples)")
 
     def front_end(self) -> FrontEndConfig:
         return FrontEndConfig(win_ms=self.win_ms, hop_ms=self.hop_ms,

@@ -8,6 +8,7 @@ standardization.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -179,13 +180,15 @@ def log_standardize(energies: np.ndarray) -> Spectrogram:
     return Spectrogram((logmel - mu) / (sigma + EPS))
 
 
+@functools.lru_cache(maxsize=8)
 def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
                          sample_rate: int = TARGET_SAMPLE_RATE,
                          f_low: float = 0.0, f_high: float = 8000.0) -> MelFilterbank:
     """Build triangular filters with centers uniformly spaced on the HTK mel scale.
 
     Triangles have unnormalized peak height 1; adjacent filters cross at
-    each other's feet.
+    each other's feet. Built once per set of arguments and shared, so the
+    returned arrays are read-only.
     """
     if not (0.0 <= f_low < f_high <= sample_rate / 2.0):
         raise ValueError(
@@ -203,8 +206,10 @@ def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    center_freqs = hz_pts[1:-1]
+    weights.flags.writeable = center_freqs.flags.writeable = False
     return MelFilterbank(weights=weights, fft_size=fft_size, sample_rate=sample_rate,
-                         f_low=f_low, f_high=f_high, center_freqs=hz_pts[1:-1])
+                         f_low=f_low, f_high=f_high, center_freqs=center_freqs)
 
 
 def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:

@@ -1,15 +1,19 @@
 """Patch summary features over standardized log-mel spectrograms.
 
 The spectrogram is cut into non-overlapping square patches (default 4x4,
-time by mel). Each patch is reduced to four statistics:
+time by mel), numbered in time-major order. Each patch is reduced to four
+statistics:
 
   s1  mean activation (also the patch ranking score)
   s2  spectral centroid over the patch's local mel bins
   s3  spectral bandwidth around that centroid
   s4  inter-frame coherence (mean adjacent-frame cosine similarity)
 
-The top-k patches by s1 are concatenated into a feature vector of
-length 4k.
+`extract_features` works on whole arrays: it views the spectrogram as an
+(n_patches, p, p) stack, computes s1 for every patch, keeps the top k by
+s1, and computes s2-s4 for those k patches only, in one pass. Their
+statistics are concatenated into a feature vector of length 4k.
+`summarize` is the one-patch case of the same statistics.
 """
 
 from __future__ import annotations
@@ -71,50 +75,79 @@ class FeatureVector:
             raise ValueError("feature length must be 4 per selected patch")
 
 
+def check_patch_size(patch_size: int, n_mels: int) -> None:
+    """Reject a patch size that cannot tile n_mels bins or give a coherence."""
+    if patch_size < 2:
+        raise ValueError(
+            f"patch size must be >= 2 (coherence needs two frames), got {patch_size}")
+    if n_mels % patch_size != 0:
+        raise ValueError(f"{n_mels} mel bins not divisible by patch size {patch_size}")
+
+
+def _tiles(values: np.ndarray, patch_size: int) -> np.ndarray:
+    """The (n_patches, p, p) stack of patches, time-major order.
+
+    Trailing frames that do not fill a whole patch row are dropped.
+    """
+    t, f = values.shape
+    if t < patch_size:
+        raise ValueError(
+            f"spectrogram too short for one patch: {t} frames < {patch_size}")
+    check_patch_size(patch_size, f)
+    p = patch_size
+    rows = t // p
+    return (values[:rows * p].reshape(rows, p, f // p, p)
+            .transpose(0, 2, 1, 3).reshape(-1, p, p))
+
+
+def _source(index: int, n_cols: int, patch_size: int) -> tuple[int, int]:
+    """Top-left (time, mel) corner of the patch at a time-major index."""
+    return (index // n_cols) * patch_size, (index % n_cols) * patch_size
+
+
+def _statistics(tiles: np.ndarray) -> np.ndarray:
+    """Reduce an (n, p, p) stack of patches to an (n, 4) array of (s1..s4).
+
+    The centroid and bandwidth use local bin indices 0..p-1 and
+    nonnegative weights w_f proportional to |column mean| + eps, so they are
+    well defined even when standardization makes means negative. Coherence
+    averages the cosine similarity of the p-1 adjacent frame pairs, with
+    an eps-guarded denominator so zero-norm frames contribute 0.
+    """
+    bins = np.arange(tiles.shape[1], dtype=np.float64)
+    raw = np.abs(tiles.mean(axis=1)) + EPS
+    w = raw / raw.sum(axis=1, keepdims=True)
+    s2 = w @ bins
+    s3 = np.sqrt(((bins - s2[:, None]) ** 2 * w).sum(axis=1))
+    norms = np.linalg.norm(tiles, axis=2)
+    dots = (tiles[:, :-1] * tiles[:, 1:]).sum(axis=2)
+    s4 = (dots / (norms[:, :-1] * norms[:, 1:] + EPS)).mean(axis=1)
+    return np.stack([tiles.mean(axis=(1, 2)), s2, s3, s4], axis=1)
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores, by descending score then ascending index."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > scores.size:
+        raise ValueError(f"k={k} exceeds patch count {scores.size}")
+    return np.argsort(-scores, kind="stable")[:k]
+
+
 def partition(spec: Spectrogram, patch_size: int = 4) -> list[Patch]:
     """Cut the spectrogram into non-overlapping patches, time-major order.
 
     Trailing frames that do not fill a whole patch row are dropped. The mel
     axis (64 bins) must divide evenly by the patch size.
     """
-    t, f = spec.values.shape
-    if t < patch_size:
-        raise ValueError(
-            f"spectrogram too short for one patch: {t} frames < {patch_size}")
-    if f % patch_size != 0:
-        raise ValueError(f"{f} mel bins not divisible by patch size {patch_size}")
-    patches = []
-    for ti in range(0, (t // patch_size) * patch_size, patch_size):
-        for fi in range(0, f, patch_size):
-            patches.append(Patch(spec.values[ti:ti + patch_size, fi:fi + patch_size],
-                                 ti, fi))
-    return patches
+    tiles = _tiles(spec.values, patch_size)
+    n_cols = spec.n_mels // patch_size
+    return [Patch(tile, *_source(i, n_cols, patch_size)) for i, tile in enumerate(tiles)]
 
 
 def summarize(patch: Patch) -> PatchSummary:
-    """Reduce one patch to (s1, s2, s3, s4).
-
-    The centroid and bandwidth use local bin indices 0..size-1 and
-    nonnegative weights w_f proportional to |column mean| + eps, so they are
-    well defined even when standardization makes means negative. Coherence
-    averages the cosine similarity of the size-1 adjacent frame pairs, with
-    an eps-guarded denominator so zero-norm frames contribute 0.
-    """
-    v = patch.values
-    size = v.shape[0]
-    s1 = float(v.mean())
-    col_means = v.mean(axis=0)
-    raw = np.abs(col_means) + EPS
-    w = raw / raw.sum()
-    bins = np.arange(size, dtype=np.float64)
-    s2 = float(np.dot(bins, w))
-    s3 = float(np.sqrt(np.dot((bins - s2) ** 2, w)))
-    sims = []
-    for tau in range(size - 1):
-        a, b = v[tau], v[tau + 1]
-        denom = np.linalg.norm(a) * np.linalg.norm(b) + EPS
-        sims.append(float(np.dot(a, b)) / denom)
-    s4 = float(np.mean(sims))
+    """Reduce one patch to (s1, s2, s3, s4): the one-patch case of the batch."""
+    s1, s2, s3, s4 = _statistics(patch.values[None])[0].tolist()
     return PatchSummary(s1, s2, s3, s4, (patch.time_index, patch.freq_index))
 
 
@@ -124,12 +157,8 @@ def select_top_k(summaries: list[PatchSummary], k: int) -> list[PatchSummary]:
     Ties break toward the smaller list index, and the output is ordered by
     descending s1 then ascending index, so selection is deterministic.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(summaries):
-        raise ValueError(f"k={k} exceeds patch count {len(summaries)}")
-    order = sorted(range(len(summaries)), key=lambda i: (-summaries[i].s1, i))
-    return [summaries[i] for i in order[:k]]
+    order = _top_k(np.array([s.s1 for s in summaries], dtype=np.float64), k)
+    return [summaries[i] for i in order]
 
 
 def make_feature_vector(selected: list[PatchSummary]) -> FeatureVector:
@@ -140,9 +169,12 @@ def make_feature_vector(selected: list[PatchSummary]) -> FeatureVector:
 
 
 def extract_features(spec: Spectrogram, k: int = 2, patch_size: int = 4) -> FeatureVector:
-    """Full patch pipeline: partition, summarize, rank, concatenate."""
-    summaries = [summarize(p) for p in partition(spec, patch_size)]
-    return make_feature_vector(select_top_k(summaries, k))
+    """Rank every patch by s1, then summarize and concatenate the top k."""
+    tiles = _tiles(spec.values, patch_size)
+    top = _top_k(tiles.mean(axis=(1, 2)), k)
+    n_cols = spec.n_mels // patch_size
+    return FeatureVector(_statistics(tiles[top]).ravel(),
+                         tuple(_source(i, n_cols, patch_size) for i in top.tolist()))
 
 
 def write_features_csv(path, rows) -> None:

@@ -41,6 +41,19 @@ def summary_oracle(values):
     return s1, s2, s3, s4
 
 
+def selection_oracle(values, k, patch_size):
+    """Scalar statistics of every patch, then a stable sort by (-s1, index).
+
+    Returns the k selected statistic tuples and their (time, mel) corners.
+    """
+    p = patch_size
+    corners = [(t, f) for t in range(0, values.shape[0] - p + 1, p)
+               for f in range(0, values.shape[1], p)]
+    stats = [summary_oracle(values[t:t + p, f:f + p]) for t, f in corners]
+    order = sorted(range(len(stats)), key=lambda i: (-stats[i][0], i))[:k]
+    return [stats[i] for i in order], [corners[i] for i in order]
+
+
 def random_spectrogram(rng, n_frames=16):
     vals = rng.standard_normal((n_frames, 64))
     vals = (vals - vals.mean()) / vals.std()
@@ -236,6 +249,34 @@ class TestExtractFeatures:
         all_means = sorted((p.values.mean() for p in partition(spec)), reverse=True)
         picked = [fv.values[4 * j] for j in range(3)]
         np.testing.assert_allclose(picked, all_means[:3], atol=1e-12)
+
+    @pytest.mark.parametrize("patch_size", [2, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_and_sort_oracles(self, seed, k, patch_size):
+        rng = np.random.default_rng(100 + seed)
+        # strictly between 3p and 4p frames: a trailing partial row is dropped
+        n_frames = 3 * patch_size + 1 + seed % (patch_size - 1)
+        vals = random_spectrogram(rng, n_frames).values
+        if seed % 2:
+            vals = np.round(vals)  # integer values: exact s1 ties between patches
+        fv = extract_features(Spectrogram(vals), k=k, patch_size=patch_size)
+        stats, corners = selection_oracle(vals, k, patch_size)
+        assert fv.patch_order == tuple(corners)
+        np.testing.assert_allclose(fv.values, np.concatenate(stats), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_exact_ties_select_first_patches(self, k):
+        fv = extract_features(Spectrogram(np.full((9, 64), 0.5)), k=k)
+        assert fv.patch_order == tuple((0, 4 * j) for j in range(k))
+
+    def test_k_above_patch_count_raises(self):
+        with pytest.raises(ValueError, match="exceeds patch count 2"):
+            extract_features(Spectrogram(np.zeros((4, 8))), k=3)
+
+    def test_patch_size_one_raises(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            extract_features(Spectrogram(np.zeros((8, 64))), k=1, patch_size=1)
 
 
 class TestFeatureCsv:
