@@ -140,6 +140,10 @@ def _load_split_features(config: ExperimentConfig):
     return split
 
 
+def _stack(rows) -> np.ndarray:
+    return np.stack([fv.values for _, _, fv in rows])
+
+
 def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
@@ -153,6 +157,9 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     np.savetxt(cross_path, cross, delimiter=",", fmt="%.17g")
     sidecar = {
         "kernel_kind": kind,
+        "params": gram.params,
+        "config_hash": svm.feature_hash(
+            np.concatenate([_stack(dev), _stack(train)]), gram.params),
         "train_ids": [uid for uid, _, _ in train],
         "dev_ids": [uid for uid, _, _ in dev],
     }
@@ -160,6 +167,27 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     log.info("wrote %dx%d train Gram and %dx%d cross block for kind=%s",
              gram.n, gram.n, cross.shape[0], cross.shape[1], kind)
+
+
+def _check_kernel_files(gram, cross_meta: dict, spec, train, dev) -> None:
+    """Refuse kernel files made under another config, features or split."""
+    params = spec.params()
+    x_train = _stack(train)
+    expected = {
+        "gram params": (gram.params, params),
+        "gram feature hash": (gram.config_hash, svm.feature_hash(x_train, params)),
+        "cross params": (cross_meta.get("params"), params),
+        "cross feature hash": (
+            cross_meta.get("config_hash"),
+            svm.feature_hash(np.concatenate([_stack(dev), x_train]), params)),
+        "cross train ids": (cross_meta.get("train_ids"), [uid for uid, _, _ in train]),
+        "cross dev ids": (cross_meta.get("dev_ids"), [uid for uid, _, _ in dev]),
+    }
+    stale = [name for name, (stored, now) in expected.items() if stored != now]
+    if stale:
+        raise CliInputError(
+            f"kernel files do not match the current config and features "
+            f"({', '.join(stale)}); rerun kernel --kind {spec.kind}")
 
 
 def _labels_to_pm1(labels):
@@ -175,10 +203,14 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             raise CliInputError(f"missing {path}; run kernel --kind {kind} first")
     split = _load_split_features(config)
     train, dev = split["train"], split["dev"]
+    # resolved on the train features: the structure block uses the model's gamma
+    spec = config.kernel_spec(kind).resolve(_stack(train))
     gram = svm.load_gram(gram_path)
     cross = np.loadtxt(cross_path, delimiter=",", ndmin=2)
     if gram.n != len(train) or cross.shape != (len(dev), len(train)):
         raise CliInputError("kernel files do not match the manifest split sizes")
+    cross_meta = json.loads(cross_path.with_suffix(".json").read_text())
+    _check_kernel_files(gram, cross_meta, spec, train, dev)
 
     y_train = _labels_to_pm1([label for _, label, _ in train])
     model = svm.train_svm(gram, y_train, C=config.svm_c,
@@ -192,8 +224,6 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     auroc_value = metrics.auroc(dev_scores, y_dev01)
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
-    # resolved on the train features: the structure block uses the model's gamma
-    spec = config.kernel_spec(kind).resolve(np.stack([fv.values for _, _, fv in train]))
     dev_feats = [fv for _, _, fv in dev]
     dev_gram = svm.build_gram(dev_feats, spec)
     structure = metrics.kernel_structure(
@@ -219,6 +249,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             "bias": float(model.bias),
             "kkt_gap": float(model.kkt_gap),
             "n_iter": int(model.n_iter),
+            "converged": bool(model.converged),
         },
         "kernel_structure": structure.to_dict(),
         "config": config.to_dict(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,10 @@ class ExperimentConfig:
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
         patch_circuit(self.depth, self.s3_axis)  # rejects a bad depth or axis
+        numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
+        if self.gamma != "scale" and not (numeric and 0 < self.gamma < math.inf):
+            raise ValueError(f'gamma must be a finite number > 0 or "scale", '
+                             f"got {self.gamma!r}")
         check_patch_size(self.patch_size, self.n_mels)
         win_len = round(self.win_ms * TARGET_SAMPLE_RATE / 1000)
         if self.fft_size < win_len:

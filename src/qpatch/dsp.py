@@ -4,6 +4,10 @@ All operations are pure functions on immutable inputs. The pipeline per
 utterance is: load -> resample to 16 kHz -> STFT (Hann window, power
 spectrum) -> mel filterbank energies -> log compression -> per-utterance
 standardization.
+
+Only numpy and scipy.io load with this module. scipy.signal, whose
+import costs about a second, loads on the first input that is not
+already at 16 kHz.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 # Single numerical-stability constant used across the feature pipeline.
 EPS = 1e-8
@@ -216,6 +219,7 @@ def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     """Windowed-sinc polyphase resampling; pass-through when already at target."""
     if w.sample_rate == target_rate:
         return w
+    from scipy.signal import resample_poly  # about 1 s to import; few inputs need it
     g = math.gcd(target_rate, w.sample_rate)
     samples = resample_poly(w.samples, target_rate // g, w.sample_rate // g)
     return Waveform(samples, target_rate)

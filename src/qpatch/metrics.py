@@ -3,7 +3,8 @@
 Scores are oriented so that higher means more bona fide; the positive
 class for both metrics is bona fide (label 1). Rates on the ROC are exact
 integer ratios, so the EER crossing can be checked against brute-force
-sweeps without rounding surprises.
+sweeps without rounding surprises. AUROC is an exact Mann-Whitney count
+over sorted scores in numpy, so this module does not load scipy.stats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
 from .svm import KernelSpec, _stack_features, kernel_matrix
@@ -69,15 +69,16 @@ def roc_points(scores, labels) -> RocCurve:
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties at 0.5.
 
-    Computed from midrank sums (the Mann-Whitney statistic), which equals
-    pair counting exactly because midranks are half-integers.
+    The Mann-Whitney count: for each positive, the negatives strictly below
+    it plus the negatives at or below it, halved. Every term is an integer
+    before the halving, so the value equals pair counting exactly.
     """
     scores, labels = _check_binary(scores, labels)
-    npos = int(labels.sum())
-    nneg = labels.size - npos
-    ranks = rankdata(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    twice_wins = (np.searchsorted(neg, pos, "left")
+                  + np.searchsorted(neg, pos, "right")).sum()
+    return float(twice_wins) / 2.0 / (pos.size * neg.size)
 
 
 def eer(scores, labels) -> tuple[float, float]:

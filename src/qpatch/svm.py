@@ -107,6 +107,7 @@ class SvmModel:
     feature_ref: str = ""
     kkt_gap: float = 0.0
     n_iter: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "dual_coefs",
@@ -198,7 +199,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     Tracks beta_i = alpha_i * y_i inside the box [min(0, C*y_i), max(0, C*y_i)]
     so the equality constraint is just sum(beta) = 0. Each step picks the
     pair with the largest KKT gap and moves them jointly by the clamped
-    Newton step. Stops when the gap falls to tol.
+    Newton step. Stops when the gap falls to tol; running out of max_iter
+    first warns and marks the model not converged.
     """
     if isinstance(gram, GramMatrix):
         k = gram.values.copy()
@@ -224,6 +226,7 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     v = y.copy()  # v = y - K @ beta, maintained incrementally
     gap = np.inf
     it = 0
+    converged = True
     for it in range(1, max_iter + 1):
         can_up = beta < upper - 1e-12
         can_dn = beta > lower + 1e-12
@@ -240,6 +243,10 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
         beta[i] += lam
         beta[j] -= lam
         v -= lam * (k[:, i] - k[:, j])
+    else:
+        converged = False
+        warnings.warn(f"SMO stopped at max_iter={max_iter} with KKT gap {gap:.3e} "
+                      f"above tol {tol:g}; the model is not converged")
 
     beta = np.clip(beta, lower, upper)
     alpha = np.abs(beta)
@@ -262,7 +269,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     final_gap = float(gap) if np.isfinite(gap) else 0.0
     return SvmModel(dual_coefs=beta[support], support_indices=support,
                     bias=bias, C=C, n_train=n, kernel_params=kernel_params,
-                    feature_ref=feature_ref, kkt_gap=final_gap, n_iter=it)
+                    feature_ref=feature_ref, kkt_gap=final_gap, n_iter=it,
+                    converged=converged)
 
 
 def decision_scores(model: SvmModel, rows) -> np.ndarray:
@@ -306,6 +314,7 @@ def save_model(model: SvmModel, path) -> None:
         "feature_ref": model.feature_ref,
         "kkt_gap": model.kkt_gap,
         "n_iter": model.n_iter,
+        "converged": model.converged,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -318,4 +327,4 @@ def load_model(path) -> SvmModel:
         bias=payload["bias"], C=payload["C"], n_train=payload["n_train"],
         kernel_params=payload["kernel_params"],
         feature_ref=payload["feature_ref"], kkt_gap=payload["kkt_gap"],
-        n_iter=payload["n_iter"])
+        n_iter=payload["n_iter"], converged=payload["converged"])

@@ -6,11 +6,16 @@ as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpatch
 from qpatch.cli import main
 from qpatch import dsp
 
@@ -205,6 +210,34 @@ class TestTrainEval:
         assert model.n_train == 8
         assert model.kernel_params["kind"] == "rbf"
 
+    def test_kernel_files_from_another_depth_are_refused(self, tmp_path):
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        code = main(base_args(tmp_path, "--depth", "2")
+                    + ["train-eval", "--kind", "quantum"])
+        assert code == 2
+        assert not (tmp_path / "report_quantum.json").exists()
+        assert "gram params" in (tmp_path / "run.log").read_text()
+
+    def test_features_rerun_with_another_k_are_refused(self, tmp_path):
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        assert main(base_args(tmp_path, "--k", "4") + ["features"]) == 0
+        code = main(base_args(tmp_path, "--k", "4") + ["train-eval", "--kind", "rbf"])
+        assert code == 2
+        assert not (tmp_path / "report_rbf.json").exists()
+        assert "gram feature hash" in (tmp_path / "run.log").read_text()
+
+    def test_cross_block_in_another_split_order_is_refused(self, tmp_path):
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        sidecar = tmp_path / "cross_quantum.json"
+        meta = json.loads(sidecar.read_text())
+        meta["train_ids"] = meta["train_ids"][::-1]
+        sidecar.write_text(json.dumps(meta))
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
+        assert "cross train ids" in (tmp_path / "run.log").read_text()
+
 
 def key_paths(obj, prefix=""):
     """All nested key paths of a JSON-like dict, ignoring leaf values."""
@@ -224,6 +257,7 @@ class TestRunAll:
         assert key_paths(q) == key_paths(r)
         assert q["kernel"]["gamma_resolved"] is None
         assert r["kernel"]["gamma_resolved"] > 0
+        assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
 
     def test_two_runs_same_config_are_byte_identical(self, tmp_path, monkeypatch):
         # same work dir *name* from two different parents, so every stored
@@ -283,9 +317,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},
-                                     {"patch_size": 5}, {"fft_size": 256}],
+                                     {"patch_size": 5}, {"fft_size": 256},
+                                     {"gamma": "foo"}, {"gamma": -5}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
-                                  "patch1", "patch5", "fft256"])
+                                  "patch1", "patch5", "fft256", "gammafoo", "gammaneg"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
@@ -315,3 +350,28 @@ class TestConfigHandling:
         assert main(base_args(tmp_path / "w", "--input-dir", corpus) + ["synth"]) == 0
         log_text = (tmp_path / "w" / "run.log").read_text()
         assert f"{wav}: averaging 2 channels to mono" in log_text
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    """A fresh interpreter imports qpatch.cli without scipy.signal or
+    scipy.stats; the first resampled input then loads scipy.signal."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import qpatch.cli
+        from qpatch import dsp
+        heavy = [m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats"))]
+        assert not heavy, heavy
+        t = np.arange(4410) / 44100.0
+        w = dsp.Waveform(np.sin(2 * np.pi * 440.0 * t), 44100)
+        out = dsp.resample_to(w)
+        from scipy.signal import resample_poly
+        assert out.sample_rate == 16000 and out.samples.size == 1600
+        assert np.array_equal(out.samples, resample_poly(w.samples, 160, 441))
+    """)
+    src = str(Path(qpatch.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Gram construction, RBF baseline, SMO solver correctness, persistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,19 @@ class TestTrainSvmRandomProblems:
             model = train_svm(GramMatrix(k, "precomputed"), [1.0, -1.0, 1.0])
         assert model.n_train == 3
 
+    def test_max_iter_exhaustion_warns_and_reports_not_converged(self):
+        rng = np.random.default_rng(40)
+        k = random_psd_kernel(rng, 20)
+        y = np.array([1.0, -1.0] * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = train_svm(GramMatrix(k, "precomputed"), y, C=2.0)
+        assert full.converged and full.n_iter > 1
+        with pytest.warns(UserWarning, match="max_iter=1 .* not converged"):
+            model = train_svm(GramMatrix(k, "precomputed"), y, C=2.0, max_iter=1)
+        assert not model.converged
+        assert model.n_iter == 1 and model.kkt_gap > 1e-4
+
     def test_duplicated_dataset_same_scores(self):
         """Doubling every training point can split the duals but must leave
         the decision function unchanged."""
@@ -432,6 +446,7 @@ class TestPersistence:
         assert back.C == model.C
         assert back.n_train == model.n_train
         assert back.feature_ref == "features.csv"
+        assert back.converged is model.converged is True
         rows = rng.standard_normal((2, 8))
         np.testing.assert_array_equal(decision_scores(back, rows),
                                       decision_scores(model, rows))
