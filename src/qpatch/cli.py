@@ -57,6 +57,7 @@ def _paths(config: ExperimentConfig) -> dict:
         "work": work,
         "manifest": work / "manifest.csv",
         "features": work / "features.csv",
+        "features_meta": work / "features.json",
         "gram": lambda kind: work / f"gram_{kind}.csv",
         "cross": lambda kind: work / f"cross_{kind}.csv",
         "model": lambda kind: work / f"model_{kind}.json",
@@ -98,6 +99,12 @@ def _extract_one(entry, work: Path, config: ExperimentConfig):
     return entry.uid, entry.label, fv
 
 
+def _features_made_under(config: ExperimentConfig) -> dict:
+    """The config fields features.csv depends on, as stored in features.json."""
+    return {"k": config.k, "patch_size": config.patch_size,
+            "front_end": dataclasses.asdict(config.front_end())}
+
+
 def cmd_features(config: ExperimentConfig) -> None:
     p = _paths(config)
     if not p["manifest"].exists():
@@ -114,6 +121,8 @@ def cmd_features(config: ExperimentConfig) -> None:
     if not rows:
         raise CliInputError("no feature rows could be extracted")
     patches.write_features_csv(p["features"], rows)
+    p["features_meta"].write_text(
+        json.dumps(_features_made_under(config), indent=2, sort_keys=True) + "\n")
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
@@ -123,9 +132,15 @@ def cmd_features(config: ExperimentConfig) -> None:
 
 def _load_split_features(config: ExperimentConfig):
     p = _paths(config)
-    for name in ("manifest", "features"):
+    for name in ("manifest", "features", "features_meta"):
         if not p[name].exists():
             raise CliInputError(f"missing {p[name]}; run earlier stages first")
+    stored = json.loads(p["features_meta"].read_text())
+    stale = [key for key, now in _features_made_under(config).items()
+             if stored.get(key) != now]
+    if stale:
+        raise CliInputError(f"features were made under another {', '.join(stale)}; "
+                            "rerun features")
     manifest = spoof.read_manifest(p["manifest"], seed=config.seed)
     feature_rows = {uid: (label, fv)
                     for uid, label, fv in patches.read_features_csv(p["features"])}

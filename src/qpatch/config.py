@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig
 from .patches import check_patch_size
-from .quantum import patch_circuit
+from .quantum import circuit
 from .spoof import SpoofConfig, SplitCounts
 from .svm import KernelSpec
 
@@ -50,7 +50,13 @@ class ExperimentConfig:
         # checked here so a bad value exits before any stage writes a file
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
-        patch_circuit(self.depth, self.s3_axis)  # rejects a bad depth or axis
+        circuit(4, self.depth, self.s3_axis)  # rejects a bad depth or axis
+        self.spoof_config()  # rejects a bad snr_db or tilt range
+        self.split_counts()  # rejects a split below one per class
+        if not 0 < self.svm_c < math.inf:
+            raise ValueError(f"svm_c must be a finite number > 0, got {self.svm_c!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
         if self.gamma != "scale" and not (numeric and 0 < self.gamma < math.inf):
             raise ValueError(f'gamma must be a finite number > 0 or "scale", '

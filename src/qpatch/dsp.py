@@ -13,10 +13,9 @@ already at 16 kHz.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +44,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError(f"invalid sample rate {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -63,10 +58,6 @@ class Spectrogram:
             raise ValueError("spectrogram must be a 2-D matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("spectrogram contains non-finite entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_mels(self) -> int:
@@ -105,18 +96,6 @@ class FrontEndConfig:
     n_mels: int = 64
     f_low: float = 0.0
     f_high: float = 8000.0
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "win_ms": self.win_ms,
-            "hop_ms": self.hop_ms,
-            "fft_size": self.fft_size,
-            "n_mels": self.n_mels,
-            "f_low": self.f_low,
-            "f_high": self.f_high,
-            "eps": EPS,
-        }
 
 
 def hz_to_mel(f):
@@ -263,17 +242,3 @@ def save_wav(path, w: Waveform) -> None:
     pcm = np.round(samples * 32767.0).astype(np.int16)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     wavfile.write(str(path), w.sample_rate, pcm)
-
-
-def save_spectrogram(spec: Spectrogram, csv_path, config: FrontEndConfig) -> None:
-    """Persist a spectrogram as CSV (row = frame) plus a JSON config sidecar."""
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(csv_path, spec.values, delimiter=",", fmt="%.17g")
-    sidecar = csv_path.with_suffix(".json")
-    sidecar.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_spectrogram(csv_path) -> Spectrogram:
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return Spectrogram(values)

@@ -11,9 +11,9 @@ statistics:
 
 `extract_features` works on whole arrays: it views the spectrogram as an
 (n_patches, p, p) stack, computes s1 for every patch, keeps the top k by
-s1, and computes s2-s4 for those k patches only, in one pass. Their
-statistics are concatenated into a feature vector of length 4k.
-`summarize` is the one-patch case of the same statistics.
+s1 (ties to the earlier patch), and computes s2-s4 for those k patches
+only, in one pass. Their statistics are concatenated into a feature
+vector of length 4k, with each selected patch's (time, mel) corner.
 """
 
 from __future__ import annotations
@@ -25,39 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import EPS, Spectrogram
-
-
-@dataclass(frozen=True)
-class Patch:
-    """A square time-frequency tile; indices locate its top-left corner."""
-
-    values: np.ndarray
-    time_index: int
-    freq_index: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("patch must be a square matrix")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("patch contains non-finite values")
-
-
-@dataclass(frozen=True)
-class PatchSummary:
-    s1: float
-    s2: float
-    s3: float
-    s4: float
-    source: tuple[int, int]
-
-    @property
-    def score(self) -> float:
-        return self.s1
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3, self.s4])
 
 
 @dataclass(frozen=True)
@@ -100,11 +67,6 @@ def _tiles(values: np.ndarray, patch_size: int) -> np.ndarray:
             .transpose(0, 2, 1, 3).reshape(-1, p, p))
 
 
-def _source(index: int, n_cols: int, patch_size: int) -> tuple[int, int]:
-    """Top-left (time, mel) corner of the patch at a time-major index."""
-    return (index // n_cols) * patch_size, (index % n_cols) * patch_size
-
-
 def _statistics(tiles: np.ndarray) -> np.ndarray:
     """Reduce an (n, p, p) stack of patches to an (n, 4) array of (s1..s4).
 
@@ -134,47 +96,12 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def partition(spec: Spectrogram, patch_size: int = 4) -> list[Patch]:
-    """Cut the spectrogram into non-overlapping patches, time-major order.
-
-    Trailing frames that do not fill a whole patch row are dropped. The mel
-    axis (64 bins) must divide evenly by the patch size.
-    """
-    tiles = _tiles(spec.values, patch_size)
-    n_cols = spec.n_mels // patch_size
-    return [Patch(tile, *_source(i, n_cols, patch_size)) for i, tile in enumerate(tiles)]
-
-
-def summarize(patch: Patch) -> PatchSummary:
-    """Reduce one patch to (s1, s2, s3, s4): the one-patch case of the batch."""
-    s1, s2, s3, s4 = _statistics(patch.values[None])[0].tolist()
-    return PatchSummary(s1, s2, s3, s4, (patch.time_index, patch.freq_index))
-
-
-def select_top_k(summaries: list[PatchSummary], k: int) -> list[PatchSummary]:
-    """Pick the k summaries with the largest s1.
-
-    Ties break toward the smaller list index, and the output is ordered by
-    descending s1 then ascending index, so selection is deterministic.
-    """
-    order = _top_k(np.array([s.s1 for s in summaries], dtype=np.float64), k)
-    return [summaries[i] for i in order]
-
-
-def make_feature_vector(selected: list[PatchSummary]) -> FeatureVector:
-    if not selected:
-        raise ValueError("need at least one selected patch")
-    values = np.concatenate([s.as_vector() for s in selected])
-    return FeatureVector(values, tuple(s.source for s in selected))
-
-
 def extract_features(spec: Spectrogram, k: int = 2, patch_size: int = 4) -> FeatureVector:
     """Rank every patch by s1, then summarize and concatenate the top k."""
     tiles = _tiles(spec.values, patch_size)
     top = _top_k(tiles.mean(axis=(1, 2)), k)
-    n_cols = spec.n_mels // patch_size
-    return FeatureVector(_statistics(tiles[top]).ravel(),
-                         tuple(_source(i, n_cols, patch_size) for i in top.tolist()))
+    corners = np.stack(np.divmod(top, spec.n_mels // patch_size), axis=1) * patch_size
+    return FeatureVector(_statistics(tiles[top]).ravel(), corners.tolist())
 
 
 def write_features_csv(path, rows) -> None:

@@ -12,18 +12,18 @@ feature vectors use eight qubits: the same structure on q0-q3 and q4-q7
 plus one inter-patch CZ(3,4) per layer. Layers repeat with identical
 angles up to depth 3.
 
-Simulation is batched: _embed_vector maps an (n, 4k) feature matrix to
-(n, blocks, 2^q) amplitudes, each gate acting in place on all samples
-through a (n, 2^qubit, 2, rest) view. The kernel is the mean over blocks
-of |S_A S_B^H|^2 (fidelity_matrix). run_circuit, embed_patch, embed_pair
-and fidelity_kernel are the n = 1 case.
+The gate list is plain tuples: ("A", q) rotates qubit q about axis A by
+angle q of the row, and (a, b) is CZ(a, b). Simulation is batched:
+_embed_vector maps an (n, 4k) feature matrix to (n, blocks, 2^q)
+amplitudes, each gate acting in place on all samples through a
+(n, 2^qubit, 2, rest) view. The kernel is the mean over blocks of
+|S_A S_B^H|^2 (fidelity_matrix). embed_patch, embed_pair and
+fidelity_kernel are the n = 1 case.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,43 +47,6 @@ class StateVector:
         norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
         if abs(norm_sq - 1.0) > 1e-10:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps, n_qubits)
-
-
-@dataclass(frozen=True)
-class RotationGate:
-    axis: str
-    qubit: int
-    source: int  # index into the angle vector
-
-
-@dataclass(frozen=True)
-class CZGate:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Ordered gate list for an embedding circuit."""
-
-    n_qubits: int
-    depth: int
-    gates: tuple
-
-    def __post_init__(self):
-        if self.n_qubits not in (4, 8):
-            raise ValueError(f"unsupported register size {self.n_qubits}")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be 1..{MAX_DEPTH}, got {self.depth}")
-        for g in self.gates:
-            if isinstance(g, CZGate) and abs(g.a - g.b) != 1:
-                raise ValueError(f"CZ({g.a},{g.b}) is not an adjacent pair")
 
 
 def rotation_matrix(axis: str, theta) -> np.ndarray:
@@ -117,72 +80,39 @@ def _cz(psi: np.ndarray, a: int, b: int) -> None:
     v[:, :, 1, :, 1] *= -1.0
 
 
-def apply_rotation(state: StateVector, axis: str, qubit: int, angle: float) -> StateVector:
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    psi = state.amplitudes[None].copy()
-    _rotate(psi, qubit, rotation_matrix(axis, angle))
-    return StateVector(psi[0], state.n_qubits)
+def circuit(n_qubits: int, depth: int = 1, s3_axis: str = "Z") -> tuple:
+    """Gate list of the embedding on 4 (one patch) or 8 (a patch pair) qubits.
 
-
-def apply_cz(state: StateVector, a: int, b: int) -> StateVector:
-    if a == b:
-        raise ValueError("CZ needs two distinct qubits")
-    for q in (a, b):
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
-    psi = state.amplitudes[None].copy()
-    _cz(psi, a, b)
-    return StateVector(psi[0], state.n_qubits)
-
-
-def _layer_gates(base_qubit: int, s3_axis: str) -> list:
+    Each layer runs R_X R_Y R_{s3_axis} R_Y and the chain CZ(0,1) CZ(1,2)
+    CZ(2,3) on every four qubits; a pair adds one inter-patch CZ(3,4).
+    Repeated layers repeat the whole block with the same angles.
+    """
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be 1..{MAX_DEPTH}, got {depth}")
     if s3_axis not in VALID_AXES:
         raise ValueError(f"invalid s3 axis {s3_axis!r}")
-    axes = ("X", "Y", s3_axis, "Y")
-    gates = [RotationGate(axes[j], base_qubit + j, base_qubit + j) for j in range(4)]
-    gates += [CZGate(base_qubit + j, base_qubit + j + 1) for j in range(3)]
-    return gates
+    layer = []
+    for base in range(0, n_qubits, 4):
+        layer += [(axis, base + j) for j, axis in enumerate(("X", "Y", s3_axis, "Y"))]
+        layer += [(base + j, base + j + 1) for j in range(3)]
+    if n_qubits == 8:
+        layer.append((3, 4))
+    return tuple(layer) * depth
 
 
-def patch_circuit(depth: int = 1, s3_axis: str = "Z") -> CircuitSpec:
-    """Four-qubit embedding circuit for one patch summary."""
-    layer = _layer_gates(0, s3_axis)
-    return CircuitSpec(4, depth, tuple(layer * depth))
-
-
-def pair_circuit(depth: int = 1, s3_axis: str = "Z") -> CircuitSpec:
-    """Eight-qubit circuit for a two-patch feature vector.
-
-    Each layer runs the single-patch block on q0-q3 and q4-q7 and then a
-    single inter-patch CZ(3,4); repeated layers repeat the whole block
-    including the inter-patch gate.
-    """
-    layer = _layer_gates(0, s3_axis) + _layer_gates(4, s3_axis) + [CZGate(3, 4)]
-    return CircuitSpec(8, depth, tuple(layer * depth))
-
-
-def _simulate(circuit: CircuitSpec, angles: np.ndarray) -> np.ndarray:
-    """Run the gate list on |0...0> once per row of angles (n, n_angles)."""
-    psi = np.zeros((angles.shape[0], 2 ** circuit.n_qubits), dtype=np.complex128)
+def _simulate(gates: tuple, angles: np.ndarray) -> np.ndarray:
+    """Run the gate list on |0...0> once per row of angles (n, n_qubits)."""
+    psi = np.zeros((angles.shape[0], 2 ** angles.shape[1]), dtype=np.complex128)
     psi[:, 0] = 1.0
-    for gate in circuit.gates:
-        if isinstance(gate, RotationGate):
-            _rotate(psi, gate.qubit, rotation_matrix(gate.axis, angles[:, gate.source]))
+    for a, b in gates:
+        if isinstance(a, str):
+            _rotate(psi, b, rotation_matrix(a, angles[:, b]))
         else:
-            _cz(psi, gate.a, gate.b)
+            _cz(psi, a, b)
     return psi
 
 
-def run_circuit(circuit: CircuitSpec, angles) -> StateVector:
-    """Run the gate list on |0...0>; rotation angles come from `angles` by index."""
-    psi = _simulate(circuit, np.asarray(angles, dtype=np.float64)[None])
-    return StateVector(psi[0], circuit.n_qubits)
-
-
 def _as_angles(s) -> np.ndarray:
-    if hasattr(s, "as_vector"):
-        return s.as_vector()
     return np.asarray(getattr(s, "values", s), dtype=np.float64)
 
 
@@ -191,7 +121,7 @@ def embed_patch(s, depth: int = 1, s3_axis: str = "Z") -> StateVector:
     angles = _as_angles(s)
     if angles.shape != (4,):
         raise ValueError(f"patch summary must have 4 values, got {angles.shape}")
-    return run_circuit(patch_circuit(depth, s3_axis), angles)
+    return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 4)
 
 
 def embed_pair(s_first, s_second, depth: int = 1, s3_axis: str = "Z") -> StateVector:
@@ -199,29 +129,19 @@ def embed_pair(s_first, s_second, depth: int = 1, s3_axis: str = "Z") -> StateVe
     angles = np.concatenate([_as_angles(s_first), _as_angles(s_second)])
     if angles.shape != (8,):
         raise ValueError("each patch summary must have 4 values")
-    return run_circuit(pair_circuit(depth, s3_axis), angles)
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 between two states of equal size."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 8)
 
 
 def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
     """(n, blocks, 2^q) states of an (n, length) matrix: one block per patch pair."""
     x = np.asarray(values, dtype=np.float64)
     n, length = x.shape
-    if length == 4:
-        circuit = patch_circuit(depth, s3_axis)
-    elif length and length % 8 == 0:
-        circuit = pair_circuit(depth, s3_axis)
-    else:
+    if length != 4 and (not length or length % 8):
         raise ValueError(f"feature length {length} unsupported: need 4 (one patch) "
                          "or a multiple of 8 (whole patch pairs)")
-    amps = _simulate(circuit, x.reshape(-1, circuit.n_qubits))
-    return amps.reshape(n, -1, 2 ** circuit.n_qubits)
+    q = min(length, 8)
+    amps = _simulate(circuit(q, depth, s3_axis), x.reshape(-1, q))
+    return amps.reshape(n, -1, 2 ** q)
 
 
 def fidelity_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
@@ -249,14 +169,3 @@ def fidelity_kernel(x, y, depth: int = 1, s3_axis: str = "Z") -> float:
         raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
     states = _embed_vector(np.stack([xv, yv]), depth, s3_axis)
     return float(fidelity_matrix(states[:1], states[1:])[0, 0])
-
-
-def save_statevector(path, state: StateVector) -> None:
-    """Debug dump: one CSV row per basis index with real and imaginary parts."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["basis_index", "real", "imag"])
-        for i, amp in enumerate(state.amplitudes):
-            writer.writerow([i, f"{amp.real:.17g}", f"{amp.imag:.17g}"])

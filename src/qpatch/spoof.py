@@ -17,7 +17,7 @@ import csv
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +92,6 @@ class DatasetManifest:
             if n_bona != n_spoof:
                 raise ValueError(
                     f"{split} split unbalanced: {n_bona} bonafide vs {n_spoof} spoof")
-
-    def subset(self, split: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.split == split]
 
 
 def add_noise(w: Waveform, snr_db: float, rng: np.random.Generator) -> Waveform:

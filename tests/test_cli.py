@@ -91,6 +91,10 @@ class TestFeatures:
         header = lines[0].split(",")
         assert header[:2] == ["id", "label"]
         assert sum(1 for h in header if h.startswith("x")) == 8  # k=2
+        made_under = json.loads((tmp_path / "features.json").read_text())
+        assert made_under["k"] == 2 and made_under["patch_size"] == 4
+        assert made_under["front_end"]["fft_size"] == 1024
+        assert made_under["front_end"]["n_mels"] == 64
 
     def test_k_controls_vector_length(self, tmp_path):
         run_synth(tmp_path)
@@ -148,6 +152,26 @@ class TestKernel:
     def test_missing_features_fails(self, tmp_path):
         run_synth(tmp_path)
         assert run_stage(tmp_path, "kernel", "--kind", "quantum") == 2
+
+    @pytest.mark.parametrize("flag", [["--k", "4"], ["--patch-size", "8"]],
+                             ids=["k", "patch_size"])
+    def test_features_made_under_another_config_are_refused(self, tmp_path, flag):
+        prepared(tmp_path)  # features at k 2, patch size 4
+        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        gram = (tmp_path / "gram_rbf.csv").read_bytes()
+        for stage in (["kernel", "--kind", "rbf"], ["train-eval", "--kind", "rbf"]):
+            assert main(base_args(tmp_path, *flag) + stage) == 2
+        assert (tmp_path / "gram_rbf.csv").read_bytes() == gram
+        assert not (tmp_path / "report_rbf.json").exists()
+        field = flag[0][2:].replace("-", "_")
+        assert f"features were made under another {field}" in (
+            tmp_path / "run.log").read_text()
+
+    def test_features_without_their_sidecar_are_refused(self, tmp_path):
+        prepared(tmp_path)
+        (tmp_path / "features.json").unlink()
+        assert run_stage(tmp_path, "kernel", "--kind", "quantum") == 2
+        assert not (tmp_path / "gram_quantum.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         prepared(tmp_path)
@@ -318,13 +342,19 @@ class TestConfigHandling:
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},
                                      {"patch_size": 5}, {"fft_size": 256},
-                                     {"gamma": "foo"}, {"gamma": -5}],
+                                     {"gamma": "foo"}, {"gamma": -5},
+                                     {"train_per_class": 0}, {"dev_per_class": -3},
+                                     {"tilt_low": 2}, {"snr_db": float("nan")},
+                                     {"seed": -1}, {"svm_c": 0}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
-                                  "patch1", "patch5", "fft256", "gammafoo", "gammaneg"])
+                                  "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
+                                  "train0", "devneg3", "tilt2", "snrnan",
+                                  "seedneg", "svmc0"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(bad))
-        code = main(base_args(tmp_path / "w") + ["--config", str(cfg), "run-all"])
+        # the small split sits in the file, so a bad split value can override it
+        cfg.write_text(json.dumps({"train_per_class": 4, "dev_per_class": 2, **bad}))
+        code = main(["--work-dir", str(tmp_path / "w"), "--config", str(cfg), "run-all"])
         assert code == 2
         assert not (tmp_path / "w" / "features.csv").exists()
         assert not (tmp_path / "w").exists()

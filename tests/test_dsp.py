@@ -2,28 +2,22 @@
 log standardization, WAV round trips."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from qpatch.dsp import (
     EPS,
-    FrontEndConfig,
-    MelFilterbank,
-    Spectrogram,
     Waveform,
     build_mel_filterbank,
     hann_window,
     hz_to_mel,
-    load_spectrogram,
     load_wav,
     log_standardize,
     logmel_spectrogram,
     mel_energies,
     mel_to_hz,
     resample_to,
-    save_spectrogram,
     save_wav,
     stft,
 )
@@ -71,10 +65,6 @@ class TestWaveform:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             Waveform(np.zeros(10), 0)
-
-    def test_duration(self):
-        w = Waveform(np.zeros(16000), 16000)
-        assert w.duration == pytest.approx(1.0)
 
 
 class TestStft:
@@ -347,23 +337,3 @@ class TestWavIO:
             w = load_wav(path)
         assert w.samples.ndim == 1
         np.testing.assert_allclose(w.samples, (8192.0 + 16384.0) / 2.0 / 32768.0)
-
-
-class TestSpectrogramPersistence:
-    def test_roundtrip_and_sidecar(self, tmp_path):
-        rng = np.random.default_rng(7)
-        spec = Spectrogram(rng.standard_normal((12, 64)))
-        path = tmp_path / "spec.csv"
-        save_spectrogram(spec, path, FrontEndConfig())
-        back = load_spectrogram(path)
-        np.testing.assert_array_equal(back.values, spec.values)
-        sidecar = (tmp_path / "spec.json").read_text()
-        assert '"n_mels": 64' in sidecar
-        assert '"eps": 1e-08' in sidecar
-
-    def test_byte_identical_rewrites(self, tmp_path):
-        spec = Spectrogram(np.random.default_rng(8).standard_normal((5, 64)))
-        p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-        save_spectrogram(spec, p1, FrontEndConfig())
-        save_spectrogram(spec, p2, FrontEndConfig())
-        assert p1.read_bytes() == p2.read_bytes()

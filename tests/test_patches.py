@@ -1,4 +1,5 @@
-"""Patch partitioning, summary statistics, top-k selection, feature assembly."""
+"""Patch partitioning, summary statistics, top-k selection, feature assembly,
+all through the array path that extract_features runs."""
 
 import math
 
@@ -8,14 +9,10 @@ import pytest
 from qpatch.dsp import EPS, Spectrogram
 from qpatch.patches import (
     FeatureVector,
-    Patch,
-    PatchSummary,
+    _tiles,
+    _top_k,
     extract_features,
-    make_feature_vector,
-    partition,
     read_features_csv,
-    select_top_k,
-    summarize,
     write_features_csv,
 )
 
@@ -60,76 +57,87 @@ def random_spectrogram(rng, n_frames=16):
     return Spectrogram(vals)
 
 
+def summarize(values):
+    """(s1, s2, s3, s4) of one square patch: a one-patch spectrogram at k = 1."""
+    values = np.asarray(values, dtype=np.float64)
+    return tuple(extract_features(Spectrogram(values), k=1,
+                                  patch_size=values.shape[0]).values)
+
+
+def corners(spec, patch_size=4):
+    """Every patch corner in time-major order: a constant spectrogram ties
+    every s1, so selecting all patches keeps the index order."""
+    flat = Spectrogram(np.zeros_like(spec.values))
+    n = _tiles(flat.values, patch_size).shape[0]
+    return extract_features(flat, k=n, patch_size=patch_size).patch_order
+
+
 class TestPartition:
     def test_counts_t8(self):
         spec = Spectrogram(np.zeros((8, 64)))
-        assert len(partition(spec)) == 32
+        assert len(corners(spec)) == 32
+        with pytest.raises(ValueError, match="exceeds patch count 32"):
+            extract_features(spec, k=33)
 
     def test_counts_t7_drops_trailing(self):
         spec = Spectrogram(np.zeros((7, 64)))
-        patches = partition(spec)
-        assert len(patches) == 16
-        assert all(p.time_index == 0 for p in patches)
+        found = corners(spec)
+        assert len(found) == 16
+        assert all(t == 0 for t, _ in found)
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="too short"):
-            partition(Spectrogram(np.zeros((3, 64))))
+            extract_features(Spectrogram(np.zeros((3, 64))), k=1)
 
     def test_row_major_enumeration(self):
         """Index 17 with T >= 8 is the second patch of the second time strip."""
         spec = Spectrogram(np.arange(8 * 64, dtype=float).reshape(8, 64))
-        patches = partition(spec)
-        assert (patches[17].time_index, patches[17].freq_index) == (4, 4)
+        found = corners(spec)
+        assert found[17] == (4, 4)
         # full enumeration oracle: index = (t/4)*16 + f/4
-        for idx, p in enumerate(patches):
-            assert idx == (p.time_index // 4) * 16 + p.freq_index // 4
+        for idx, (t, f) in enumerate(found):
+            assert idx == (t // 4) * 16 + f // 4
 
     def test_patch_contents_match_slices(self):
         rng = np.random.default_rng(0)
         spec = random_spectrogram(rng, n_frames=12)
-        for p in partition(spec):
-            expected = spec.values[p.time_index:p.time_index + 4,
-                                   p.freq_index:p.freq_index + 4]
-            np.testing.assert_array_equal(p.values, expected)
+        tiles = _tiles(spec.values, 4)
+        for tile, (t, f) in zip(tiles, corners(spec), strict=True):
+            np.testing.assert_array_equal(tile, spec.values[t:t + 4, f:f + 4])
 
     def test_indivisible_mel_axis_raises(self):
         with pytest.raises(ValueError, match="divisible"):
-            partition(Spectrogram(np.zeros((8, 64))), patch_size=5)
+            extract_features(Spectrogram(np.zeros((8, 64))), k=1, patch_size=5)
 
 
 class TestSummarize:
     def test_all_zero_patch(self):
         """Zero input: uniform weights give centroid 1.5 and bandwidth
         sqrt(1.25); zero-norm rows give coherence 0."""
-        s = summarize(Patch(np.zeros((4, 4)), 0, 0))
-        assert s.s1 == 0.0
-        assert s.s2 == pytest.approx(1.5, abs=1e-12)
-        assert s.s3 == pytest.approx(math.sqrt(1.25), abs=1e-12)
-        assert s.s4 == pytest.approx(0.0, abs=1e-12)
+        s1, s2, s3, s4 = summarize(np.zeros((4, 4)))
+        assert s1 == 0.0
+        assert s2 == pytest.approx(1.5, abs=1e-12)
+        assert s3 == pytest.approx(math.sqrt(1.25), abs=1e-12)
+        assert s4 == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_rows_give_coherence_one(self):
         # row norm well above the eps guard so the cosine is 1 to 1e-9
         row = np.array([1.0, -2.0, 1.5, 2.5])
-        s = summarize(Patch(np.tile(row, (4, 1)), 0, 0))
-        assert s.s4 == pytest.approx(1.0, abs=1e-9)
+        assert summarize(np.tile(row, (4, 1)))[3] == pytest.approx(1.0, abs=1e-9)
 
     def test_point_mass_column(self):
         vals = np.zeros((4, 4))
         vals[:, 3] = 50.0
-        s = summarize(Patch(vals, 0, 0))
-        assert s.s2 == pytest.approx(3.0, abs=1e-8)
-        assert s.s3 == pytest.approx(0.0, abs=1e-4)
+        _, s2, s3, _ = summarize(vals)
+        assert s2 == pytest.approx(3.0, abs=1e-8)
+        assert s3 == pytest.approx(0.0, abs=1e-4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_formula_oracle(self, seed):
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal((4, 4))
-        s = summarize(Patch(vals, 0, 0))
-        o1, o2, o3, o4 = summary_oracle(vals)
-        assert s.s1 == pytest.approx(o1, abs=1e-12)
-        assert s.s2 == pytest.approx(o2, abs=1e-12)
-        assert s.s3 == pytest.approx(o3, abs=1e-12)
-        assert s.s4 == pytest.approx(o4, abs=1e-12)
+        np.testing.assert_allclose(summarize(vals), summary_oracle(vals),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weights_sum_to_one(self, seed):
@@ -147,10 +155,10 @@ class TestSummarize:
         vals = rng.standard_normal((4, 4))
         while np.max(np.abs(vals.mean(axis=0))) < 0.1:
             vals = rng.standard_normal((4, 4))
-        s_base = summarize(Patch(vals, 0, 0))
-        s_scaled = summarize(Patch(c * vals, 0, 0))
-        assert abs(s_base.s2 - s_scaled.s2) < 1e-6
-        assert abs(s_base.s3 - s_scaled.s3) < 1e-6
+        s_base = summarize(vals)
+        s_scaled = summarize(c * vals)
+        assert abs(s_base[1] - s_scaled[1]) < 1e-6
+        assert abs(s_base[2] - s_scaled[2]) < 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_coherence_scale_invariant(self, seed):
@@ -158,70 +166,62 @@ class TestSummarize:
         # contribution to the cosine stays below the tolerance
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal((4, 4)) * 3.0 + 0.5
-        s_base = summarize(Patch(vals, 0, 0))
-        s_scaled = summarize(Patch(3.0 * vals, 0, 0))
-        assert abs(s_base.s4 - s_scaled.s4) < 1e-9
+        assert abs(summarize(vals)[3] - summarize(3.0 * vals)[3]) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ranges(self, seed):
         rng = np.random.default_rng(seed)
-        s = summarize(Patch(rng.standard_normal((4, 4)) * 2, 0, 0))
-        assert 0.0 <= s.s2 <= 3.0
-        assert 0.0 <= s.s3 <= 1.5
-        assert -1.0 - 1e-9 <= s.s4 <= 1.0 + 1e-9
-        assert s.score == s.s1
+        _, s2, s3, s4 = summarize(rng.standard_normal((4, 4)) * 2)
+        assert 0.0 <= s2 <= 3.0
+        assert 0.0 <= s3 <= 1.5
+        assert -1.0 - 1e-9 <= s4 <= 1.0 + 1e-9
 
 
 class TestSelectTopK:
-    def _from_scores(self, scores):
-        return [PatchSummary(s, 0.0, 0.0, 0.0, (0, 4 * i))
-                for i, s in enumerate(scores)]
-
     def test_basic(self):
-        out = select_top_k(self._from_scores([0.1, 0.9, 0.5]), 2)
-        assert [s.source[1] // 4 for s in out] == [1, 2]
+        assert _top_k(np.array([0.1, 0.9, 0.5]), 2).tolist() == [1, 2]
 
     def test_tie_prefers_lower_index(self):
-        out = select_top_k(self._from_scores([0.7, 0.7, 0.7]), 2)
-        assert [s.source[1] // 4 for s in out] == [0, 1]
+        assert _top_k(np.array([0.7, 0.7, 0.7]), 2).tolist() == [0, 1]
 
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):
-            select_top_k(self._from_scores([1.0]), 2)
+            _top_k(np.array([1.0]), 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_sort_oracle(self, seed):
         rng = np.random.default_rng(seed)
         scores = rng.standard_normal(32)
-        out = select_top_k(self._from_scores(scores), 2)
         # stable full sort by descending score
         oracle = sorted(range(32), key=lambda i: (-scores[i], i))[:2]
-        assert [s.source[1] // 4 for s in out] == oracle
+        assert _top_k(scores, 2).tolist() == oracle
 
     def test_output_sorted_and_subset(self):
         rng = np.random.default_rng(11)
-        summaries = self._from_scores(rng.standard_normal(32))
-        out = select_top_k(summaries, 5)
-        assert len(out) == 5
-        assert all(s in summaries for s in out)
-        assert all(out[i].s1 >= out[i + 1].s1 for i in range(4))
+        scores = rng.standard_normal(32)
+        out = _top_k(scores, 5)
+        assert len(set(out.tolist())) == 5
+        assert all(0 <= i < 32 for i in out)
+        assert all(scores[out[i]] >= scores[out[i + 1]] for i in range(4))
 
 
 class TestFeatureVector:
     def test_concatenation_order(self):
-        a = PatchSummary(1.0, 2.0, 3.0, 4.0, (0, 0))
-        b = PatchSummary(5.0, 6.0, 7.0, 8.0, (4, 8))
-        fv = make_feature_vector([a, b])
-        np.testing.assert_array_equal(fv.values, [1, 2, 3, 4, 5, 6, 7, 8])
-        assert fv.patch_order == ((0, 0), (4, 8))
+        """Selected patches are concatenated in selection order, the higher s1 first."""
+        rng = np.random.default_rng(5)
+        low, high = rng.standard_normal((4, 4)), rng.standard_normal((4, 4)) + 3.0
+        fv = extract_features(Spectrogram(np.hstack([low, high])), k=2)
+        np.testing.assert_allclose(fv.values, summary_oracle(high) + summary_oracle(low),
+                                   rtol=0, atol=1e-12)
+        assert fv.patch_order == ((0, 4), (0, 0))
 
     def test_single_patch(self):
-        fv = make_feature_vector([PatchSummary(0.1, 0.2, 0.3, 0.4, (0, 0))])
+        fv = extract_features(random_spectrogram(np.random.default_rng(6)), k=1)
         assert fv.values.shape == (4,)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            make_feature_vector([])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            extract_features(random_spectrogram(np.random.default_rng(7)), k=0)
 
     def test_length_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -246,7 +246,7 @@ class TestExtractFeatures:
     def test_selected_patches_have_top_means(self):
         spec = random_spectrogram(np.random.default_rng(23))
         fv = extract_features(spec, k=3)
-        all_means = sorted((p.values.mean() for p in partition(spec)), reverse=True)
+        all_means = sorted(_tiles(spec.values, 4).mean(axis=(1, 2)), reverse=True)
         picked = [fv.values[4 * j] for j in range(3)]
         np.testing.assert_allclose(picked, all_means[:3], atol=1e-12)
 

@@ -4,24 +4,17 @@ and the structural inertness of the bandwidth feature."""
 import numpy as np
 import pytest
 
-from qpatch.patches import FeatureVector, PatchSummary
+from qpatch.patches import FeatureVector
 from qpatch.quantum import (
-    CircuitSpec,
-    CZGate,
-    RotationGate,
     StateVector,
-    apply_cz,
-    apply_rotation,
+    _cz,
+    _rotate,
+    _simulate,
+    circuit,
     embed_pair,
     embed_patch,
-    fidelity,
     fidelity_kernel,
-    pair_circuit,
-    patch_circuit,
     rotation_matrix,
-    run_circuit,
-    save_statevector,
-    zero_state,
 )
 
 from _oracles import (
@@ -36,15 +29,36 @@ from _oracles import (
 
 def random_state(rng, n_qubits):
     amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
-    amps /= np.linalg.norm(amps)
-    return StateVector(amps, n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def ground(n_qubits):
+    return np.eye(2 ** n_qubits)[0]
+
+
+def overlap(a, b):
+    """|<a|b>|^2 of two amplitude vectors."""
+    return abs(np.vdot(a, b)) ** 2
+
+
+def rotate(amps, axis, qubit, theta):
+    """One state through the batched in-place rotation, on a copy."""
+    psi = np.array(amps, dtype=complex)[None]
+    _rotate(psi, qubit, rotation_matrix(axis, theta))
+    return psi[0]
+
+
+def cz(amps, a, b):
+    psi = np.array(amps, dtype=complex)[None]
+    _cz(psi, a, b)
+    return psi[0]
 
 
 class TestStateVector:
     def test_zero_state(self):
-        s = zero_state(4)
-        assert s.amplitudes[0] == 1.0
-        assert np.all(s.amplitudes[1:] == 0)
+        """An empty gate list leaves every row in |0...0>."""
+        psi = _simulate((), np.zeros((3, 4)))
+        np.testing.assert_array_equal(psi, np.tile(ground(4), (3, 1)))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -75,14 +89,13 @@ class TestRotationMatrix:
 class TestApplyRotation:
     def test_ry_pi_flips_qubit(self):
         """R_Y(pi)|0> = |1> up to global phase."""
-        out = apply_rotation(zero_state(1), "Y", 0, np.pi)
-        target = StateVector(np.array([0.0, 1.0], dtype=complex), 1)
-        assert fidelity(out, target) == pytest.approx(1.0, abs=1e-12)
+        out = rotate(ground(1), "Y", 0, np.pi)
+        assert overlap(out, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_msb_ordering(self):
         """Flipping qubit 0 of two qubits lands on basis index 2 (binary 10)."""
-        out = apply_rotation(zero_state(2), "X", 0, np.pi)
-        assert np.abs(out.amplitudes[2]) == pytest.approx(1.0, abs=1e-12)
+        out = rotate(ground(2), "X", 0, np.pi)
+        assert np.abs(out[2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rz_on_zero_qubit_is_phase_only(self):
         rng = np.random.default_rng(0)
@@ -91,11 +104,9 @@ class TestApplyRotation:
         for idx in (0, 1, 4, 5):  # bit 1 clear
             amps[idx] = rng.standard_normal() + 1j * rng.standard_normal()
         amps /= np.linalg.norm(amps)
-        state = StateVector(amps, 3)
-        out = apply_rotation(state, "Z", 1, 2.1)
-        np.testing.assert_allclose(np.abs(out.amplitudes), np.abs(state.amplitudes),
-                                   atol=1e-13)
-        assert fidelity(out, state) == pytest.approx(1.0, abs=1e-12)
+        out = rotate(amps, "Z", 1, 2.1)
+        np.testing.assert_allclose(np.abs(out), np.abs(amps), atol=1e-13)
+        assert overlap(out, amps) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
     @pytest.mark.parametrize("qubit", [0, 1, 2, 3])
@@ -103,55 +114,54 @@ class TestApplyRotation:
         rng = np.random.default_rng(hash((axis, qubit)) % 2 ** 31)
         state = random_state(rng, 4)
         theta = rng.uniform(-np.pi, np.pi)
-        out = apply_rotation(state, axis, qubit, theta)
-        oracle = dense_1q(4, qubit, dense_rotation(axis, theta)) @ state.amplitudes
-        np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-12)
+        out = rotate(state, axis, qubit, theta)
+        oracle = dense_1q(4, qubit, dense_rotation(axis, theta)) @ state
+        np.testing.assert_allclose(out, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("qubit", [0, 2, 3])
+    def test_each_row_rotates_by_its_own_angle(self, axis, qubit):
+        """A (2, 2, n) matrix applies angle i to row i of an (n, 2^q) batch."""
+        rng = np.random.default_rng(7 + qubit)
+        psi = np.stack([random_state(rng, 4) for _ in range(5)])
+        thetas = rng.uniform(-np.pi, np.pi, 5)
+        out = psi.copy()
+        _rotate(out, qubit, rotation_matrix(axis, thetas))
+        for row, start, theta in zip(out, psi, thetas):
+            oracle = dense_1q(4, qubit, dense_rotation(axis, theta)) @ start
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_preserves_norm(self, seed):
         rng = np.random.default_rng(seed)
         state = random_state(rng, 5)
         for axis in "XYZ":
-            state = apply_rotation(state, axis, int(rng.integers(5)),
-                                   rng.uniform(-4, 4))
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_rotation(zero_state(4), "X", 4, 0.5)
+            state = rotate(state, axis, int(rng.integers(5)), rng.uniform(-4, 4))
+        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestApplyCz:
     def test_leaves_00_alone(self):
-        out = apply_cz(zero_state(2), 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, zero_state(2).amplitudes)
+        np.testing.assert_array_equal(cz(ground(2), 0, 1), ground(2))
 
     def test_flips_bell_sign(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1 / np.sqrt(2)
-        out = apply_cz(StateVector(amps, 2), 0, 1)
         expected = amps.copy()
         expected[3] = -expected[3]
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(cz(amps, 0, 1), expected, atol=1e-15)
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 3), (3, 4)])
     def test_matches_dense_oracle(self, pair):
         rng = np.random.default_rng(pair[0] * 10 + pair[1])
         state = random_state(rng, 5)
-        out = apply_cz(state, *pair)
-        oracle = dense_cz(5, *pair) @ state.amplitudes
-        np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-12)
+        oracle = dense_cz(5, *pair) @ state
+        np.testing.assert_allclose(cz(state, *pair), oracle, atol=1e-12)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(9)
         state = random_state(rng, 3)
-        a = apply_cz(state, 0, 2)
-        b = apply_cz(state, 2, 0)
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-
-    def test_same_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            apply_cz(zero_state(3), 1, 1)
+        np.testing.assert_array_equal(cz(state, 0, 2), cz(state, 2, 0))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cz_gates_commute(self, seed):
@@ -164,8 +174,8 @@ class TestApplyCz:
         for order in orders:
             s = state
             for a, b in order:
-                s = apply_cz(s, a, b)
-            results.append(s.amplitudes)
+                s = cz(s, a, b)
+            results.append(s)
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
         np.testing.assert_allclose(results[0], results[2], atol=1e-12)
 
@@ -174,40 +184,36 @@ class TestCircuitSpec:
     def test_depth_bounds(self):
         for bad in (0, 4):
             with pytest.raises(ValueError, match="depth"):
-                patch_circuit(depth=bad)
+                circuit(4, depth=bad)
 
     def test_patch_layer_structure(self):
-        circ = patch_circuit(depth=2)
-        assert circ.n_qubits == 4
-        assert len(circ.gates) == 14  # (4 rotations + 3 CZ) x 2
-        first = circ.gates[:4]
-        assert [g.axis for g in first] == ["X", "Y", "Z", "Y"]
-        assert [g.qubit for g in first] == [0, 1, 2, 3]
+        gates = circuit(4, depth=2)
+        assert len(gates) == 14  # (4 rotations + 3 CZ) x 2
+        assert gates[:7] == (("X", 0), ("Y", 1), ("Z", 2), ("Y", 3), (0, 1), (1, 2), (2, 3))
+        assert gates[7:] == gates[:7]
 
     def test_pair_layer_has_inter_patch_cz_each_layer(self):
-        circ = pair_circuit(depth=3)
-        inter = [g for g in circ.gates if isinstance(g, CZGate) and {g.a, g.b} == {3, 4}]
-        assert len(inter) == 3
-
-    def test_nonadjacent_cz_rejected(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            CircuitSpec(4, 1, (CZGate(0, 2),))
+        gates = circuit(8, depth=3)
+        assert len(gates) == 3 * 15
+        assert gates.count((3, 4)) == 3
+        assert gates[7:14] == tuple((a if isinstance(a, str) else a + 4, b + 4)
+                                    for a, b in gates[:7])
 
     def test_invalid_s3_axis(self):
         with pytest.raises(ValueError):
-            patch_circuit(s3_axis="Q")
+            circuit(4, s3_axis="Q")
 
 
 class TestEmbedPatch:
     def test_zero_summary_gives_ground_state(self):
         out = embed_patch(np.zeros(4))
-        np.testing.assert_array_equal(out.amplitudes, zero_state(4).amplitudes)
+        np.testing.assert_array_equal(out.amplitudes, ground(4))
 
     def test_pi_on_s1_flips_qubit0(self):
         out = embed_patch(np.array([np.pi, 0, 0, 0]))
         target_amps = np.zeros(16, dtype=complex)
         target_amps[8] = 1.0  # |1000>
-        assert fidelity(out, StateVector(target_amps, 4)) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(out.amplitudes, target_amps) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -219,11 +225,10 @@ class TestEmbedPatch:
                                    atol=1e-12)
 
     def test_accepts_patch_summary(self):
-        s = PatchSummary(0.4, 1.2, 0.8, -0.3, (0, 0))
-        out = embed_patch(s)
-        np.testing.assert_allclose(
-            out.amplitudes, dense_embed_patch(np.array([0.4, 1.2, 0.8, -0.3])),
-            atol=1e-12)
+        """A one-patch FeatureVector (k = 1) is the summary the pipeline ships."""
+        s = FeatureVector(np.array([0.4, 1.2, 0.8, -0.3]), ((0, 0),))
+        np.testing.assert_allclose(embed_patch(s).amplitudes, dense_embed_patch(s.values),
+                                   atol=1e-12)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -233,15 +238,15 @@ class TestEmbedPatch:
 class TestEmbedPair:
     def test_zero_summaries_give_ground_state(self):
         out = embed_pair(np.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(out.amplitudes, zero_state(8).amplitudes)
+        np.testing.assert_array_equal(out.amplitudes, ground(8))
 
     def test_self_fidelity_both_orders(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
         ab = embed_pair(a, b)
         ba = embed_pair(b, a)
-        assert fidelity(ab, ab) == pytest.approx(1.0, abs=1e-10)
-        assert fidelity(ba, ba) == pytest.approx(1.0, abs=1e-10)
+        assert overlap(ab.amplitudes, ab.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        assert overlap(ba.amplitudes, ba.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
@@ -349,25 +354,9 @@ class TestBandwidthInertness:
 class TestRunCircuit:
     def test_gate_order_respected(self):
         """R_X then CZ differs from CZ then R_X when the control is excited."""
-        gates_a = (RotationGate("X", 0, 0), RotationGate("X", 1, 1), CZGate(0, 1))
-        gates_b = (CZGate(0, 1), RotationGate("X", 0, 0), RotationGate("X", 1, 1))
-        # use a 4-qubit register to satisfy the circuit size constraint
-        circ_a = CircuitSpec(4, 1, gates_a)
-        circ_b = CircuitSpec(4, 1, gates_b)
-        angles = np.array([np.pi / 2, np.pi / 2, 0, 0])
-        out_a = run_circuit(circ_a, angles)
-        out_b = run_circuit(circ_b, angles)
-        assert fidelity(out_a, out_b) < 1.0 - 1e-6
-
-
-class TestStatevectorDump:
-    def test_csv_contents(self, tmp_path):
-        state = embed_patch(np.array([0.5, 1.0, 0.2, -0.7]))
-        path = tmp_path / "state.csv"
-        save_statevector(path, state)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "basis_index,real,imag"
-        assert len(lines) == 17
-        parsed = np.array([[float(p) for p in ln.split(",")[1:]] for ln in lines[1:]])
-        np.testing.assert_allclose(parsed[:, 0] + 1j * parsed[:, 1],
-                                   state.amplitudes, atol=1e-15)
+        gates_a = (("X", 0), ("X", 1), (0, 1))
+        gates_b = ((0, 1), ("X", 0), ("X", 1))
+        angles = np.array([[np.pi / 2, np.pi / 2, 0, 0]])
+        out_a = _simulate(gates_a, angles)[0]
+        out_b = _simulate(gates_b, angles)[0]
+        assert overlap(out_a, out_b) < 1.0 - 1e-6

@@ -198,8 +198,8 @@ class TestBuildDataset:
     def test_counts_and_balance(self, small_dataset):
         _, manifest = small_dataset
         assert len(manifest.entries) == 20
-        train = manifest.subset("train")
-        dev = manifest.subset("dev")
+        train = [e for e in manifest.entries if e.split == "train"]
+        dev = [e for e in manifest.entries if e.split == "dev"]
         assert len(train) == 16 and len(dev) == 4
         for subset in (train, dev):
             n_bona = sum(1 for e in subset if e.label == BONAFIDE)
@@ -207,8 +207,8 @@ class TestBuildDataset:
 
     def test_ids_disjoint_across_splits(self, small_dataset):
         _, manifest = small_dataset
-        train_ids = {e.uid for e in manifest.subset("train")}
-        dev_ids = {e.uid for e in manifest.subset("dev")}
+        train_ids = {e.uid for e in manifest.entries if e.split == "train"}
+        dev_ids = {e.uid for e in manifest.entries if e.split == "dev"}
         assert not train_ids & dev_ids
 
     def test_spoof_lineage(self, small_dataset):
