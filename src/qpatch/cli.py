@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, metrics, patches, spoof, svm
+from .atomic import atomic_write
 from .config import ExperimentConfig, load_config
 
 log = logging.getLogger("qpatch")
@@ -121,8 +122,8 @@ def cmd_features(config: ExperimentConfig) -> None:
     if not rows:
         raise CliInputError("no feature rows could be extracted")
     patches.write_features_csv(p["features"], rows)
-    p["features_meta"].write_text(
-        json.dumps(_features_made_under(config), indent=2, sort_keys=True) + "\n")
+    with atomic_write(p["features_meta"]) as fh:
+        fh.write(json.dumps(_features_made_under(config), indent=2, sort_keys=True) + "\n")
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
@@ -169,7 +170,8 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     svm.save_gram(gram, p["gram"](kind))
     cross = svm.cross_gram([fv for _, _, fv in dev], [fv for _, _, fv in train], spec)
     cross_path = p["cross"](kind)
-    np.savetxt(cross_path, cross, delimiter=",", fmt="%.17g")
+    with atomic_write(cross_path) as fh:
+        np.savetxt(fh, cross, delimiter=",", fmt="%.17g")
     sidecar = {
         "kernel_kind": kind,
         "params": gram.params,
@@ -178,8 +180,8 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
         "train_ids": [uid for uid, _, _ in train],
         "dev_ids": [uid for uid, _, _ in dev],
     }
-    cross_path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with atomic_write(cross_path.with_suffix(".json")) as fh:
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     log.info("wrote %dx%d train Gram and %dx%d cross block for kind=%s",
              gram.n, gram.n, cross.shape[0], cross.shape[1], kind)
 

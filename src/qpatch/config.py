@@ -93,7 +93,9 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# the Python types each name in a field annotation admits; a bool is no number
+_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -103,7 +105,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(raw) - _FIELDS
+        unknown = set(raw) - _FIELDS.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(raw)
@@ -113,4 +115,9 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if key not in _FIELDS:
             raise ValueError(f"unknown config override: {key}")
         merged[key] = value
+    for key, value in merged.items():
+        annotation = _FIELDS[key]  # such as "float | str"
+        allowed = tuple(_TYPES[name] for name in annotation.split(" | "))
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config value {key}={value!r} must be {annotation}")
     return ExperimentConfig(**merged)

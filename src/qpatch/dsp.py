@@ -5,21 +5,24 @@ utterance is: load -> resample to 16 kHz -> STFT (Hann window, power
 spectrum) -> mel filterbank energies -> log compression -> per-utterance
 standardization.
 
-Only numpy and scipy.io load with this module. scipy.signal, whose
-import costs about a second, loads on the first input that is not
-already at 16 kHz.
+Only numpy loads with this module: WAV files are read and written by the
+small RIFF chunk parser below. scipy.signal, whose import costs about a
+second, loads on the first input that is not already at 16 kHz, and its
+low-pass filter is designed once per pair of rates.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
+
+from .atomic import atomic_write
 
 # Single numerical-stability constant used across the feature pipeline.
 EPS = 1e-8
@@ -194,13 +197,28 @@ def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
                          f_low=f_low, f_high=f_high, center_freqs=center_freqs)
 
 
+@functools.lru_cache(maxsize=8)
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """The Kaiser-windowed sinc that resample_poly designs for (up, down).
+
+    Designed once per rate pair and shared, so the array is read-only;
+    resample_poly copies a window before scaling it by `up`.
+    """
+    from scipy.signal import firwin
+    max_rate = max(up, down)
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
 def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     """Windowed-sinc polyphase resampling; pass-through when already at target."""
     if w.sample_rate == target_rate:
         return w
     from scipy.signal import resample_poly  # about 1 s to import; few inputs need it
     g = math.gcd(target_rate, w.sample_rate)
-    samples = resample_poly(w.samples, target_rate // g, w.sample_rate // g)
+    up, down = target_rate // g, w.sample_rate // g
+    samples = resample_poly(w.samples, up, down, window=_lowpass(up, down))
     return Waveform(samples, target_rate)
 
 
@@ -213,32 +231,103 @@ def logmel_spectrogram(w: Waveform, config: FrontEndConfig = FrontEndConfig()) -
     return log_standardize(mel_energies(spectrum, fb))
 
 
-def load_wav(path) -> Waveform:
-    """Read a PCM-16, PCM-32, or float WAV file; stereo is averaged to mono."""
-    rate, data = wavfile.read(str(path))
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
+# WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT and WAVE_FORMAT_EXTENSIBLE; an
+# extensible file names PCM or float in its subformat GUID, whose last
+# 12 bytes are this fixed tail
+PCM, IEEE_FLOAT, EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _wav_chunks(raw: memoryview):
+    """(id, body) of each chunk after the RIFF/WAVE header; odd sizes are padded."""
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8:pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"truncated {chunk_id!r} chunk: {len(body)} of {size} bytes")
+        yield chunk_id, body
+        pos += 8 + size + size % 2
+
+
+def _wav_format(fmt: memoryview) -> tuple[int, int, int, int, int]:
+    """Format tag (extensible resolved), channels, rate, block align and bits."""
+    if len(fmt) < 16:
+        raise ValueError("fmt chunk shorter than 16 bytes")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == EXTENSIBLE:
+        if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+            raise ValueError("extensible fmt chunk shorter than 40 bytes")
+        if fmt[28:40] == _GUID_TAIL:
+            tag = struct.unpack_from("<I", fmt, 24)[0]
+    return tag, channels, rate, block_align, bits
+
+
+def _decode_wav(raw: memoryview) -> tuple[int, np.ndarray]:
+    """Sample rate and float64 samples (frames, or frames x channels)."""
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    fmt = None
+    for chunk_id, body in _wav_chunks(raw):
+        if chunk_id == b"fmt ":
+            fmt = _wav_format(body)
+        elif chunk_id == b"data":
+            break
     else:
-        raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
+        raise ValueError("no data chunk")
+    if fmt is None:
+        raise ValueError("no fmt chunk before the data chunk")
+    tag, channels, rate, block_align, bits = fmt
+    width = block_align // channels if channels else 0
+    if width == 0 or width * channels != block_align:
+        raise ValueError(f"block align {block_align} does not fit {channels} channels")
+    body = body[:len(body) - len(body) % block_align]  # whole frames only
+    if tag == PCM and 0 < bits <= 64 and (width == 1 if bits <= 8 else 1 < width <= 4):
+        if width == 3:  # left-justified in int32: the low byte is zero
+            wide = np.zeros((len(body) // 3, 4), dtype=np.uint8)
+            wide[:, 1:] = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3)
+            ints, width = wide.view("<i4")[:, 0], 4
+        else:
+            ints = np.frombuffer(body, dtype={1: "u1", 2: "<i2", 4: "<i4"}[width])
+        scale = 2.0 ** (8 * width - 1)  # 8-bit PCM is unsigned, centred on 128
+        samples = (ints.astype(np.float64) - (scale if width == 1 else 0.0)) / scale
+    elif tag == IEEE_FLOAT and bits == 8 * width in (32, 64):
+        samples = np.frombuffer(body, dtype=f"<f{width}").astype(np.float64)
+    else:
+        raise ValueError(f"unsupported WAV sample format: format tag {tag:#x}, "
+                         f"{bits}-bit samples in {width}-byte containers")
+    return rate, samples.reshape(-1, channels) if channels > 1 else samples
+
+
+def load_wav(path) -> Waveform:
+    """Read a PCM (8/16/24/32-bit) or IEEE float (32/64-bit) WAV file.
+
+    Integer samples are scaled to [-1, 1) as scipy.io.wavfile reads them
+    (unsigned 8-bit around 128, 24-bit left-justified in int32); more than
+    one channel is averaged to mono with a warning. Anything else raises
+    ValueError naming the path.
+    """
+    try:
+        rate, samples = _decode_wav(memoryview(Path(path).read_bytes()))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if samples.ndim == 2:
         warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
         samples = samples.mean(axis=1)
-    return Waveform(np.asarray(samples, dtype=np.float64), int(rate))
+    return Waveform(samples, rate)
 
 
 def save_wav(path, w: Waveform) -> None:
-    """Write 16-bit PCM; values outside [-1, 1] are clipped with a warning."""
+    """Write 16-bit PCM mono; values outside [-1, 1] are clipped with a warning."""
     samples = w.samples
     n_clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
     if n_clipped:
         warnings.warn(f"{path}: clipping {n_clipped}/{samples.size} samples to [-1, 1]")
         samples = np.clip(samples, -1.0, 1.0)
-    pcm = np.round(samples * 32767.0).astype(np.int16)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(str(path), w.sample_rate, pcm)
+    pcm = np.round(samples * 32767.0).astype("<i2")
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                         b"fmt ", 16, PCM, 1, w.sample_rate, 2 * w.sample_rate, 2, 16,
+                         b"data", pcm.nbytes)
+    with atomic_write(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm.tobytes())

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
 from .svm import KernelSpec, _stack_features, kernel_matrix
 
@@ -218,11 +218,9 @@ def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:
         raise ValueError("refusing to write an empty report")
     payload = {"schema_version": SCHEMA_VERSION, "positive_label": POSITIVE_LABEL}
     payload.update(_plain(metrics))
-    json_path = Path(json_path)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    roc_csv_path = Path(roc_csv_path)
-    roc_csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(json_path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     rows = np.column_stack([roc.thresholds, roc.fpr, roc.tpr, roc.fnr])
-    np.savetxt(roc_csv_path, rows, delimiter=",", fmt="%.17g",
-               header="threshold,fpr,tpr,fnr", comments="")
+    with atomic_write(roc_csv_path) as fh:
+        np.savetxt(fh, rows, delimiter=",", fmt="%.17g",
+                   header="threshold,fpr,tpr,fnr", comments="")

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .dsp import EPS, Spectrogram
 
 
@@ -119,9 +119,7 @@ def write_features_csv(path, rows) -> None:
     header += [f"x{i}" for i in range(4 * k)]
     for j in range(k):
         header += [f"patch{j}_t", f"patch{j}_f"]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for uid, label, feat in rows:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .dsp import TARGET_SAMPLE_RATE, Waveform, load_wav, resample_to, save_wav
 
 BONAFIDE = "bonafide"
@@ -248,9 +249,7 @@ def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "path", "label", "split", "source_id"])
         for e in manifest.entries:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .quantum import _embed_vector, fidelity_matrix
 
 KERNEL_KINDS = ("quantum", "rbf", "precomputed")
@@ -285,12 +286,12 @@ def decision_scores(model: SvmModel, rows) -> np.ndarray:
 def save_gram(gram: GramMatrix, csv_path) -> None:
     """CSV of values plus a JSON sidecar with kind, params, and feature hash."""
     csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(csv_path, gram.values, delimiter=",", fmt="%.17g")
+    with atomic_write(csv_path) as fh:
+        np.savetxt(fh, gram.values, delimiter=",", fmt="%.17g")
     meta = {"kernel_kind": gram.kernel_kind, "config_hash": gram.config_hash,
             "params": gram.params}
-    csv_path.with_suffix(".json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with atomic_write(csv_path.with_suffix(".json")) as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_gram(csv_path) -> GramMatrix:
@@ -302,8 +303,6 @@ def load_gram(csv_path) -> GramMatrix:
 
 
 def save_model(model: SvmModel, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "dual_coefs": list(model.dual_coefs),
         "support_indices": [int(i) for i in model.support_indices],
@@ -316,7 +315,8 @@ def save_model(model: SvmModel, path) -> None:
         "n_iter": model.n_iter,
         "converged": model.converged,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> SvmModel:

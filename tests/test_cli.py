@@ -345,11 +345,15 @@ class TestConfigHandling:
                                      {"gamma": "foo"}, {"gamma": -5},
                                      {"train_per_class": 0}, {"dev_per_class": -3},
                                      {"tilt_low": 2}, {"snr_db": float("nan")},
-                                     {"seed": -1}, {"svm_c": 0}],
+                                     {"seed": -1}, {"svm_c": 0},
+                                     {"seed": "x"}, {"depth": 1.0}, {"n_mels": "64"},
+                                     {"k": True}, {"fft_size": 1024.5},
+                                     {"input_dir": 5}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
                                   "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
                                   "train0", "devneg3", "tilt2", "snrnan",
-                                  "seedneg", "svmc0"])
+                                  "seedneg", "svmc0", "seedstr", "depthfloat",
+                                  "melsstr", "ktrue", "fftfloat", "inputint"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
         # the small split sits in the file, so a bad split value can override it
@@ -382,19 +386,22 @@ class TestConfigHandling:
         assert f"{wav}: averaging 2 channels to mono" in log_text
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    """A fresh interpreter imports qpatch.cli without scipy.signal or
-    scipy.stats; the first resampled input then loads scipy.signal."""
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    """A fresh interpreter imports qpatch.cli and writes and reads a WAV
+    without loading any scipy module; the first resampled input then loads
+    scipy.signal."""
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import qpatch.cli
         from qpatch import dsp
-        heavy = [m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats"))]
-        assert not heavy, heavy
         t = np.arange(4410) / 44100.0
-        w = dsp.Waveform(np.sin(2 * np.pi * 440.0 * t), 44100)
+        dsp.save_wav("a.wav", dsp.Waveform(np.sin(2 * np.pi * 440.0 * t), 44100))
+        w = dsp.load_wav("a.wav")
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
         out = dsp.resample_to(w)
+        assert "scipy.signal" in sys.modules
         from scipy.signal import resample_poly
         assert out.sample_rate == 16000 and out.samples.size == 1600
         assert np.array_equal(out.samples, resample_poly(w.samples, 160, 441))
@@ -402,6 +409,6 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
     src = str(Path(qpatch.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

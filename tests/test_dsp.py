@@ -1,14 +1,21 @@
 """Front-end tests: framing, STFT against a direct DFT oracle, mel filterbank,
 log standardization, WAV round trips."""
 
+import io
 import math
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
+from scipy.signal import firwin, resample_poly
 
 from qpatch.dsp import (
     EPS,
     Waveform,
+    _lowpass,
     build_mel_filterbank,
     hann_window,
     hz_to_mel,
@@ -51,6 +58,83 @@ def mel_energy_oracle(spectrum, weights):
             out[t, f] = math.fsum(
                 abs(spectrum[t, k]) ** 2 * weights[f, k] for k in range(n_bins))
     return out
+
+
+def scipy_wav_oracle(path):
+    """The reader load_wav replaced: scipy.io.wavfile with the same scaling."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # unknown chunks
+        rate, data = wavfile.read(str(path))
+    if data.dtype == np.int16:
+        samples = data / 32768.0
+    elif data.dtype == np.int32:
+        samples = data / 2147483648.0
+    elif data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    else:
+        samples = data.astype(np.float64)
+    return rate, samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(chunk_id, body):
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, rate, bits, width, subformat=None):
+    """A fmt chunk; with a subformat tag it is WAVE_FORMAT_EXTENSIBLE."""
+    block = channels * width
+    body = struct.pack("<HHIIHH", tag if subformat is None else 0xFFFE,
+                       channels, rate, rate * block, block, bits)
+    if subformat is not None:
+        body += struct.pack("<HHII", 22, bits, 0, subformat) + GUID_TAIL
+    return chunk(b"fmt ", body)
+
+
+def pcm24(values):
+    """Little-endian 3-byte two's complement samples."""
+    return values.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+def _wav_cases():
+    """name -> file bytes, for every sample format load_wav reads."""
+    rng = np.random.default_rng(40)
+    i16 = rng.integers(-2 ** 15, 2 ** 15, size=(101, 2)).astype("<i2")
+    i24 = rng.integers(-2 ** 23, 2 ** 23, size=(101, 2))
+    f32 = rng.uniform(-1, 1, size=(101, 3)).astype("<f4")
+    cases = {}
+    for name, data in {"u8": rng.integers(0, 256, 101).astype(np.uint8),
+                       "i16": i16[:, 0], "i16_stereo": i16,
+                       "i32": rng.integers(-2 ** 31, 2 ** 31, 101).astype("<i4"),
+                       "f32": f32[:, 0], "f32_3ch": f32,
+                       "f64": rng.uniform(-1, 1, 101)}.items():
+        buf = io.BytesIO()
+        wavfile.write(buf, 44100, data)
+        cases[name] = buf.getvalue()
+    cases["i24"] = riff(fmt_chunk(1, 1, 44100, 24, 3), chunk(b"data", pcm24(i24[:, 0])))
+    cases["i24_stereo"] = riff(fmt_chunk(1, 2, 48000, 24, 3),
+                               chunk(b"data", pcm24(i24.ravel())))
+    cases["ext_i16"] = riff(fmt_chunk(1, 1, 22050, 16, 2, subformat=1),
+                            chunk(b"data", i16[:, 0].tobytes()))
+    cases["ext_i24_stereo"] = riff(fmt_chunk(1, 2, 44100, 24, 3, subformat=1),
+                                   chunk(b"data", pcm24(i24.ravel())))
+    cases["ext_f32"] = riff(fmt_chunk(3, 1, 8000, 32, 4, subformat=3),
+                            chunk(b"data", f32[:, 0].tobytes()))
+    # unknown and odd-length chunks around fmt; an odd-length 8-bit data chunk
+    cases["odd_chunks_u8"] = riff(chunk(b"JUNK", b"abc"), fmt_chunk(1, 1, 16000, 8, 1),
+                                  chunk(b"LIST", b"INFOisft\x05\x00\x00\x00qpat\x00"),
+                                  chunk(b"data", bytes(range(7))), chunk(b"zzzz", b"?"))
+    return cases
+
+
+WAV_CASES = _wav_cases()
 
 
 class TestWaveform:
@@ -284,6 +368,27 @@ class TestResample:
         # compare away from filter edge effects
         np.testing.assert_allclose(out.samples[800:-800], ref[800:-800], atol=5e-4)
 
+    @pytest.mark.parametrize("src_rate", [44100, 48000, 22050, 11025, 8000])
+    @pytest.mark.parametrize("length", ["1", "2", "odd", "1s"])
+    def test_matches_default_window_resample_poly(self, src_rate, length):
+        n = {"1": 1, "2": 2, "odd": 1001, "1s": src_rate}[length]
+        x = np.random.default_rng(src_rate + n).standard_normal(n) * 0.1
+        g = math.gcd(16000, src_rate)
+        out = resample_to(Waveform(x, src_rate))
+        assert np.array_equal(out.samples, resample_poly(x, 16000 // g, src_rate // g))
+
+    def test_lowpass_designed_once_per_rate_pair_and_read_only(self):
+        _lowpass.cache_clear()
+        x = np.random.default_rng(7).standard_normal(441) * 0.1
+        for rate in (44100, 48000, 44100, 48000, 44100):
+            resample_to(Waveform(x, rate))
+        info = _lowpass.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+        h = _lowpass(160, 441)
+        assert np.array_equal(h, firwin(8821, 1 / 441, window=("kaiser", 5.0)))
+        with pytest.raises(ValueError, match="read-only"):
+            h[0] = 0.0
+
 
 class TestFullFrontEnd:
     def test_shape_and_standardization(self):
@@ -337,3 +442,38 @@ class TestWavIO:
             w = load_wav(path)
         assert w.samples.ndim == 1
         np.testing.assert_allclose(w.samples, (8192.0 + 16384.0) / 2.0 / 32768.0)
+
+    @pytest.mark.parametrize("case", sorted(WAV_CASES))
+    def test_reads_what_scipy_wavfile_reads(self, tmp_path, case):
+        path = tmp_path / f"{case}.wav"
+        path.write_bytes(WAV_CASES[case])
+        rate, expected = scipy_wav_oracle(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # averaging channels to mono
+            w = load_wav(path)
+        assert w.sample_rate == rate
+        assert np.array_equal(w.samples, expected)
+
+    @pytest.mark.parametrize("case", ["not_riff", "truncated_data", "truncated_header",
+                                      "int64", "format_tag2"])
+    def test_unreadable_files_raise_naming_the_path(self, tmp_path, case):
+        int64 = io.BytesIO()
+        wavfile.write(int64, 16000, np.arange(10, dtype=np.int64))
+        raw = {"not_riff": b"not audio at all",
+               "truncated_data": WAV_CASES["i16"][:-7],
+               "truncated_header": WAV_CASES["i16"][:30],
+               "int64": int64.getvalue(),
+               "format_tag2": riff(fmt_chunk(2, 1, 16000, 4, 1),
+                                   chunk(b"data", bytes(8)))}[case]
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_wav(path)
+
+    @pytest.mark.parametrize("n,rate", [(1, 16000), (2, 44100), (1001, 8000)])
+    def test_save_writes_the_bytes_of_wavfile_write(self, tmp_path, n, rate):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        save_wav(tmp_path / "a.wav", Waveform(x, rate))
+        expected = io.BytesIO()
+        wavfile.write(expected, rate, np.round(x * 32767.0).astype(np.int16))
+        assert (tmp_path / "a.wav").read_bytes() == expected.getvalue()

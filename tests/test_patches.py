@@ -309,3 +309,16 @@ class TestFeatureCsv:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_features_csv(tmp_path / "x.csv", [])
+
+    def test_failed_rewrite_keeps_the_previous_file(self, tmp_path):
+        rng = np.random.default_rng(33)
+        good = FeatureVector(rng.standard_normal(8), ((0, 0), (4, 4)))
+        short = FeatureVector(rng.standard_normal(4), ((8, 8),))
+        path = tmp_path / "features.csv"
+        write_features_csv(path, [("u0", "bonafide", good)])
+        before = path.read_bytes()
+        # the second row fails the patch-count check after the first is written
+        with pytest.raises(ValueError, match="inconsistent"):
+            write_features_csv(path, [("u1", "spoof", good), ("u2", "spoof", short)])
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["features.csv"]
