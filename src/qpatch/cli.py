@@ -9,7 +9,9 @@ appear only in run.log so data artifacts stay byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -58,7 +60,6 @@ def _paths(config: ExperimentConfig) -> dict:
         "work": work,
         "manifest": work / "manifest.csv",
         "features": work / "features.csv",
-        "features_meta": work / "features.json",
         "gram": lambda kind: work / f"gram_{kind}.csv",
         "cross": lambda kind: work / f"cross_{kind}.csv",
         "model": lambda kind: work / f"model_{kind}.json",
@@ -67,50 +68,102 @@ def _paths(config: ExperimentConfig) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _record_made_under(artifact: Path, facts: dict):
+    """Around the code that (re)makes artifact: its sidecar is dropped on
+    entry and, if the body succeeds, rewritten to record facts, so a stage
+    that dies partway leaves no sidecar vouching for a changed file."""
+    sidecar = artifact.with_suffix(".json")
+    sidecar.unlink(missing_ok=True)
+    yield
+    with atomic_write(sidecar) as fh:
+        fh.write(json.dumps(facts, indent=2, sort_keys=True) + "\n")
+
+
+def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
+    """Refuse an artifact whose sidecar does not record exactly these facts."""
+    if not artifact.exists():
+        raise CliInputError(f"missing {artifact}; run {rerun} first")
+    sidecar = artifact.with_suffix(".json")
+    try:
+        stored = json.loads(sidecar.read_text())
+    except (OSError, ValueError):
+        stored = None
+    if not isinstance(stored, dict):
+        raise CliInputError(f"{sidecar} is missing or holds no JSON object; "
+                            f"rerun {rerun}")
+    now = json.loads(json.dumps(facts))  # as the sidecar stores them
+    stale = [key for key in sorted(now) if stored.get(key) != now[key]]
+    if stale:
+        raise CliInputError(f"{artifact.name} was made under another "
+                            f"{', '.join(stale)}; rerun {rerun}")
+
+
+def _digest(artifact: Path) -> str:
+    """sha256 of an artifact followed by its sidecar, as a later stage records it."""
+    sidecar = artifact.with_suffix(".json")
+    return hashlib.sha256(artifact.read_bytes() + sidecar.read_bytes()).hexdigest()
+
+
+def _manifest_facts(config: ExperimentConfig) -> dict:
+    return {"spoof_config": dataclasses.asdict(config.spoof_config()),
+            "split_counts": dataclasses.asdict(config.split_counts())}
+
+
+def _features_facts(config: ExperimentConfig) -> dict:
+    return {"k": config.k, "patch_size": config.patch_size,
+            "front_end": dataclasses.asdict(config.front_end()),
+            "manifest": _digest(_paths(config)["manifest"])}
+
+
+def _kernel_facts(config: ExperimentConfig, params: dict) -> dict:
+    p = _paths(config)
+    return {"params": params, "manifest": _digest(p["manifest"]),
+            "features": _digest(p["features"])}
+
+
 def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
     p = _paths(config)
     input_dir = config.resolved_input_dir()
-    if synthetic_audio is not None:
-        log.info("generating %d synthetic bona fide files in %s",
-                 synthetic_audio, input_dir)
-        spoof.generate_synthetic_corpus(input_dir, synthetic_audio, config.seed)
-    if not input_dir.is_dir():
+    if synthetic_audio is None and not input_dir.is_dir():
         raise CliInputError(
             f"input directory {input_dir} does not exist; pass --synthetic-audio N "
             "to generate a corpus or point --input-dir at bona fide WAVs")
-    try:
-        manifest = spoof.build_dataset(input_dir, p["work"] / "spoof",
-                                       config.spoof_config(), config.split_counts())
-    except ValueError as err:
-        raise CliInputError(str(err))
-    # store paths relative to the work dir so artifacts move with it
-    entries = tuple(
-        dataclasses.replace(e, path=os.path.relpath(e.path, p["work"]))
-        for e in manifest.entries)
-    manifest = spoof.DatasetManifest(entries, manifest.seed)
-    spoof.write_manifest(manifest, p["manifest"])
+    # the audio the manifest points at changes before the manifest does
+    with _record_made_under(p["manifest"], _manifest_facts(config)):
+        if synthetic_audio is not None:
+            log.info("generating %d synthetic bona fide files in %s",
+                     synthetic_audio, input_dir)
+            spoof.generate_synthetic_corpus(input_dir, synthetic_audio, config.seed)
+        try:
+            manifest = spoof.build_dataset(input_dir, p["work"] / "spoof",
+                                           config.spoof_config(), config.split_counts())
+        except ValueError as err:
+            raise CliInputError(str(err))
+        # store paths relative to the work dir so artifacts move with it
+        entries = tuple(
+            dataclasses.replace(e, path=os.path.relpath(e.path, p["work"]))
+            for e in manifest.entries)
+        spoof.write_manifest(spoof.DatasetManifest(entries), p["manifest"])
     log.info("wrote manifest with %d entries to %s", len(entries), p["manifest"])
 
 
 def _extract_one(entry, work: Path, config: ExperimentConfig):
-    wav_path = work / entry.path
-    w = dsp.load_wav(wav_path)
+    w = dsp.load_wav(work / entry.path)
     spec = dsp.logmel_spectrogram(w, config.front_end())
     fv = patches.extract_features(spec, k=config.k, patch_size=config.patch_size)
     return entry.uid, entry.label, fv
 
 
-def _features_made_under(config: ExperimentConfig) -> dict:
-    """The config fields features.csv depends on, as stored in features.json."""
-    return {"k": config.k, "patch_size": config.patch_size,
-            "front_end": dataclasses.asdict(config.front_end())}
+def _read_manifest(config: ExperimentConfig):
+    path = _paths(config)["manifest"]
+    _check_made_under(path, _manifest_facts(config), "synth")
+    return spoof.read_manifest(path)
 
 
 def cmd_features(config: ExperimentConfig) -> None:
     p = _paths(config)
-    if not p["manifest"].exists():
-        raise CliInputError(f"no manifest at {p['manifest']}; run synth first")
-    manifest = spoof.read_manifest(p["manifest"], seed=config.seed)
+    manifest = _read_manifest(config)
     rows = []
     skipped = []
     for entry in manifest.entries:
@@ -121,9 +174,8 @@ def cmd_features(config: ExperimentConfig) -> None:
             skipped.append(entry.uid)
     if not rows:
         raise CliInputError("no feature rows could be extracted")
-    patches.write_features_csv(p["features"], rows)
-    with atomic_write(p["features_meta"]) as fh:
-        fh.write(json.dumps(_features_made_under(config), indent=2, sort_keys=True) + "\n")
+    with _record_made_under(p["features"], _features_facts(config)):
+        patches.write_features_csv(p["features"], rows)
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
@@ -133,16 +185,8 @@ def cmd_features(config: ExperimentConfig) -> None:
 
 def _load_split_features(config: ExperimentConfig):
     p = _paths(config)
-    for name in ("manifest", "features", "features_meta"):
-        if not p[name].exists():
-            raise CliInputError(f"missing {p[name]}; run earlier stages first")
-    stored = json.loads(p["features_meta"].read_text())
-    stale = [key for key, now in _features_made_under(config).items()
-             if stored.get(key) != now]
-    if stale:
-        raise CliInputError(f"features were made under another {', '.join(stale)}; "
-                            "rerun features")
-    manifest = spoof.read_manifest(p["manifest"], seed=config.seed)
+    manifest = _read_manifest(config)
+    _check_made_under(p["features"], _features_facts(config), "features")
     feature_rows = {uid: (label, fv)
                     for uid, label, fv in patches.read_features_csv(p["features"])}
     split = {"train": [], "dev": []}
@@ -156,80 +200,38 @@ def _load_split_features(config: ExperimentConfig):
     return split
 
 
-def _stack(rows) -> np.ndarray:
-    return np.stack([fv.values for _, _, fv in rows])
-
-
 def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
-    train = split["train"]
-    dev = split["dev"]
+    train, dev = split["train"], split["dev"]
     spec = config.kernel_spec(kind)
     gram = svm.build_gram([fv for _, _, fv in train], spec)
-    svm.save_gram(gram, p["gram"](kind))
     cross = svm.cross_gram([fv for _, _, fv in dev], [fv for _, _, fv in train], spec)
-    cross_path = p["cross"](kind)
-    with atomic_write(cross_path) as fh:
-        np.savetxt(fh, cross, delimiter=",", fmt="%.17g")
-    sidecar = {
-        "kernel_kind": kind,
-        "params": gram.params,
-        "config_hash": svm.feature_hash(
-            np.concatenate([_stack(dev), _stack(train)]), gram.params),
-        "train_ids": [uid for uid, _, _ in train],
-        "dev_ids": [uid for uid, _, _ in dev],
-    }
-    with atomic_write(cross_path.with_suffix(".json")) as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    # cross rows and columns are the manifest's dev and train entries in file order
+    facts = _kernel_facts(config, gram.params)
+    for artifact, values in ((p["gram"](kind), gram.values), (p["cross"](kind), cross)):
+        with _record_made_under(artifact, facts):
+            svm.save_gram(values, artifact)
     log.info("wrote %dx%d train Gram and %dx%d cross block for kind=%s",
              gram.n, gram.n, cross.shape[0], cross.shape[1], kind)
 
 
-def _check_kernel_files(gram, cross_meta: dict, spec, train, dev) -> None:
-    """Refuse kernel files made under another config, features or split."""
-    params = spec.params()
-    x_train = _stack(train)
-    expected = {
-        "gram params": (gram.params, params),
-        "gram feature hash": (gram.config_hash, svm.feature_hash(x_train, params)),
-        "cross params": (cross_meta.get("params"), params),
-        "cross feature hash": (
-            cross_meta.get("config_hash"),
-            svm.feature_hash(np.concatenate([_stack(dev), x_train]), params)),
-        "cross train ids": (cross_meta.get("train_ids"), [uid for uid, _, _ in train]),
-        "cross dev ids": (cross_meta.get("dev_ids"), [uid for uid, _, _ in dev]),
-    }
-    stale = [name for name, (stored, now) in expected.items() if stored != now]
-    if stale:
-        raise CliInputError(
-            f"kernel files do not match the current config and features "
-            f"({', '.join(stale)}); rerun kernel --kind {spec.kind}")
-
-
-def _labels_to_pm1(labels):
-    return np.array([1.0 if lab == spoof.BONAFIDE else -1.0 for lab in labels])
-
-
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
-    gram_path = p["gram"](kind)
-    cross_path = p["cross"](kind)
-    for path in (gram_path, cross_path):
-        if not path.exists():
-            raise CliInputError(f"missing {path}; run kernel --kind {kind} first")
     split = _load_split_features(config)
     train, dev = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
-    spec = config.kernel_spec(kind).resolve(_stack(train))
-    gram = svm.load_gram(gram_path)
-    cross = np.loadtxt(cross_path, delimiter=",", ndmin=2)
+    spec = config.kernel_spec(kind).resolve(np.stack([fv.values for _, _, fv in train]))
+    facts = _kernel_facts(config, spec.params())
+    for artifact in (p["gram"](kind), p["cross"](kind)):
+        _check_made_under(artifact, facts, f"kernel --kind {kind}")
+    gram = svm.GramMatrix(svm.load_gram(p["gram"](kind)), kind, spec.params())
+    cross = svm.load_gram(p["cross"](kind))
     if gram.n != len(train) or cross.shape != (len(dev), len(train)):
         raise CliInputError("kernel files do not match the manifest split sizes")
-    cross_meta = json.loads(cross_path.with_suffix(".json").read_text())
-    _check_kernel_files(gram, cross_meta, spec, train, dev)
 
-    y_train = _labels_to_pm1([label for _, label, _ in train])
+    y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
+                        for _, label, _ in train])
     model = svm.train_svm(gram, y_train, C=config.svm_c,
                           feature_ref=str(p["features"]))
     svm.save_model(model, p["model"](kind))
@@ -310,13 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = ("work_dir", "input_dir", "seed", "k", "patch_size", "depth",
-                  "s3_axis", "snr_db", "tilt_low", "tilt_high",
-                  "train_per_class", "dev_per_class", "svm_c", "gamma")
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in fields}
     if isinstance(overrides.get("gamma"), str):
         try:
             overrides["gamma"] = float(overrides["gamma"])
@@ -352,10 +350,7 @@ def main(argv=None) -> int:
             for kind in KINDS:
                 cmd_train_eval(config, kind)
         return 0
-    except CliInputError as err:
-        log.error("%s", err)
-        return 2
-    except (ValueError, OSError) as err:
+    except (CliInputError, ValueError, OSError) as err:
         log.error("%s", err)
         return 2
     except Exception:  # noqa: BLE001 - last-resort diagnostics

@@ -133,19 +133,28 @@ def write_features_csv(path, rows) -> None:
 
 
 def read_features_csv(path):
-    """Inverse of write_features_csv: list of (id, label, FeatureVector)."""
+    """Inverse of write_features_csv: list of (id, label, FeatureVector).
+
+    A row of the wrong length, a value that is not a number, or a repeated
+    id raises ValueError naming the path and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         n_vals = sum(1 for h in header if h.startswith("x"))
-        k = n_vals // 4
-        rows = []
+        width = 2 + n_vals + n_vals // 2  # id, label, values, (t, f) per patch
+        rows = {}
         for record in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(record) != width:
+                raise ValueError(f"{where}: expected {width} fields, got {len(record)}")
             uid, label = record[0], record[1]
-            values = np.array([float(x) for x in record[2:2 + n_vals]])
-            locs = []
-            for j in range(k):
-                base = 2 + n_vals + 2 * j
-                locs.append((int(record[base]), int(record[base + 1])))
-            rows.append((uid, label, FeatureVector(values, tuple(locs))))
-    return rows
+            if uid in rows:
+                raise ValueError(f"{where}: duplicate id {uid!r}")
+            try:
+                values = np.array([float(x) for x in record[2:2 + n_vals]])
+                locs = [int(x) for x in record[2 + n_vals:]]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric value") from None
+            rows[uid] = (uid, label, FeatureVector(values, tuple(zip(locs[::2], locs[1::2]))))
+    return list(rows.values())

@@ -78,7 +78,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class DatasetManifest:
     entries: tuple
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -245,7 +244,7 @@ def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
     for uid in sorted(spoof_entries):
         path, source = spoof_entries[uid]
         entries.append(ManifestEntry(uid, path, SPOOF, split_spoof[uid], source))
-    return DatasetManifest(tuple(entries), config.seed)
+    return DatasetManifest(tuple(entries))
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -256,11 +255,23 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
             writer.writerow([e.uid, e.path, e.label, e.split, e.source_id])
 
 
-def read_manifest(path, seed: int = 0) -> DatasetManifest:
+def read_manifest(path) -> DatasetManifest:
+    """Inverse of write_manifest; a malformed row raises ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["id", "path", "label", "split", "source_id"]:
-            raise ValueError(f"unexpected manifest header {header}")
-        entries = [ManifestEntry(*row) for row in reader]
-    return DatasetManifest(tuple(entries), seed)
+            raise ValueError(f"{path}: unexpected manifest header {header}")
+        entries = {}
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            entry = ManifestEntry(*row)
+            if entry.uid in entries:
+                raise ValueError(f"{where}: duplicate id {entry.uid!r}")
+            if entry.label not in (BONAFIDE, SPOOF) or entry.split not in ("train", "dev"):
+                raise ValueError(f"{where}: unknown label {entry.label!r} "
+                                 f"or split {entry.split!r}")
+            entries[entry.uid] = entry
+    return DatasetManifest(tuple(entries.values()))

@@ -9,7 +9,6 @@ needs nothing beyond numpy and is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -67,7 +66,6 @@ class KernelSpec:
 class GramMatrix:
     values: np.ndarray
     kernel_kind: str
-    config_hash: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -138,13 +136,6 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def feature_hash(x: np.ndarray, params: dict) -> str:
-    h = hashlib.sha256()
-    h.update(json.dumps(params, sort_keys=True).encode())
-    h.update(np.ascontiguousarray(x).tobytes())
-    return h.hexdigest()[:16]
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """(n x m) kernel of the rows of a against the rows of b; spec must be resolved."""
     if spec.kind == "quantum":
@@ -164,7 +155,7 @@ def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
     spec = kernel.resolve(x)
     k = np.triu(kernel_matrix(x, x, spec))
     k += np.triu(k, 1).T
-    return GramMatrix(k, spec.kind, feature_hash(x, spec.params()), spec.params())
+    return GramMatrix(k, spec.kind, spec.params())
 
 
 def cross_gram(test_features, train_features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
@@ -283,23 +274,15 @@ def decision_scores(model: SvmModel, rows) -> np.ndarray:
     return rows[:, model.support_indices] @ model.dual_coefs + model.bias
 
 
-def save_gram(gram: GramMatrix, csv_path) -> None:
-    """CSV of values plus a JSON sidecar with kind, params, and feature hash."""
-    csv_path = Path(csv_path)
+def save_gram(values, csv_path) -> None:
+    """Write a kernel block (train Gram or cross rows) as %.17g CSV."""
     with atomic_write(csv_path) as fh:
-        np.savetxt(fh, gram.values, delimiter=",", fmt="%.17g")
-    meta = {"kernel_kind": gram.kernel_kind, "config_hash": gram.config_hash,
-            "params": gram.params}
-    with atomic_write(csv_path.with_suffix(".json")) as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        np.savetxt(fh, values, delimiter=",", fmt="%.17g")
 
 
-def load_gram(csv_path) -> GramMatrix:
-    csv_path = Path(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    return GramMatrix(values, meta["kernel_kind"], meta["config_hash"],
-                      meta.get("params", {}))
+def load_gram(csv_path) -> np.ndarray:
+    """Read a kernel block written by save_gram, always as a 2-D array."""
+    return np.loadtxt(csv_path, delimiter=",", ndmin=2)
 
 
 def save_model(model: SvmModel, path) -> None:

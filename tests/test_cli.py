@@ -137,8 +137,9 @@ class TestKernel:
         assert cross.shape == (4, 8)
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         sidecar = json.loads((tmp_path / "cross_quantum.json").read_text())
-        assert len(sidecar["train_ids"]) == 8
-        assert len(sidecar["dev_ids"]) == 4
+        assert sidecar["params"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
+        assert sorted(sidecar) == ["features", "manifest", "params"]
+        assert json.loads((tmp_path / "gram_quantum.json").read_text()) == sidecar
 
     def test_rbf_differs_from_quantum(self, tmp_path):
         prepared(tmp_path)
@@ -164,7 +165,7 @@ class TestKernel:
         assert (tmp_path / "gram_rbf.csv").read_bytes() == gram
         assert not (tmp_path / "report_rbf.json").exists()
         field = flag[0][2:].replace("-", "_")
-        assert f"features were made under another {field}" in (
+        assert f"features.csv was made under another {field}" in (
             tmp_path / "run.log").read_text()
 
     def test_features_without_their_sidecar_are_refused(self, tmp_path):
@@ -241,7 +242,8 @@ class TestTrainEval:
                     + ["train-eval", "--kind", "quantum"])
         assert code == 2
         assert not (tmp_path / "report_quantum.json").exists()
-        assert "gram params" in (tmp_path / "run.log").read_text()
+        assert "gram_quantum.csv was made under another params" in (
+            tmp_path / "run.log").read_text()
 
     def test_features_rerun_with_another_k_are_refused(self, tmp_path):
         prepared(tmp_path)
@@ -250,17 +252,122 @@ class TestTrainEval:
         code = main(base_args(tmp_path, "--k", "4") + ["train-eval", "--kind", "rbf"])
         assert code == 2
         assert not (tmp_path / "report_rbf.json").exists()
-        assert "gram feature hash" in (tmp_path / "run.log").read_text()
+        assert "gram_rbf.csv was made under another features" in (
+            tmp_path / "run.log").read_text()
 
     def test_cross_block_in_another_split_order_is_refused(self, tmp_path):
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "quantum")
-        sidecar = tmp_path / "cross_quantum.json"
-        meta = json.loads(sidecar.read_text())
-        meta["train_ids"] = meta["train_ids"][::-1]
-        sidecar.write_text(json.dumps(meta))
+        # the same entries in reverse order: kernel rows no longer line up
+        manifest = tmp_path / "manifest.csv"
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        assert run_stage(tmp_path, "features") == 0
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert "cross train ids" in (tmp_path / "run.log").read_text()
+        assert "gram_quantum.csv was made under another features, manifest" in (
+            tmp_path / "run.log").read_text()
+
+
+class TestMadeUnder:
+    """Each artifact's .json sidecar records the config fields its stage read
+    and the hashes of its input files; a later stage refuses a mismatch."""
+
+    def test_manifest_sidecar_records_the_spoof_config_and_split(self, tmp_path):
+        run_synth(tmp_path, "--seed", 8)
+        made_under = json.loads((tmp_path / "manifest.json").read_text())
+        assert made_under["spoof_config"]["seed"] == 8
+        assert made_under["split_counts"] == {"train_per_class": 4, "dev_per_class": 2}
+
+    @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
+                             ids=["seed", "snr_db"])
+    def test_resynth_refuses_kernel_and_train_eval(self, tmp_path, flag):
+        prepared(tmp_path)  # seed 7, 20 dB
+        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        assert run_synth(tmp_path, *flag) == 0
+        for stage in (["kernel", "--kind", "rbf"], ["train-eval", "--kind", "rbf"]):
+            assert main(base_args(tmp_path, *flag) + stage) == 2
+        assert not (tmp_path / "report_rbf.json").exists()
+        assert "features.csv was made under another manifest; rerun features" in (
+            tmp_path / "run.log").read_text()
+
+    @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
+                             ids=["seed", "snr_db"])
+    def test_features_under_another_config_than_synth_are_refused(self, tmp_path, flag):
+        run_synth(tmp_path)
+        assert main(base_args(tmp_path, *flag) + ["features"]) == 2
+        assert not (tmp_path / "features.csv").exists()
+        assert "manifest.csv was made under another spoof_config; rerun synth" in (
+            tmp_path / "run.log").read_text()
+
+    def test_manifest_without_its_sidecar_is_refused(self, tmp_path):
+        run_synth(tmp_path)
+        (tmp_path / "manifest.json").unlink()
+        assert run_stage(tmp_path, "features") == 2
+        assert not (tmp_path / "features.csv").exists()
+        assert "manifest.json is missing" in (tmp_path / "run.log").read_text()
+
+    def test_failed_synth_leaves_no_sidecar_for_the_old_manifest(self, tmp_path):
+        run_synth(tmp_path)
+        # the last file is unreadable: synth fails after rewriting some spoofs
+        last = tmp_path / "bonafide" / "utt005.wav"
+        audio = last.read_bytes()
+        last.write_bytes(b"not audio")
+        assert main(base_args(tmp_path, "--seed", 8) + ["synth"]) == 2
+        last.write_bytes(audio)
+        assert (tmp_path / "manifest.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        assert run_stage(tmp_path, "features") == 2
+
+
+def _edit_line(path, line, edit):
+    """Replace line `line` (0 is the header) of a text file with edit(line)."""
+    lines = path.read_text().splitlines()
+    lines[line] = edit(lines[line])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+# (file to damage, damage, stage that reads it, what the error must name)
+MALFORMED = {
+    "features_short_row": ("features.csv",
+                           lambda p: _edit_line(p, 3, lambda s: s.rsplit(",", 1)[0]),
+                           "kernel --kind rbf", "features.csv:4: expected 14 fields"),
+    "features_non_numeric": ("features.csv",
+                             lambda p: _edit_line(p, 2, lambda s: _set_field(s, 2, "abc")),
+                             "kernel --kind rbf", "features.csv:3: non-numeric"),
+    "features_duplicate_id": ("features.csv",
+                              lambda p: _edit_line(p, 12, lambda s: f"{s}\n{s}"),
+                              "kernel --kind rbf", "features.csv:14: duplicate id"),
+    "manifest_three_fields": ("manifest.csv",
+                              lambda p: _edit_line(p, 1, lambda s: s.rsplit(",", 2)[0]),
+                              "features", "manifest.csv:2: expected 5 fields"),
+    "manifest_unknown_split": ("manifest.csv",
+                               lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
+                               "kernel --kind rbf", "manifest.csv:2: unknown label"),
+    "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
+                           "kernel --kind rbf", "features.json is missing or holds no"),
+    "gram_json_without_kernel_kind": (
+        "gram_rbf.json",
+        lambda p: p.write_text(json.dumps({"config_hash": "0", "params": {"kind": "rbf"}})),
+        "train-eval --kind rbf", "gram_rbf.csv was made under another"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_stage_input_exits_2_naming_the_file(tmp_path, case):
+    name, damage, stage, expected = MALFORMED[case]
+    prepared(tmp_path)
+    assert run_stage(tmp_path, "kernel", "--kind", "rbf") == 0
+    damage(tmp_path / name)
+    assert run_stage(tmp_path, stage) == 2
+    log_text = (tmp_path / "run.log").read_text()
+    assert "Traceback" not in log_text
+    assert expected in log_text.splitlines()[-1]
 
 
 def key_paths(obj, prefix=""):
@@ -406,9 +513,29 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
         assert out.sample_rate == 16000 and out.samples.size == 1600
         assert np.array_equal(out.samples, resample_poly(w.samples, 160, 441))
     """)
+    done = run_fresh_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def run_fresh_python(code, cwd):
+    """Run code in a new interpreter that imports qpatch from this checkout."""
     src = str(Path(qpatch.__file__).resolve().parents[1])
-    env = dict(os.environ,
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps(tmp_path):
+    """perfbench/tracing.py wraps qpatch functions by name (save_gram,
+    load_gram, metrics.fidelity_kernel, ...); a rename must fail here, not
+    only in a traced benchmark run."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(perfbench)!r})
+        import tracing
+        tracing.install(tracing.Tracer())
+    """)
+    done = run_fresh_python(code, tmp_path)
     assert done.returncode == 0, done.stderr

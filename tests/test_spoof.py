@@ -255,7 +255,7 @@ class TestManifestValidation:
             ManifestEntry("a_spoof", "as.wav", SPOOF, "train", "a"),
         )
         with pytest.raises(ValueError, match="unbalanced"):
-            DatasetManifest(entries, 0)
+            DatasetManifest(entries)
 
     def test_duplicate_ids_rejected(self):
         entries = (
@@ -263,7 +263,7 @@ class TestManifestValidation:
             ManifestEntry("a", "b.wav", SPOOF, "train", "a"),
         )
         with pytest.raises(ValueError, match="duplicate"):
-            DatasetManifest(entries, 0)
+            DatasetManifest(entries)
 
 
 class TestManifestIO:
@@ -274,10 +274,10 @@ class TestManifestIO:
             ManifestEntry("b", "wav/b.wav", BONAFIDE, "dev", "b"),
             ManifestEntry("b_spoof", "wav/b_spoof.wav", SPOOF, "dev", "b"),
         )
-        manifest = DatasetManifest(entries, 9)
+        manifest = DatasetManifest(entries)
         path = tmp_path / "manifest.csv"
         write_manifest(manifest, path)
-        back = read_manifest(path, seed=9)
+        back = read_manifest(path)
         assert back.entries == entries
         assert path.read_text().splitlines()[0] == "id,path,label,split,source_id"
 

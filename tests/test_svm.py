@@ -14,7 +14,6 @@ from qpatch.svm import (
     build_gram,
     cross_gram,
     decision_scores,
-    feature_hash,
     kernel_matrix,
     load_gram,
     load_model,
@@ -163,7 +162,7 @@ class TestBuildGram:
         a = build_gram(feats)
         b = build_gram([f.copy() for f in feats])
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.config_hash == b.config_hash
+        assert a.params == b.params
 
 
 class TestKernelMatrix:
@@ -415,21 +414,23 @@ class TestPersistence:
         feats = [rng.uniform(-1, 1, 8) for _ in range(4)]
         g = build_gram(feats)
         path = tmp_path / "gram.csv"
-        save_gram(g, path)
+        save_gram(g.values, path)
+        np.testing.assert_array_equal(load_gram(path), g.values)
+        # any kernel block round-trips, a single cross row as a 2-D array too
+        cross = cross_gram(feats[:1], feats)
+        save_gram(cross, path)
         back = load_gram(path)
-        np.testing.assert_array_equal(back.values, g.values)
-        assert back.kernel_kind == "quantum"
-        assert back.config_hash == g.config_hash
-        assert back.params == g.params
+        assert back.shape == (1, 4)
+        np.testing.assert_array_equal(back, cross)
 
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
         g = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_gram(g, p1)
-        save_gram(g, p2)
+        save_gram(g.values, p1)
+        save_gram(g.values, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
     def test_model_roundtrip(self, tmp_path):
         rng = np.random.default_rng(72)
@@ -450,13 +451,3 @@ class TestPersistence:
         rows = rng.standard_normal((2, 8))
         np.testing.assert_array_equal(decision_scores(back, rows),
                                       decision_scores(model, rows))
-
-    def test_feature_hash_sensitivity(self):
-        x = np.zeros((2, 8))
-        h1 = feature_hash(x, {"kind": "quantum", "depth": 1})
-        h2 = feature_hash(x, {"kind": "quantum", "depth": 2})
-        x2 = x.copy()
-        x2[0, 0] = 1e-9
-        h3 = feature_hash(x2, {"kind": "quantum", "depth": 1})
-        assert len(h1) == 16
-        assert h1 != h2 and h1 != h3
