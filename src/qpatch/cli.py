@@ -72,16 +72,18 @@ def _paths(config: ExperimentConfig) -> dict:
 def _record_made_under(artifact: Path, facts: dict):
     """Around the code that (re)makes artifact: its sidecar is dropped on
     entry and, if the body succeeds, rewritten to record facts, so a stage
-    that dies partway leaves no sidecar vouching for a changed file."""
+    that dies partway leaves no sidecar vouching for a changed file. The
+    body may add the facts it learns to the dict it is given."""
     sidecar = artifact.with_suffix(".json")
     sidecar.unlink(missing_ok=True)
-    yield
+    yield facts
     with atomic_write(sidecar) as fh:
         fh.write(json.dumps(facts, indent=2, sort_keys=True) + "\n")
 
 
-def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
-    """Refuse an artifact whose sidecar does not record exactly these facts."""
+def _check_made_under(artifact: Path, facts: dict, rerun: str) -> dict:
+    """Refuse an artifact whose sidecar does not record exactly these facts;
+    return everything the sidecar records."""
     if not artifact.exists():
         raise CliInputError(f"missing {artifact}; run {rerun} first")
     sidecar = artifact.with_suffix(".json")
@@ -97,6 +99,7 @@ def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
     if stale:
         raise CliInputError(f"{artifact.name} was made under another "
                             f"{', '.join(stale)}; rerun {rerun}")
+    return stored
 
 
 def _digest(artifact: Path) -> str:
@@ -130,7 +133,7 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
             f"input directory {input_dir} does not exist; pass --synthetic-audio N "
             "to generate a corpus or point --input-dir at bona fide WAVs")
     # the audio the manifest points at changes before the manifest does
-    with _record_made_under(p["manifest"], _manifest_facts(config)):
+    with _record_made_under(p["manifest"], _manifest_facts(config)) as facts:
         if synthetic_audio is not None:
             log.info("generating %d synthetic bona fide files in %s",
                      synthetic_audio, input_dir)
@@ -145,30 +148,41 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
             dataclasses.replace(e, path=os.path.relpath(e.path, p["work"]))
             for e in manifest.entries)
         spoof.write_manifest(spoof.DatasetManifest(entries), p["manifest"])
+        # features refuses a WAV edited after its spoof was made from it
+        facts["wav_sha256"] = {
+            e.path: hashlib.sha256((p["work"] / e.path).read_bytes()).hexdigest()
+            for e in entries}
     log.info("wrote manifest with %d entries to %s", len(entries), p["manifest"])
 
 
-def _extract_one(entry, work: Path, config: ExperimentConfig):
-    w = dsp.load_wav(work / entry.path)
+def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
+    path = work / entry.path
+    raw = path.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != wav_sha256.get(entry.path):
+        raise CliInputError(f"{path} is not the file synth read; rerun synth")
+    w = dsp.load_wav(path, raw)
     spec = dsp.logmel_spectrogram(w, config.front_end())
     fv = patches.extract_features(spec, k=config.k, patch_size=config.patch_size)
     return entry.uid, entry.label, fv
 
 
 def _read_manifest(config: ExperimentConfig):
+    """The checked manifest and the sha256 of each WAV it lists, by path."""
     path = _paths(config)["manifest"]
-    _check_made_under(path, _manifest_facts(config), "synth")
-    return spoof.read_manifest(path)
+    wav_sha256 = _check_made_under(path, _manifest_facts(config), "synth").get("wav_sha256")
+    if not isinstance(wav_sha256, dict):
+        raise CliInputError(f"{path.with_suffix('.json')} records no wav_sha256; rerun synth")
+    return spoof.read_manifest(path), wav_sha256
 
 
 def cmd_features(config: ExperimentConfig) -> None:
     p = _paths(config)
-    manifest = _read_manifest(config)
+    manifest, wav_sha256 = _read_manifest(config)
     rows = []
     skipped = []
     for entry in manifest.entries:
         try:
-            rows.append(_extract_one(entry, p["work"], config))
+            rows.append(_extract_one(entry, p["work"], config, wav_sha256))
         except Exception as err:  # noqa: BLE001 - per-file isolation
             log.error("skipping %s: %s", entry.uid, err)
             skipped.append(entry.uid)
@@ -179,13 +193,13 @@ def cmd_features(config: ExperimentConfig) -> None:
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
-            f"{len(skipped)} of {len(manifest.entries)} files were unreadable: "
+            f"{len(skipped)} of {len(manifest.entries)} files were skipped: "
             + ", ".join(skipped))
 
 
 def _load_split_features(config: ExperimentConfig):
     p = _paths(config)
-    manifest = _read_manifest(config)
+    manifest, _ = _read_manifest(config)
     _check_made_under(p["features"], _features_facts(config), "features")
     feature_rows = {uid: (label, fv)
                     for uid, label, fv in patches.read_features_csv(p["features"])}
@@ -223,8 +237,8 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     # resolved on the train features: the structure block uses the model's gamma
     spec = config.kernel_spec(kind).resolve(np.stack([fv.values for _, _, fv in train]))
     facts = _kernel_facts(config, spec.params())
-    for artifact in (p["gram"](kind), p["cross"](kind)):
-        _check_made_under(artifact, facts, f"kernel --kind {kind}")
+    for artifact in (p["gram"](kind), p["cross"](kind)):  # load_gram reads the .npy
+        _check_made_under(artifact.with_suffix(".npy"), facts, f"kernel --kind {kind}")
     gram = svm.GramMatrix(svm.load_gram(p["gram"](kind)), kind, spec.params())
     cross = svm.load_gram(p["cross"](kind))
     if gram.n != len(train) or cross.shape != (len(dev), len(train)):

@@ -5,10 +5,10 @@ utterance is: load -> resample to 16 kHz -> STFT (Hann window, power
 spectrum) -> mel filterbank energies -> log compression -> per-utterance
 standardization.
 
-Only numpy loads with this module: WAV files are read and written by the
-small RIFF chunk parser below. scipy.signal, whose import costs about a
-second, loads on the first input that is not already at 16 kHz, and its
-low-pass filter is designed once per pair of rates.
+The runtime needs only numpy. WAV files are read and written by the small
+RIFF chunk parser below. Inputs at another rate are resampled with the
+low-pass filter of scipy's resample_poly, designed in numpy once per pair
+of rates and applied as one batched matrix product per clip.
 """
 
 from __future__ import annotations
@@ -197,28 +197,55 @@ def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
                          f_low=f_low, f_high=f_high, center_freqs=center_freqs)
 
 
-@functools.lru_cache(maxsize=8)
-def _lowpass(up: int, down: int) -> np.ndarray:
-    """The Kaiser-windowed sinc that resample_poly designs for (up, down).
+# outputs one input window makes (a row of the matmul): a multiple of `up`
+# up to this, else the largest divisor of `up` not above it
+_BLOCK_OUTPUTS = 64
 
-    Designed once per rate pair and shared, so the array is read-only;
-    resample_poly copies a window before scaling it by `up`.
+
+@functools.lru_cache(maxsize=8)
+def _polyphase(up: int, down: int) -> tuple[np.ndarray, np.ndarray]:
+    """resample_poly's default low-pass for (up, down), as (groups, width, cols) matrices.
+
+    firwin's Kaiser-windowed sinc (20*max(up, down)+1 taps, beta 5) with gain
+    `up`. Matrix g makes `cols` consecutive outputs from the `width` inputs
+    at firsts[g] on; the groups repeat every groups*cols*down/up inputs. In all
+    max(64, up) columns of about (64*down + 20*max(up, down))/up rows: a few
+    times the filter's size once up > 64. Shared, so read-only.
     """
-    from scipy.signal import firwin
     max_rate = max(up, down)
-    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
-    h.flags.writeable = False
-    return h
+    half_len = 10 * max_rate
+    m = np.arange(-half_len, half_len + 1)
+    h = np.sinc(m / max_rate) / max_rate * np.kaiser(m.size, 5.0)
+    taps = np.append(h / h.sum() * up, 0.0)
+    cols = (up * (_BLOCK_OUTPUTS // up) if up <= _BLOCK_OUTPUTS else
+            max(d for d in range(1, _BLOCK_OUTPUTS + 1) if up % d == 0))
+    j = np.arange(0, max(cols, up), cols)[:, None, None] + np.arange(cols)
+    # output j takes tap j*down + half_len - i*up of input i, as resample_poly does
+    firsts = -((half_len - j[:, 0, 0] * down) // up)
+    width = int(((j[:, 0, -1] * down + half_len) // up - firsts).max()) + 1
+    k = j * down + half_len - (firsts[:, None, None] + np.arange(width)[:, None]) * up
+    matrices = taps[np.where((k >= 0) & (k < m.size), k, m.size)]
+    firsts.flags.writeable = matrices.flags.writeable = False
+    return firsts, matrices
 
 
 def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
-    """Windowed-sinc polyphase resampling; pass-through when already at target."""
+    """Windowed-sinc polyphase resampling: resample_poly's default output to a
+    few ulp, by one batched matmul; pass-through when already at target."""
     if w.sample_rate == target_rate:
         return w
-    from scipy.signal import resample_poly  # about 1 s to import; few inputs need it
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
-    samples = resample_poly(w.samples, up, down, window=_lowpass(up, down))
+    firsts, matrices = _polyphase(up, down)
+    groups, width, cols = matrices.shape
+    n, lead, step = w.samples.size, -firsts[0], groups * cols * down // up
+    n_out = -(-n * up // down)
+    periods = -(-n_out // (groups * cols))
+    padded = np.zeros(max(lead + firsts[-1] + (periods - 1) * step + width, lead + n))
+    padded[lead:lead + n] = w.samples
+    starts = lead + firsts[:, None] + step * np.arange(periods)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    samples = (windows @ matrices).transpose(1, 0, 2).ravel()[:n_out]
     return Waveform(samples, target_rate)
 
 
@@ -299,22 +326,23 @@ def _decode_wav(raw: memoryview) -> tuple[int, np.ndarray]:
     return rate, samples.reshape(-1, channels) if channels > 1 else samples
 
 
-def load_wav(path) -> Waveform:
+def load_wav(path, raw: bytes | None = None) -> Waveform:
     """Read a PCM (8/16/24/32-bit) or IEEE float (32/64-bit) WAV file.
 
     Integer samples are scaled to [-1, 1) as scipy.io.wavfile reads them
     (unsigned 8-bit around 128, 24-bit left-justified in int32); more than
     one channel is averaged to mono with a warning. Anything else raises
-    ValueError naming the path.
+    ValueError naming the path. A caller that already holds the file's
+    bytes passes them as raw, and the file is not read again.
     """
     try:
-        rate, samples = _decode_wav(memoryview(Path(path).read_bytes()))
+        rate, samples = _decode_wav(memoryview(Path(path).read_bytes() if raw is None else raw))
+        if samples.ndim == 2:
+            warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
+            samples = samples.mean(axis=1)
+        return Waveform(samples, rate)  # raises for no samples, NaN or inf
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    if samples.ndim == 2:
-        warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
-        samples = samples.mean(axis=1)
-    return Waveform(samples, rate)
 
 
 def save_wav(path, w: Waveform) -> None:

@@ -275,14 +275,17 @@ def decision_scores(model: SvmModel, rows) -> np.ndarray:
 
 
 def save_gram(values, csv_path) -> None:
-    """Write a kernel block (train Gram or cross rows) as %.17g CSV."""
+    """Write a kernel block (train Gram or cross rows) as %.17g CSV, the
+    export, and as the <stem>.npy beside it that load_gram reads."""
     with atomic_write(csv_path) as fh:
         np.savetxt(fh, values, delimiter=",", fmt="%.17g")
+    with atomic_write(Path(csv_path).with_suffix(".npy"), "wb") as fh:
+        np.save(fh, values, allow_pickle=False)
 
 
 def load_gram(csv_path) -> np.ndarray:
-    """Read a kernel block written by save_gram, always as a 2-D array."""
-    return np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    """Read the binary copy of a kernel block written by save_gram."""
+    return np.load(Path(csv_path).with_suffix(".npy"), allow_pickle=False)
 
 
 def save_model(model: SvmModel, path) -> None:

@@ -242,7 +242,7 @@ class TestTrainEval:
                     + ["train-eval", "--kind", "quantum"])
         assert code == 2
         assert not (tmp_path / "report_quantum.json").exists()
-        assert "gram_quantum.csv was made under another params" in (
+        assert "gram_quantum.npy was made under another params" in (
             tmp_path / "run.log").read_text()
 
     def test_features_rerun_with_another_k_are_refused(self, tmp_path):
@@ -252,7 +252,7 @@ class TestTrainEval:
         code = main(base_args(tmp_path, "--k", "4") + ["train-eval", "--kind", "rbf"])
         assert code == 2
         assert not (tmp_path / "report_rbf.json").exists()
-        assert "gram_rbf.csv was made under another features" in (
+        assert "gram_rbf.npy was made under another features" in (
             tmp_path / "run.log").read_text()
 
     def test_cross_block_in_another_split_order_is_refused(self, tmp_path):
@@ -264,8 +264,19 @@ class TestTrainEval:
         manifest.write_text("\n".join([header, *rows[::-1]]) + "\n")
         assert run_stage(tmp_path, "features") == 0
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert "gram_quantum.csv was made under another features, manifest" in (
+        assert "gram_quantum.npy was made under another features, manifest" in (
             tmp_path / "run.log").read_text()
+
+    def test_kernel_csv_without_its_npy_is_refused(self, tmp_path):
+        # train-eval reads the binary copy; a work dir made before it existed
+        # holds only the CSV
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        (tmp_path / "cross_quantum.npy").unlink()
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
+        assert not (tmp_path / "report_quantum.json").exists()
+        last = (tmp_path / "run.log").read_text().splitlines()[-1]
+        assert "cross_quantum.npy" in last and "kernel --kind quantum" in last
 
 
 class TestMadeUnder:
@@ -298,6 +309,21 @@ class TestMadeUnder:
         assert not (tmp_path / "features.csv").exists()
         assert "manifest.csv was made under another spoof_config; rerun synth" in (
             tmp_path / "run.log").read_text()
+
+    def test_wav_edited_after_synth_is_refused_by_features(self, tmp_path):
+        prepared(tmp_path)
+        made_under = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = (tmp_path / "manifest.csv").read_text().splitlines()[1:]
+        assert sorted(made_under["wav_sha256"]) == sorted(
+            line.split(",")[1] for line in manifest)
+        # the spoof of utt000 was made from the old audio
+        bonafide = tmp_path / "bonafide"
+        (bonafide / "utt000.wav").write_bytes((bonafide / "utt001.wav").read_bytes())
+        assert run_stage(tmp_path, "features") == 2
+        log_text = (tmp_path / "run.log").read_text()
+        assert f"{bonafide / 'utt000.wav'} is not the file synth read; rerun synth" in log_text
+        rows = (tmp_path / "features.csv").read_text().splitlines()
+        assert not any(row.startswith("utt000,") for row in rows)
 
     def test_manifest_without_its_sidecar_is_refused(self, tmp_path):
         run_synth(tmp_path)
@@ -354,7 +380,13 @@ MALFORMED = {
     "gram_json_without_kernel_kind": (
         "gram_rbf.json",
         lambda p: p.write_text(json.dumps({"config_hash": "0", "params": {"kind": "rbf"}})),
-        "train-eval --kind rbf", "gram_rbf.csv was made under another"),
+        "train-eval --kind rbf", "gram_rbf.npy was made under another"),
+    # a manifest.json written before synth recorded the WAVs it read
+    "manifest_json_without_wav_hashes": (
+        "manifest.json",
+        lambda p: p.write_text(json.dumps(
+            {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
+        "features", "manifest.json records no wav_sha256; rerun synth"),
 }
 
 
@@ -493,28 +525,32 @@ class TestConfigHandling:
         assert f"{wav}: averaging 2 channels to mono" in log_text
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
-    """A fresh interpreter imports qpatch.cli and writes and reads a WAV
-    without loading any scipy module; the first resampled input then loads
-    scipy.signal."""
+def test_run_all_on_resampled_inputs_needs_no_scipy(tmp_path):
+    """A fresh interpreter in which scipy cannot be imported runs run-all on
+    44.1 and 48 kHz WAVs, so every stage resamples, and loads no scipy module."""
     code = textwrap.dedent("""
         import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
         import numpy as np
-        import qpatch.cli
         from qpatch import dsp
-        t = np.arange(4410) / 44100.0
-        dsp.save_wav("a.wav", dsp.Waveform(np.sin(2 * np.pi * 440.0 * t), 44100))
-        w = dsp.load_wav("a.wav")
-        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        from qpatch.cli import main
+        rng = np.random.default_rng(3)
+        for i in range(6):
+            rate = (44100, 48000)[i % 2]
+            t = np.arange(rate // 4) / rate
+            tone = 0.3 * np.sin(2 * np.pi * rng.uniform(100, 300) * t)
+            noise = 0.05 * rng.standard_normal(t.size)
+            dsp.save_wav(f"in/utt{i}.wav", dsp.Waveform(tone + noise, rate))
+        code = main(["--work-dir", "w", "--input-dir", "in", "--train-per-class", "4",
+                     "--dev-per-class", "2", "run-all"])
+        assert code == 0, code
+        loaded = [m for m, module in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and module is not None]
         assert not loaded, loaded
-        out = dsp.resample_to(w)
-        assert "scipy.signal" in sys.modules
-        from scipy.signal import resample_poly
-        assert out.sample_rate == 16000 and out.samples.size == 1600
-        assert np.array_equal(out.samples, resample_poly(w.samples, 160, 441))
     """)
     done = run_fresh_python(code, tmp_path)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "w" / "report_quantum.json").exists()
 
 
 def run_fresh_python(code, cwd):

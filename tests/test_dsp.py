@@ -15,7 +15,7 @@ from scipy.signal import firwin, resample_poly
 from qpatch.dsp import (
     EPS,
     Waveform,
-    _lowpass,
+    _polyphase,
     build_mel_filterbank,
     hann_window,
     hz_to_mel,
@@ -368,26 +368,49 @@ class TestResample:
         # compare away from filter edge effects
         np.testing.assert_allclose(out.samples[800:-800], ref[800:-800], atol=5e-4)
 
-    @pytest.mark.parametrize("src_rate", [44100, 48000, 22050, 11025, 8000])
-    @pytest.mark.parametrize("length", ["1", "2", "odd", "1s"])
+    # 11127 and 44056 Hz share only a small factor with 16 kHz: up*down is
+    # 1.8e8 and 1.1e7
+    @pytest.mark.parametrize("src_rate", [44100, 48000, 22050, 11025, 8000,
+                                          24000, 32000, 96000, 11127, 44056])
+    @pytest.mark.parametrize("length", ["1", "2", "3", "7", "odd", "1s"])
     def test_matches_default_window_resample_poly(self, src_rate, length):
-        n = {"1": 1, "2": 2, "odd": 1001, "1s": src_rate}[length]
+        # the same filter, summed in another order: within 8 ulp of max|x|
+        n = {"1": 1, "2": 2, "3": 3, "7": 7, "odd": 1001, "1s": src_rate}[length]
         x = np.random.default_rng(src_rate + n).standard_normal(n) * 0.1
         g = math.gcd(16000, src_rate)
         out = resample_to(Waveform(x, src_rate))
-        assert np.array_equal(out.samples, resample_poly(x, 16000 // g, src_rate // g))
+        expected = resample_poly(x, 16000 // g, src_rate // g)
+        assert out.samples.shape == expected.shape
+        assert np.max(np.abs(out.samples - expected)) <= 8 * 2.0 ** -52 * np.max(np.abs(x))
 
     def test_lowpass_designed_once_per_rate_pair_and_read_only(self):
-        _lowpass.cache_clear()
+        _polyphase.cache_clear()
         x = np.random.default_rng(7).standard_normal(441) * 0.1
         for rate in (44100, 48000, 44100, 48000, 44100):
             resample_to(Waveform(x, rate))
-        info = _lowpass.cache_info()
+        info = _polyphase.cache_info()
         assert (info.misses, info.hits) == (2, 3)
-        h = _lowpass(160, 441)
-        assert np.array_equal(h, firwin(8821, 1 / 441, window=("kaiser", 5.0)))
+        firsts, matrices = _polyphase(160, 441)
+        # 160 columns in all, one per polyphase branch: together they hold
+        # each of firwin's taps (times up = 160) once, and zeros elsewhere
+        groups, _, cols = matrices.shape
+        assert groups * cols == 160 and firsts.shape == (groups,)
+        h = 160 * firwin(8821, 1 / 441, window=("kaiser", 5.0))
+        expected = np.sort(np.append(h, np.zeros(matrices.size - h.size)))
+        np.testing.assert_allclose(np.sort(matrices.ravel()), expected, rtol=0, atol=1e-15)
         with pytest.raises(ValueError, match="read-only"):
-            h[0] = 0.0
+            matrices[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            firsts[0] = 0
+
+    @pytest.mark.parametrize("src_rate", [44100, 22050, 11127, 44056])
+    def test_plan_size_grows_with_the_filter_not_with_up_times_down(self, src_rate):
+        # one (width, up) matrix for every clip would hold up*down entries:
+        # 1.8e8 (1.4 GB) at 11127 Hz
+        g = math.gcd(16000, src_rate)
+        up, down = 16000 // g, src_rate // g
+        _, matrices = _polyphase(up, down)
+        assert matrices.size <= 5 * (20 * max(up, down) + 1)
 
 
 class TestFullFrontEnd:
@@ -455,7 +478,7 @@ class TestWavIO:
         assert np.array_equal(w.samples, expected)
 
     @pytest.mark.parametrize("case", ["not_riff", "truncated_data", "truncated_header",
-                                      "int64", "format_tag2"])
+                                      "int64", "format_tag2", "header_only", "nan_f32"])
     def test_unreadable_files_raise_naming_the_path(self, tmp_path, case):
         int64 = io.BytesIO()
         wavfile.write(int64, 16000, np.arange(10, dtype=np.int64))
@@ -464,7 +487,11 @@ class TestWavIO:
                "truncated_header": WAV_CASES["i16"][:30],
                "int64": int64.getvalue(),
                "format_tag2": riff(fmt_chunk(2, 1, 16000, 4, 1),
-                                   chunk(b"data", bytes(8)))}[case]
+                                   chunk(b"data", bytes(8))),
+               "header_only": riff(fmt_chunk(1, 1, 16000, 16, 2), chunk(b"data", b"")),
+               "nan_f32": riff(fmt_chunk(3, 1, 16000, 32, 4),
+                               chunk(b"data", np.array([0.5, np.nan], "<f4").tobytes()))
+               }[case]
         path = tmp_path / "bad.wav"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(str(path))):

@@ -430,7 +430,9 @@ class TestPersistence:
         save_gram(g.values, p1)
         save_gram(g.values, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "a.npy",
+                                                              "b.csv", "b.npy"]
 
     def test_model_roundtrip(self, tmp_path):
         rng = np.random.default_rng(72)
