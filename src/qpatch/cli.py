@@ -162,8 +162,8 @@ def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
         raise CliInputError(f"{path} is not the file synth read; rerun synth")
     w = dsp.load_wav(path, raw)
     spec = dsp.logmel_spectrogram(w, config.front_end())
-    fv = patches.extract_features(spec, k=config.k, patch_size=config.patch_size)
-    return entry.uid, entry.label, fv
+    return (entry.uid, entry.label,
+            *patches.extract_features(spec, k=config.k, patch_size=config.patch_size))
 
 
 def _read_manifest(config: ExperimentConfig):
@@ -197,30 +197,32 @@ def cmd_features(config: ExperimentConfig) -> None:
             + ", ".join(skipped))
 
 
-def _load_split_features(config: ExperimentConfig):
+def _load_split_features(config: ExperimentConfig) -> dict:
+    """Per split, the labels and the (n, 4k) feature matrix, in manifest order."""
     p = _paths(config)
     manifest, _ = _read_manifest(config)
     _check_made_under(p["features"], _features_facts(config), "features")
-    feature_rows = {uid: (label, fv)
-                    for uid, label, fv in patches.read_features_csv(p["features"])}
-    split = {"train": [], "dev": []}
+    feature_rows = {uid: (label, stats)
+                    for uid, label, stats in patches.read_features_csv(p["features"])}
+    split = {"train": ([], []), "dev": ([], [])}
     for entry in manifest.entries:
         if entry.uid not in feature_rows:
             raise CliInputError(f"feature row missing for {entry.uid}; rerun features")
-        label, fv = feature_rows[entry.uid]
+        label, stats = feature_rows[entry.uid]
         if label != entry.label:
             raise CliInputError(f"label mismatch for {entry.uid}")
-        split[entry.split].append((entry.uid, label, fv))
-    return split
+        split[entry.split][0].append(label)
+        split[entry.split][1].append(stats)
+    return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
 
 
 def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
-    train, dev = split["train"], split["dev"]
+    (_, x_train), (_, x_dev) = split["train"], split["dev"]
     spec = config.kernel_spec(kind)
-    gram = svm.build_gram([fv for _, _, fv in train], spec)
-    cross = svm.cross_gram([fv for _, _, fv in dev], [fv for _, _, fv in train], spec)
+    gram = svm.build_gram(x_train, spec)
+    cross = svm.cross_gram(x_dev, x_train, spec)
     # cross rows and columns are the manifest's dev and train entries in file order
     facts = _kernel_facts(config, gram.params)
     for artifact, values in ((p["gram"](kind), gram.values), (p["cross"](kind), cross)):
@@ -233,42 +235,40 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
-    train, dev = split["train"], split["dev"]
+    (train_labels, x_train), (dev_labels, x_dev) = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
-    spec = config.kernel_spec(kind).resolve(np.stack([fv.values for _, _, fv in train]))
+    spec = config.kernel_spec(kind).resolve(x_train)
     facts = _kernel_facts(config, spec.params())
     for artifact in (p["gram"](kind), p["cross"](kind)):  # load_gram reads the .npy
         _check_made_under(artifact.with_suffix(".npy"), facts, f"kernel --kind {kind}")
     gram = svm.GramMatrix(svm.load_gram(p["gram"](kind)), kind, spec.params())
     cross = svm.load_gram(p["cross"](kind))
-    if gram.n != len(train) or cross.shape != (len(dev), len(train)):
+    n_train, n_dev = len(train_labels), len(dev_labels)
+    if gram.n != n_train or cross.shape != (n_dev, n_train):
         raise CliInputError("kernel files do not match the manifest split sizes")
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
-                        for _, label, _ in train])
+                        for label in train_labels])
     model = svm.train_svm(gram, y_train, C=config.svm_c,
                           feature_ref=str(p["features"]))
     svm.save_model(model, p["model"](kind))
 
     dev_scores = svm.decision_scores(model, cross)
-    y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0
-                        for _, label, _ in dev])
+    y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
     roc = metrics.roc_points(dev_scores, y_dev01)
     auroc_value = metrics.auroc(dev_scores, y_dev01)
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
-    dev_feats = [fv for _, _, fv in dev]
-    dev_gram = svm.build_gram(dev_feats, spec)
-    structure = metrics.kernel_structure(
-        dev_gram.values, [label for _, label, _ in dev],
-        features=dev_feats, kernel=spec)
+    dev_gram = svm.build_gram(x_dev, spec)
+    structure = metrics.kernel_structure(dev_gram.values, dev_labels,
+                                         features=x_dev, kernel=spec)
     report = {
         "kind": kind,
         "auroc": float(auroc_value),
         "eer": float(eer_value),
         "eer_threshold": float(eer_tau),
-        "n_train": len(train),
-        "n_dev": len(dev),
+        "n_train": n_train,
+        "n_dev": n_dev,
         "kernel": {
             "kind": kind,
             "depth": config.depth,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig
 from .patches import check_patch_size
-from .quantum import circuit
+from .quantum import check_circuit
 from .spoof import SpoofConfig, SplitCounts
 from .svm import KernelSpec
 
@@ -50,7 +50,7 @@ class ExperimentConfig:
         # checked here so a bad value exits before any stage writes a file
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
-        circuit(4, self.depth, self.s3_axis)  # rejects a bad depth or axis
+        check_circuit(self.depth, self.s3_axis)
         self.spoof_config()  # rejects a bad snr_db or tilt range
         self.split_counts()  # rejects a split below one per class
         if not 0 < self.svm_c < math.inf:

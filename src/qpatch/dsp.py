@@ -1,9 +1,11 @@
 """Audio front end: WAV loading, resampling, STFT, mel filterbank, log-mel standardization.
 
-All operations are pure functions on immutable inputs. The pipeline per
-utterance is: load -> resample to 16 kHz -> STFT (Hann window, power
-spectrum) -> mel filterbank energies -> log compression -> per-utterance
-standardization.
+All operations are pure functions. The pipeline per utterance is: load ->
+resample to 16 kHz -> STFT (Hann window, power spectrum) -> mel filterbank
+energies -> log compression -> per-utterance standardization. Only the
+input audio is wrapped (Waveform, samples with their rate); the filterbank
+is a plain (n_mels, bins) weight array and the log-mel spectrogram a plain
+(frames, n_mels) float array.
 
 The runtime needs only numpy. WAV files are read and written by the small
 RIFF chunk parser below. Inputs at another rate are resampled with the
@@ -46,46 +48,6 @@ class Waveform:
             raise ValueError("waveform contains non-finite samples")
         if self.sample_rate <= 0:
             raise ValueError(f"invalid sample rate {self.sample_rate}")
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Standardized log-mel matrix, frames (rows) by mel bins (columns)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError("spectrogram must be a 2-D matrix")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectrogram contains non-finite entries")
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filters evaluated on the non-negative FFT bins.
-
-    ``weights`` has one row per filter and one column per FFT bin
-    (fft_size // 2 + 1 columns). Triangles peak at height 1 and are
-    centered uniformly on the HTK mel scale.
-    """
-
-    weights: np.ndarray
-    fft_size: int
-    sample_rate: int
-    f_low: float
-    f_high: float
-    center_freqs: np.ndarray
-
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -139,22 +101,23 @@ def stft(w: Waveform, win_ms: float = 25.0, hop_ms: float = 10.0,
     return np.fft.rfft(windowed, n=fft_size, axis=1)
 
 
-def mel_energies(stft_out: np.ndarray, fb: MelFilterbank) -> np.ndarray:
+def mel_energies(stft_out: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Filterbank energies E(f, tau) = sum_k |X(k, tau)|^2 H_f(k), frames x n_mels."""
     spectrum = np.asarray(stft_out)
-    if spectrum.ndim != 2 or spectrum.shape[1] != fb.weights.shape[1]:
+    if spectrum.ndim != 2 or spectrum.shape[1] != weights.shape[1]:
         raise ValueError(
             f"bin count mismatch: spectrum has {spectrum.shape[-1]} bins, "
-            f"filterbank expects {fb.weights.shape[1]}")
+            f"filterbank expects {weights.shape[1]}")
     power = np.abs(spectrum) ** 2
-    return power @ fb.weights.T
+    return power @ weights.T
 
 
-def log_standardize(energies: np.ndarray) -> Spectrogram:
+def log_standardize(energies: np.ndarray) -> np.ndarray:
     """Log-compress energies and standardize over all time-frequency entries.
 
     M = log(E + eps), then (M - mean) / (std + eps) with the population
-    standard deviation taken over the whole utterance.
+    standard deviation taken over the whole utterance. Returns the
+    (frames, n_mels) matrix; energies that overflowed to inf are refused.
     """
     energies = np.asarray(energies, dtype=np.float64)
     if np.any(energies < 0):
@@ -162,18 +125,22 @@ def log_standardize(energies: np.ndarray) -> Spectrogram:
     logmel = np.log(energies + EPS)
     mu = logmel.mean()
     sigma = logmel.std()
-    return Spectrogram((logmel - mu) / (sigma + EPS))
+    out = (logmel - mu) / (sigma + EPS)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("spectrogram contains non-finite entries")
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
                          sample_rate: int = TARGET_SAMPLE_RATE,
-                         f_low: float = 0.0, f_high: float = 8000.0) -> MelFilterbank:
-    """Build triangular filters with centers uniformly spaced on the HTK mel scale.
+                         f_low: float = 0.0, f_high: float = 8000.0) -> np.ndarray:
+    """Triangular filters with centers uniformly spaced on the HTK mel scale.
 
-    Triangles have unnormalized peak height 1; adjacent filters cross at
-    each other's feet. Built once per set of arguments and shared, so the
-    returned arrays are read-only.
+    Returns the (n_mels, fft_size // 2 + 1) weights: one row per filter,
+    one column per non-negative FFT bin. Triangles have unnormalized peak
+    height 1; adjacent filters cross at each other's feet. Built once per
+    set of arguments and shared, so the array is read-only.
     """
     if not (0.0 <= f_low < f_high <= sample_rate / 2.0):
         raise ValueError(
@@ -191,10 +158,8 @@ def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    center_freqs = hz_pts[1:-1]
-    weights.flags.writeable = center_freqs.flags.writeable = False
-    return MelFilterbank(weights=weights, fft_size=fft_size, sample_rate=sample_rate,
-                         f_low=f_low, f_high=f_high, center_freqs=center_freqs)
+    weights.flags.writeable = False
+    return weights
 
 
 # outputs one input window makes (a row of the matmul): a multiple of `up`
@@ -249,13 +214,16 @@ def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     return Waveform(samples, target_rate)
 
 
-def logmel_spectrogram(w: Waveform, config: FrontEndConfig = FrontEndConfig()) -> Spectrogram:
-    """Full front end: resample, STFT, mel energies, log compression, standardization."""
+def logmel_spectrogram(w: Waveform, config: FrontEndConfig = FrontEndConfig()) -> np.ndarray:
+    """Full front end: resample, STFT, mel energies, log compression, standardization.
+
+    Returns the standardized (frames, n_mels) log-mel matrix.
+    """
     w = resample_to(w, config.sample_rate)
-    fb = build_mel_filterbank(config.n_mels, config.fft_size, config.sample_rate,
-                              config.f_low, config.f_high)
+    weights = build_mel_filterbank(config.n_mels, config.fft_size, config.sample_rate,
+                                   config.f_low, config.f_high)
     spectrum = stft(w, config.win_ms, config.hop_ms, config.fft_size)
-    return log_standardize(mel_energies(spectrum, fb))
+    return log_standardize(mel_energies(spectrum, weights))
 
 
 # WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT and WAVE_FORMAT_EXTENSIBLE; an

@@ -12,34 +12,19 @@ statistics:
 `extract_features` works on whole arrays: it views the spectrogram as an
 (n_patches, p, p) stack, computes s1 for every patch, keeps the top k by
 s1 (ties to the earlier patch), and computes s2-s4 for those k patches
-only, in one pass. Their statistics are concatenated into a feature
-vector of length 4k, with each selected patch's (time, mel) corner.
+only, in one pass. It returns plain arrays: the concatenated statistics
+of the selected patches, a (4k,) float vector, and their (time, mel)
+corners, a (k, 2) int array.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write
-from .dsp import EPS, Spectrogram
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Concatenated summaries of the selected patches, selection order kept."""
-
-    values: np.ndarray
-    patch_order: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "patch_order", tuple(tuple(p) for p in self.patch_order))
-        if values.size != 4 * len(self.patch_order):
-            raise ValueError("feature length must be 4 per selected patch")
+from .dsp import EPS
 
 
 def check_patch_size(patch_size: int, n_mels: int) -> None:
@@ -96,65 +81,75 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def extract_features(spec: Spectrogram, k: int = 2, patch_size: int = 4) -> FeatureVector:
-    """Rank every patch by s1, then summarize and concatenate the top k."""
-    tiles = _tiles(spec.values, patch_size)
+def extract_features(values: np.ndarray, k: int = 2,
+                     patch_size: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every patch of a (frames, n_mels) spectrogram by s1, then
+    summarize the top k: their (4k,) statistics and (k, 2) corners."""
+    values = np.asarray(values, dtype=np.float64)
+    tiles = _tiles(values, patch_size)
     top = _top_k(tiles.mean(axis=(1, 2)), k)
-    corners = np.stack(np.divmod(top, spec.n_mels // patch_size), axis=1) * patch_size
-    return FeatureVector(_statistics(tiles[top]).ravel(), corners.tolist())
+    corners = np.stack(np.divmod(top, values.shape[1] // patch_size), axis=1) * patch_size
+    return _statistics(tiles[top]).ravel(), corners
+
+
+def _header(k: int) -> list[str]:
+    header = ["id", "label"] + [f"x{i}" for i in range(4 * k)]
+    for j in range(k):
+        header += [f"patch{j}_t", f"patch{j}_f"]
+    return header
 
 
 def write_features_csv(path, rows) -> None:
     """Persist features: one row per utterance.
 
-    Each input row is (utterance_id, label, FeatureVector). Labels are the
-    strings "bonafide" or "spoof". Patch locations are stored after the
-    feature values so files are self-describing.
+    Each input row is (utterance_id, label, stats, corners) as
+    extract_features returns them. Labels are the strings "bonafide" or
+    "spoof". Patch corners are stored after the statistics so files are
+    self-describing.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no feature rows to write")
-    k = len(rows[0][2].patch_order)
-    header = ["id", "label"]
-    header += [f"x{i}" for i in range(4 * k)]
-    for j in range(k):
-        header += [f"patch{j}_t", f"patch{j}_f"]
+    k = len(rows[0][3])
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for uid, label, feat in rows:
-            if len(feat.patch_order) != k:
+        writer.writerow(_header(k))
+        for uid, label, stats, corners in rows:
+            if len(corners) != k or len(stats) != 4 * k:
                 raise ValueError("inconsistent patch counts across rows")
-            record = [uid, label]
-            record += [f"{x:.17g}" for x in feat.values]
-            for t_idx, f_idx in feat.patch_order:
-                record += [str(t_idx), str(f_idx)]
-            writer.writerow(record)
+            writer.writerow([uid, label, *(f"{x:.17g}" for x in stats),
+                             *map(str, np.ravel(corners).tolist())])
 
 
 def read_features_csv(path):
-    """Inverse of write_features_csv: list of (id, label, FeatureVector).
+    """Inverse of write_features_csv, without the corners: list of (id, label, stats).
 
-    A row of the wrong length, a value that is not a number, or a repeated
-    id raises ValueError naming the path and line.
+    A header other than write_features_csv's for some k, a row of the wrong
+    length, a non-finite or non-numeric value, or a repeated id raises
+    ValueError naming the path and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        n_vals = sum(1 for h in header if h.startswith("x"))
-        width = 2 + n_vals + n_vals // 2  # id, label, values, (t, f) per patch
+        k = (len(header) - 2) // 6  # id, label, 4 values and (t, f) per patch
+        if k < 1 or header != _header(k):
+            raise ValueError(f"{path}:1: header is not id,label,x0..x{{4k-1}},"
+                             "patch{j}_t,patch{j}_f for k >= 1 patches")
         rows = {}
         for record in reader:
             where = f"{path}:{reader.line_num}"
-            if len(record) != width:
-                raise ValueError(f"{where}: expected {width} fields, got {len(record)}")
+            if len(record) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(record)}")
             uid, label = record[0], record[1]
             if uid in rows:
                 raise ValueError(f"{where}: duplicate id {uid!r}")
             try:
-                values = np.array([float(x) for x in record[2:2 + n_vals]])
-                locs = [int(x) for x in record[2 + n_vals:]]
+                stats = np.array([float(x) for x in record[2:2 + 4 * k]])
+                for x in record[2 + 4 * k:]:
+                    int(x)  # a corner must be an integer
             except ValueError:
                 raise ValueError(f"{where}: non-numeric value") from None
-            rows[uid] = (uid, label, FeatureVector(values, tuple(zip(locs[::2], locs[1::2]))))
+            if not np.all(np.isfinite(stats)):
+                raise ValueError(f"{where}: non-finite value")
+            rows[uid] = (uid, label, stats)
     return list(rows.values())

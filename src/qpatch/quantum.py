@@ -12,17 +12,19 @@ feature vectors use eight qubits: the same structure on q0-q3 and q4-q7
 plus one inter-patch CZ(3,4) per layer. Layers repeat with identical
 angles up to depth 3.
 
-The gate list is plain tuples: ("A", q) rotates qubit q about axis A by
-angle q of the row, and (a, b) is CZ(a, b). Simulation is batched:
-_embed_vector maps an (n, 4k) feature matrix to (n, blocks, 2^q)
-amplitudes, each gate acting in place on all samples through a
-(n, 2^qubit, 2, rest) view. The kernel is the mean over blocks of
-|S_A S_B^H|^2 (fidelity_matrix). embed_patch, embed_pair and
-fidelity_kernel are the n = 1 case.
+Simulation is batched and runs one layer at a time: _embed_vector maps
+an (n, 4k) feature matrix to (n, blocks, 2^q) amplitudes. A layer applies
+the 4 or 8 rotations in qubit order, each in place on all samples
+through a (n, 2^qubit, 2, rest) view, then multiplies by the layer's CZ
+diagonal, a fixed +-1 vector per qubit count. The CZs commute with the
+other patch's rotations, so moving them after all rotations is exact.
+The kernel is the mean over blocks of |S_A S_B^H|^2 (fidelity_matrix).
+embed_patch, embed_pair and fidelity_kernel are the n = 1 case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,52 +75,28 @@ def _rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> None:
     v[:, :, 1] += u[1, 0] * low
 
 
-def _cz(psi: np.ndarray, a: int, b: int) -> None:
-    """Flip the sign of every row's amplitudes with bits a and b set, in place."""
-    a, b = sorted((a, b))
-    v = psi.reshape(psi.shape[0], 2 ** a, 2, 2 ** (b - a - 1), 2, -1)
-    v[:, :, 1, :, 1] *= -1.0
+@functools.lru_cache(maxsize=2)
+def _layer_sign(n_qubits: int) -> np.ndarray:
+    """+-1 diagonal of one layer's CZs: CZ(j, j+1) for every adjacent pair,
+    which is the chain on each four qubits plus CZ(3,4) on eight. Shared,
+    so read-only."""
+    bits = (np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits)[::-1]) & 1
+    sign = 1.0 - 2.0 * ((bits[:, :-1] & bits[:, 1:]).sum(axis=1) % 2)
+    sign.flags.writeable = False
+    return sign
 
 
-def circuit(n_qubits: int, depth: int = 1, s3_axis: str = "Z") -> tuple:
-    """Gate list of the embedding on 4 (one patch) or 8 (a patch pair) qubits.
-
-    Each layer runs R_X R_Y R_{s3_axis} R_Y and the chain CZ(0,1) CZ(1,2)
-    CZ(2,3) on every four qubits; a pair adds one inter-patch CZ(3,4).
-    Repeated layers repeat the whole block with the same angles.
-    """
+def check_circuit(depth: int, s3_axis: str) -> None:
+    """Reject a depth outside 1..MAX_DEPTH or an unknown s3 rotation axis."""
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_DEPTH}, got {depth}")
     if s3_axis not in VALID_AXES:
         raise ValueError(f"invalid s3 axis {s3_axis!r}")
-    layer = []
-    for base in range(0, n_qubits, 4):
-        layer += [(axis, base + j) for j, axis in enumerate(("X", "Y", s3_axis, "Y"))]
-        layer += [(base + j, base + j + 1) for j in range(3)]
-    if n_qubits == 8:
-        layer.append((3, 4))
-    return tuple(layer) * depth
-
-
-def _simulate(gates: tuple, angles: np.ndarray) -> np.ndarray:
-    """Run the gate list on |0...0> once per row of angles (n, n_qubits)."""
-    psi = np.zeros((angles.shape[0], 2 ** angles.shape[1]), dtype=np.complex128)
-    psi[:, 0] = 1.0
-    for a, b in gates:
-        if isinstance(a, str):
-            _rotate(psi, b, rotation_matrix(a, angles[:, b]))
-        else:
-            _cz(psi, a, b)
-    return psi
-
-
-def _as_angles(s) -> np.ndarray:
-    return np.asarray(getattr(s, "values", s), dtype=np.float64)
 
 
 def embed_patch(s, depth: int = 1, s3_axis: str = "Z") -> StateVector:
     """Map one patch summary (s1..s4) to a four-qubit state."""
-    angles = _as_angles(s)
+    angles = np.asarray(s, dtype=np.float64)
     if angles.shape != (4,):
         raise ValueError(f"patch summary must have 4 values, got {angles.shape}")
     return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 4)
@@ -126,22 +104,37 @@ def embed_patch(s, depth: int = 1, s3_axis: str = "Z") -> StateVector:
 
 def embed_pair(s_first, s_second, depth: int = 1, s3_axis: str = "Z") -> StateVector:
     """Map two patch summaries to an eight-qubit state."""
-    angles = np.concatenate([_as_angles(s_first), _as_angles(s_second)])
+    angles = np.concatenate([np.asarray(s_first, dtype=np.float64),
+                             np.asarray(s_second, dtype=np.float64)])
     if angles.shape != (8,):
         raise ValueError("each patch summary must have 4 values")
     return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 8)
 
 
 def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
-    """(n, blocks, 2^q) states of an (n, length) matrix: one block per patch pair."""
+    """(n, blocks, 2^q) states of an (n, length) matrix: one block per patch pair.
+
+    Each layer runs R_X R_Y R_{s3_axis} R_Y on every four qubits, then the
+    layer's CZs as one sign flip; repeated layers reuse the same angles.
+    """
     x = np.asarray(values, dtype=np.float64)
     n, length = x.shape
     if length != 4 and (not length or length % 8):
         raise ValueError(f"feature length {length} unsupported: need 4 (one patch) "
                          "or a multiple of 8 (whole patch pairs)")
+    check_circuit(depth, s3_axis)
     q = min(length, 8)
-    amps = _simulate(circuit(q, depth, s3_axis), x.reshape(-1, q))
-    return amps.reshape(n, -1, 2 ** q)
+    angles = x.reshape(-1, q)
+    rotations = [rotation_matrix(axis, angles[:, j])
+                 for j, axis in enumerate(("X", "Y", s3_axis, "Y") * (q // 4))]
+    sign = _layer_sign(q)
+    psi = np.zeros((angles.shape[0], 2 ** q), dtype=np.complex128)
+    psi[:, 0] = 1.0
+    for _ in range(depth):
+        for qubit, u in enumerate(rotations):
+            _rotate(psi, qubit, u)
+        psi *= sign
+    return psi.reshape(n, -1, 2 ** q)
 
 
 def fidelity_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
@@ -164,7 +157,7 @@ def fidelity_kernel(x, y, depth: int = 1, s3_axis: str = "Z") -> float:
     vectors are processed as consecutive non-overlapping patch pairs and
     the per-pair fidelities are averaged. Always in [0, 1] up to rounding.
     """
-    xv, yv = _as_angles(x), _as_angles(y)
+    xv, yv = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if xv.size != yv.size:
         raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
     states = _embed_vector(np.stack([xv, yv]), depth, s3_axis)

@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import atomic_write
 from .quantum import _embed_vector, fidelity_matrix
 
-KERNEL_KINDS = ("quantum", "rbf", "precomputed")
+KERNEL_KINDS = ("quantum", "rbf")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class KernelSpec:
     gamma: float | str = "scale"
 
     def __post_init__(self):
-        if self.kind not in ("quantum", "rbf"):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def resolve(self, features: np.ndarray) -> "KernelSpec":
@@ -80,9 +80,8 @@ class GramMatrix:
             raise ValueError("Gram matrix has non-finite entries")
         if np.max(np.abs(values - values.T)) > 1e-10:
             raise ValueError("Gram matrix is not symmetric")
-        if self.kernel_kind in ("quantum", "rbf"):
-            if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
-                raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
+        if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
+            raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
 
     @property
     def n(self) -> int:
@@ -108,23 +107,21 @@ class SvmModel:
     n_iter: int = 0
     converged: bool = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "dual_coefs",
-                           np.asarray(self.dual_coefs, dtype=np.float64))
-        object.__setattr__(self, "support_indices",
-                           np.asarray(self.support_indices, dtype=np.int64))
-
 
 def _stack_features(features) -> np.ndarray:
-    rows = [np.asarray(getattr(f, "values", f), dtype=np.float64) for f in features]
-    if not rows:
+    """The (n, length) matrix of a 2-D array or a list of equal-length rows."""
+    try:
+        x = np.asarray(features, dtype=np.float64)
+    except ValueError:
+        lengths = sorted({np.size(row) for row in features})
+        if len(lengths) < 2:
+            raise
+        raise ValueError(f"ragged features: got lengths {lengths}") from None
+    if x.size == 0:
         raise ValueError("empty feature list")
-    if any(r.ndim != 1 for r in rows):
+    if x.ndim != 2:
         raise ValueError("each feature must be a flat vector")
-    lengths = sorted({r.size for r in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"ragged features: got lengths {lengths}")
-    return np.stack(rows)
+    return x
 
 
 def rbf_kernel(x, y, gamma: float) -> float:

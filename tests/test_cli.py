@@ -218,7 +218,7 @@ class TestTrainEval:
         gamma = report["kernel"]["gamma_resolved"]
         dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv").entries
                    if e.split == "dev"}
-        dev = [(label, fv.values) for uid, label, fv
+        dev = [(label, stats) for uid, label, stats
                in read_features_csv(tmp_path / "features.csv") if uid in dev_ids]
         cross = [rbf_kernel(a, b, gamma) for i, (la, a) in enumerate(dev)
                  for lb, b in dev[i + 1:] if la != lb]
@@ -358,6 +358,13 @@ def _set_field(line, index, value):
     return ",".join(fields)
 
 
+def _keep_columns(path, columns):
+    """Rewrite a CSV file keeping only the given columns of every line."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(line.split(",")[i] for i in columns) + "\n"
+                            for line in lines))
+
+
 # (file to damage, damage, stage that reads it, what the error must name)
 MALFORMED = {
     "features_short_row": ("features.csv",
@@ -366,6 +373,14 @@ MALFORMED = {
     "features_non_numeric": ("features.csv",
                              lambda p: _edit_line(p, 2, lambda s: _set_field(s, 2, "abc")),
                              "kernel --kind rbf", "features.csv:3: non-numeric"),
+    # a dev row (utt003): only the cross block would hold its nan
+    "features_nan": ("features.csv",
+                     lambda p: _edit_line(p, 4, lambda s: _set_field(s, 2, "nan")),
+                     "kernel --kind quantum", "features.csv:5: non-finite value"),
+    # six values and three corner columns: every row is as wide as the header
+    "features_header_not_k_patches": ("features.csv",
+                                      lambda p: _keep_columns(p, [*range(8), 10, 11, 12]),
+                                      "kernel --kind rbf", "features.csv:1: header is not"),
     "features_duplicate_id": ("features.csv",
                               lambda p: _edit_line(p, 12, lambda s: f"{s}\n{s}"),
                               "kernel --kind rbf", "features.csv:14: duplicate id"),

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qpatch.dsp import EPS, Spectrogram
+from qpatch.dsp import EPS
 from qpatch.patches import (
-    FeatureVector,
     _tiles,
     _top_k,
     extract_features,
@@ -53,45 +52,45 @@ def selection_oracle(values, k, patch_size):
 
 def random_spectrogram(rng, n_frames=16):
     vals = rng.standard_normal((n_frames, 64))
-    vals = (vals - vals.mean()) / vals.std()
-    return Spectrogram(vals)
+    return (vals - vals.mean()) / vals.std()
 
 
 def summarize(values):
     """(s1, s2, s3, s4) of one square patch: a one-patch spectrogram at k = 1."""
     values = np.asarray(values, dtype=np.float64)
-    return tuple(extract_features(Spectrogram(values), k=1,
-                                  patch_size=values.shape[0]).values)
+    stats, _ = extract_features(values, k=1, patch_size=values.shape[0])
+    return tuple(stats)
 
 
 def corners(spec, patch_size=4):
     """Every patch corner in time-major order: a constant spectrogram ties
     every s1, so selecting all patches keeps the index order."""
-    flat = Spectrogram(np.zeros_like(spec.values))
-    n = _tiles(flat.values, patch_size).shape[0]
-    return extract_features(flat, k=n, patch_size=patch_size).patch_order
+    flat = np.zeros_like(spec)
+    n = _tiles(flat, patch_size).shape[0]
+    _, found = extract_features(flat, k=n, patch_size=patch_size)
+    return [tuple(c) for c in found.tolist()]
 
 
 class TestPartition:
     def test_counts_t8(self):
-        spec = Spectrogram(np.zeros((8, 64)))
+        spec = np.zeros((8, 64))
         assert len(corners(spec)) == 32
         with pytest.raises(ValueError, match="exceeds patch count 32"):
             extract_features(spec, k=33)
 
     def test_counts_t7_drops_trailing(self):
-        spec = Spectrogram(np.zeros((7, 64)))
+        spec = np.zeros((7, 64))
         found = corners(spec)
         assert len(found) == 16
         assert all(t == 0 for t, _ in found)
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="too short"):
-            extract_features(Spectrogram(np.zeros((3, 64))), k=1)
+            extract_features(np.zeros((3, 64)), k=1)
 
     def test_row_major_enumeration(self):
         """Index 17 with T >= 8 is the second patch of the second time strip."""
-        spec = Spectrogram(np.arange(8 * 64, dtype=float).reshape(8, 64))
+        spec = np.arange(8 * 64, dtype=float).reshape(8, 64)
         found = corners(spec)
         assert found[17] == (4, 4)
         # full enumeration oracle: index = (t/4)*16 + f/4
@@ -101,13 +100,13 @@ class TestPartition:
     def test_patch_contents_match_slices(self):
         rng = np.random.default_rng(0)
         spec = random_spectrogram(rng, n_frames=12)
-        tiles = _tiles(spec.values, 4)
+        tiles = _tiles(spec, 4)
         for tile, (t, f) in zip(tiles, corners(spec), strict=True):
-            np.testing.assert_array_equal(tile, spec.values[t:t + 4, f:f + 4])
+            np.testing.assert_array_equal(tile, spec[t:t + 4, f:f + 4])
 
     def test_indivisible_mel_axis_raises(self):
         with pytest.raises(ValueError, match="divisible"):
-            extract_features(Spectrogram(np.zeros((8, 64))), k=1, patch_size=5)
+            extract_features(np.zeros((8, 64)), k=1, patch_size=5)
 
 
 class TestSummarize:
@@ -206,26 +205,31 @@ class TestSelectTopK:
 
 
 class TestFeatureVector:
+    """The (statistics, corners) pair extract_features returns."""
+
     def test_concatenation_order(self):
         """Selected patches are concatenated in selection order, the higher s1 first."""
         rng = np.random.default_rng(5)
         low, high = rng.standard_normal((4, 4)), rng.standard_normal((4, 4)) + 3.0
-        fv = extract_features(Spectrogram(np.hstack([low, high])), k=2)
-        np.testing.assert_allclose(fv.values, summary_oracle(high) + summary_oracle(low),
+        stats, found = extract_features(np.hstack([low, high]), k=2)
+        np.testing.assert_allclose(stats, summary_oracle(high) + summary_oracle(low),
                                    rtol=0, atol=1e-12)
-        assert fv.patch_order == ((0, 4), (0, 0))
+        assert found.tolist() == [[0, 4], [0, 0]]
 
     def test_single_patch(self):
-        fv = extract_features(random_spectrogram(np.random.default_rng(6)), k=1)
-        assert fv.values.shape == (4,)
+        stats, found = extract_features(random_spectrogram(np.random.default_rng(6)), k=1)
+        assert stats.shape == (4,)
+        assert found.shape == (1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             extract_features(random_spectrogram(np.random.default_rng(7)), k=0)
 
-    def test_length_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.zeros(6), ((0, 0),))
+    def test_length_invariant_enforced(self, tmp_path):
+        """Four statistics per corner, or the row is not written."""
+        with pytest.raises(ValueError, match="inconsistent"):
+            write_features_csv(tmp_path / "x.csv",
+                               [("u0", "bonafide", np.zeros(6), np.zeros((1, 2), int))])
 
 
 class TestExtractFeatures:
@@ -233,21 +237,21 @@ class TestExtractFeatures:
         rng = np.random.default_rng(21)
         spec = random_spectrogram(rng, n_frames=20)
         a = extract_features(spec)
-        b = extract_features(Spectrogram(spec.values.copy()))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.patch_order == b.patch_order
+        b = extract_features(spec.copy())
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_default_length_eight(self):
         spec = random_spectrogram(np.random.default_rng(22))
-        fv = extract_features(spec)
-        assert fv.values.shape == (8,)
-        assert len(fv.patch_order) == 2
+        stats, found = extract_features(spec)
+        assert stats.shape == (8,)
+        assert found.shape == (2, 2)
 
     def test_selected_patches_have_top_means(self):
         spec = random_spectrogram(np.random.default_rng(23))
-        fv = extract_features(spec, k=3)
-        all_means = sorted(_tiles(spec.values, 4).mean(axis=(1, 2)), reverse=True)
-        picked = [fv.values[4 * j] for j in range(3)]
+        stats, _ = extract_features(spec, k=3)
+        all_means = sorted(_tiles(spec, 4).mean(axis=(1, 2)), reverse=True)
+        picked = stats[::4]
         np.testing.assert_allclose(picked, all_means[:3], atol=1e-12)
 
     @pytest.mark.parametrize("patch_size", [2, 4, 8])
@@ -257,26 +261,26 @@ class TestExtractFeatures:
         rng = np.random.default_rng(100 + seed)
         # strictly between 3p and 4p frames: a trailing partial row is dropped
         n_frames = 3 * patch_size + 1 + seed % (patch_size - 1)
-        vals = random_spectrogram(rng, n_frames).values
+        vals = random_spectrogram(rng, n_frames)
         if seed % 2:
             vals = np.round(vals)  # integer values: exact s1 ties between patches
-        fv = extract_features(Spectrogram(vals), k=k, patch_size=patch_size)
+        got_stats, got_corners = extract_features(vals, k=k, patch_size=patch_size)
         stats, corners = selection_oracle(vals, k, patch_size)
-        assert fv.patch_order == tuple(corners)
-        np.testing.assert_allclose(fv.values, np.concatenate(stats), rtol=0, atol=1e-12)
+        assert [tuple(c) for c in got_corners.tolist()] == corners
+        np.testing.assert_allclose(got_stats, np.concatenate(stats), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_exact_ties_select_first_patches(self, k):
-        fv = extract_features(Spectrogram(np.full((9, 64), 0.5)), k=k)
-        assert fv.patch_order == tuple((0, 4 * j) for j in range(k))
+        _, found = extract_features(np.full((9, 64), 0.5), k=k)
+        assert found.tolist() == [[0, 4 * j] for j in range(k)]
 
     def test_k_above_patch_count_raises(self):
         with pytest.raises(ValueError, match="exceeds patch count 2"):
-            extract_features(Spectrogram(np.zeros((4, 8))), k=3)
+            extract_features(np.zeros((4, 8)), k=3)
 
     def test_patch_size_one_raises(self):
         with pytest.raises(ValueError, match=">= 2"):
-            extract_features(Spectrogram(np.zeros((8, 64))), k=1, patch_size=1)
+            extract_features(np.zeros((8, 64)), k=1, patch_size=1)
 
 
 class TestFeatureCsv:
@@ -284,23 +288,23 @@ class TestFeatureCsv:
         rng = np.random.default_rng(31)
         rows = []
         for i in range(4):
-            vals = rng.standard_normal(8)
-            fv = FeatureVector(vals, ((0, 4), (8, 60)))
             label = "bonafide" if i % 2 == 0 else "spoof"
-            rows.append((f"utt{i:03d}", label, fv))
+            rows.append((f"utt{i:03d}", label, rng.standard_normal(8),
+                         np.array([[0, 4], [8, 60]])))
         path = tmp_path / "features.csv"
         write_features_csv(path, rows)
+        assert path.read_text().splitlines()[0] == (
+            "id,label,x0,x1,x2,x3,x4,x5,x6,x7,patch0_t,patch0_f,patch1_t,patch1_f")
+        assert path.read_text().splitlines()[1].endswith(",0,4,8,60")
         back = read_features_csv(path)
         assert len(back) == 4
-        for (uid, label, fv), (uid2, label2, fv2) in zip(rows, back):
+        for (uid, label, stats, _), (uid2, label2, stats2) in zip(rows, back, strict=True):
             assert uid == uid2 and label == label2
-            np.testing.assert_array_equal(fv.values, fv2.values)
-            assert fv.patch_order == fv2.patch_order
+            np.testing.assert_array_equal(stats, stats2)
 
     def test_byte_identical_rewrites(self, tmp_path):
-        fv = FeatureVector(np.random.default_rng(32).standard_normal(8),
-                           ((0, 0), (4, 4)))
-        rows = [("u0", "bonafide", fv)]
+        rows = [("u0", "bonafide", np.random.default_rng(32).standard_normal(8),
+                 np.array([[0, 0], [4, 4]]))]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_features_csv(p1, rows)
         write_features_csv(p2, rows)
@@ -312,13 +316,13 @@ class TestFeatureCsv:
 
     def test_failed_rewrite_keeps_the_previous_file(self, tmp_path):
         rng = np.random.default_rng(33)
-        good = FeatureVector(rng.standard_normal(8), ((0, 0), (4, 4)))
-        short = FeatureVector(rng.standard_normal(4), ((8, 8),))
+        good = (rng.standard_normal(8), np.array([[0, 0], [4, 4]]))
+        short = (rng.standard_normal(4), np.array([[8, 8]]))
         path = tmp_path / "features.csv"
-        write_features_csv(path, [("u0", "bonafide", good)])
+        write_features_csv(path, [("u0", "bonafide", *good)])
         before = path.read_bytes()
         # the second row fails the patch-count check after the first is written
         with pytest.raises(ValueError, match="inconsistent"):
-            write_features_csv(path, [("u1", "spoof", good), ("u2", "spoof", short)])
+            write_features_csv(path, [("u1", "spoof", *good), ("u2", "spoof", *short)])
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["features.csv"]

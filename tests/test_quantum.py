@@ -4,13 +4,12 @@ and the structural inertness of the bandwidth feature."""
 import numpy as np
 import pytest
 
-from qpatch.patches import FeatureVector
 from qpatch.quantum import (
     StateVector,
-    _cz,
+    _embed_vector,
+    _layer_sign,
     _rotate,
-    _simulate,
-    circuit,
+    check_circuit,
     embed_pair,
     embed_patch,
     fidelity_kernel,
@@ -48,17 +47,11 @@ def rotate(amps, axis, qubit, theta):
     return psi[0]
 
 
-def cz(amps, a, b):
-    psi = np.array(amps, dtype=complex)[None]
-    _cz(psi, a, b)
-    return psi[0]
-
-
 class TestStateVector:
     def test_zero_state(self):
-        """An empty gate list leaves every row in |0...0>."""
-        psi = _simulate((), np.zeros((3, 4)))
-        np.testing.assert_array_equal(psi, np.tile(ground(4), (3, 1)))
+        """Zero angles leave every row of a batch in |0...0>."""
+        psi = _embed_vector(np.zeros((3, 4)), 3, "Y")
+        np.testing.assert_array_equal(psi, np.tile(ground(4), (3, 1, 1)))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -141,67 +134,45 @@ class TestApplyRotation:
 
 
 class TestApplyCz:
+    """A layer's CZs, applied as one +-1 diagonal per qubit count."""
+
     def test_leaves_00_alone(self):
-        np.testing.assert_array_equal(cz(ground(2), 0, 1), ground(2))
+        for n_qubits in (4, 8):
+            assert _layer_sign(n_qubits)[0] == 1.0
 
     def test_flips_bell_sign(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = amps[3] = 1 / np.sqrt(2)
-        expected = amps.copy()
-        expected[3] = -expected[3]
-        np.testing.assert_allclose(cz(amps, 0, 1), expected, atol=1e-15)
+        """By hand, qubit 0 the most significant bit: an odd number of
+        adjacent excited pairs flips the sign."""
+        four = _layer_sign(4)
+        assert four[0b1100] == four[0b0110] == four[0b1111] == -1.0
+        assert four[0b1010] == four[0b1001] == four[0b1110] == 1.0
+        assert _layer_sign(8)[0b00011000] == -1.0  # CZ(3,4) joins the patches
 
-    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 3), (3, 4)])
-    def test_matches_dense_oracle(self, pair):
-        rng = np.random.default_rng(pair[0] * 10 + pair[1])
-        state = random_state(rng, 5)
-        oracle = dense_cz(5, *pair) @ state
-        np.testing.assert_allclose(cz(state, *pair), oracle, atol=1e-12)
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(9)
-        state = random_state(rng, 3)
-        np.testing.assert_array_equal(cz(state, 0, 2), cz(state, 2, 0))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_cz_gates_commute(self, seed):
-        """Any ordering of the chain CZ(0,1) CZ(1,2) CZ(2,3) gives the same state."""
-        rng = np.random.default_rng(seed)
-        state = random_state(rng, 4)
-        pairs = [(0, 1), (1, 2), (2, 3)]
-        orders = [pairs, pairs[::-1], [pairs[1], pairs[2], pairs[0]]]
-        results = []
-        for order in orders:
-            s = state
-            for a, b in order:
-                s = cz(s, a, b)
-            results.append(s)
-        np.testing.assert_allclose(results[0], results[1], atol=1e-12)
-        np.testing.assert_allclose(results[0], results[2], atol=1e-12)
+    @pytest.mark.parametrize("n_qubits", [4, 8])
+    def test_is_product_of_layer_cz_diagonals(self, n_qubits):
+        """The chain CZ(0,1) CZ(1,2) CZ(2,3) on each four qubits, plus the
+        inter-patch CZ(3,4) on eight, as one +-1 diagonal."""
+        pairs = [(base + j, base + j + 1) for base in range(0, n_qubits, 4)
+                 for j in range(3)]
+        if n_qubits == 8:
+            pairs.append((3, 4))
+        product = np.eye(2 ** n_qubits, dtype=complex)
+        for a, b in pairs:
+            product = dense_cz(n_qubits, a, b) @ product
+        np.testing.assert_array_equal(_layer_sign(n_qubits), np.diag(product))
 
 
 class TestCircuitSpec:
     def test_depth_bounds(self):
         for bad in (0, 4):
             with pytest.raises(ValueError, match="depth"):
-                circuit(4, depth=bad)
-
-    def test_patch_layer_structure(self):
-        gates = circuit(4, depth=2)
-        assert len(gates) == 14  # (4 rotations + 3 CZ) x 2
-        assert gates[:7] == (("X", 0), ("Y", 1), ("Z", 2), ("Y", 3), (0, 1), (1, 2), (2, 3))
-        assert gates[7:] == gates[:7]
-
-    def test_pair_layer_has_inter_patch_cz_each_layer(self):
-        gates = circuit(8, depth=3)
-        assert len(gates) == 3 * 15
-        assert gates.count((3, 4)) == 3
-        assert gates[7:14] == tuple((a if isinstance(a, str) else a + 4, b + 4)
-                                    for a, b in gates[:7])
+                check_circuit(bad, "Z")
+            with pytest.raises(ValueError, match="depth"):
+                embed_patch(np.zeros(4), depth=bad)
 
     def test_invalid_s3_axis(self):
-        with pytest.raises(ValueError):
-            circuit(4, s3_axis="Q")
+        with pytest.raises(ValueError, match="s3 axis"):
+            check_circuit(1, "Q")
 
 
 class TestEmbedPatch:
@@ -225,9 +196,9 @@ class TestEmbedPatch:
                                    atol=1e-12)
 
     def test_accepts_patch_summary(self):
-        """A one-patch FeatureVector (k = 1) is the summary the pipeline ships."""
-        s = FeatureVector(np.array([0.4, 1.2, 0.8, -0.3]), ((0, 0),))
-        np.testing.assert_allclose(embed_patch(s).amplitudes, dense_embed_patch(s.values),
+        """A one-patch feature row (k = 1) is the summary the pipeline ships."""
+        s = [0.4, 1.2, 0.8, -0.3]
+        np.testing.assert_allclose(embed_patch(s).amplitudes, dense_embed_patch(s),
                                    atol=1e-12)
 
     def test_wrong_length_rejected(self):
@@ -306,10 +277,9 @@ class TestFidelityKernel:
             fidelity_kernel(np.zeros(8), np.zeros(4))
 
     def test_accepts_feature_vectors(self):
-        rng = np.random.default_rng(14)
-        vals = rng.uniform(-1, 1, 8)
-        fv = FeatureVector(vals, ((0, 0), (4, 4)))
-        assert fidelity_kernel(fv, fv) == pytest.approx(1.0, abs=1e-10)
+        """Feature rows as lists or arrays."""
+        vals = np.random.default_rng(14).uniform(-1, 1, 8)
+        assert fidelity_kernel(vals.tolist(), vals) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBandwidthInertness:
@@ -349,14 +319,3 @@ class TestBandwidthInertness:
         np.testing.assert_allclose(
             fidelity_kernel(x, y, s3_axis="Y"), dense_kernel(x, y, s3_axis="Y"),
             atol=1e-10)
-
-
-class TestRunCircuit:
-    def test_gate_order_respected(self):
-        """R_X then CZ differs from CZ then R_X when the control is excited."""
-        gates_a = (("X", 0), ("X", 1), (0, 1))
-        gates_b = ((0, 1), ("X", 0), ("X", 1))
-        angles = np.array([[np.pi / 2, np.pi / 2, 0, 0]])
-        out_a = _simulate(gates_a, angles)[0]
-        out_b = _simulate(gates_b, angles)[0]
-        assert overlap(out_a, out_b) < 1.0 - 1e-6

@@ -110,10 +110,9 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="diagonal"):
             GramMatrix(k, "rbf")
 
-    def test_precomputed_allows_any_diagonal(self):
-        k = np.array([[2.0, 0.1], [0.1, 3.0]])
-        g = GramMatrix(k, "precomputed")
-        assert g.n == 2
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            GramMatrix(np.eye(2), "precomputed")
 
 
 class TestBuildGram:
@@ -148,6 +147,16 @@ class TestBuildGram:
     def test_ragged_features_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
             build_gram([np.zeros(8), np.zeros(4)])
+
+    def test_array_and_row_list_agree(self):
+        x = np.random.default_rng(8).uniform(-2, 2, (5, 8))
+        np.testing.assert_array_equal(build_gram(x).values, build_gram(list(x)).values)
+
+    def test_empty_and_non_flat_features_rejected(self):
+        with pytest.raises(ValueError, match="empty feature list"):
+            build_gram([])
+        with pytest.raises(ValueError, match="flat vector"):
+            build_gram([np.zeros((2, 4)), np.zeros((2, 4))])
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_psd_on_random_samples(self, kind):
@@ -244,7 +253,7 @@ class TestCrossGram:
 
 class TestTrainSvmTwoPoint:
     def test_closed_form_identity_kernel(self):
-        k = GramMatrix(np.eye(2), "precomputed")
+        k = np.eye(2)
         model = train_svm(k, [1, -1], C=1.0)
         beta = model_beta(model)
         np.testing.assert_allclose(np.abs(beta), [1.0, 1.0], atol=1e-12)
@@ -259,7 +268,7 @@ class TestTrainSvmSeparable:
         x = np.array([[1.0, 1.0], [1.5, 0.5], [-1.0, -1.0], [-0.5, -1.5]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         k = x @ x.T
-        model = train_svm(GramMatrix(k, "precomputed"), y, C=10.0)
+        model = train_svm(k, y, C=10.0)
         scores = decision_scores(model, k)
         assert np.all(np.sign(scores) == y)
         # brute-force primal check: reconstruct w from the duals and verify the
@@ -280,7 +289,7 @@ class TestTrainSvmRandomProblems:
         if np.all(y == y[0]):
             y[0] = -y[0]
         C = float(rng.uniform(0.5, 5.0))
-        model = train_svm(GramMatrix(k, "precomputed"), y, C=C)
+        model = train_svm(k, y, C=C)
         beta = model_beta(model)
         alpha = np.abs(beta)
         assert np.all(alpha >= -1e-12)
@@ -291,15 +300,15 @@ class TestTrainSvmRandomProblems:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
-            train_svm(GramMatrix(np.eye(3), "precomputed"), [1, 1, 1])
+            train_svm(np.eye(3), [1, 1, 1])
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            train_svm(GramMatrix(np.eye(2), "precomputed"), [1, 0])
+            train_svm(np.eye(2), [1, 0])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            train_svm(GramMatrix(np.eye(3), "precomputed"), [1, -1])
+            train_svm(np.eye(3), [1, -1])
 
     def test_non_psd_warns_and_proceeds(self):
         k = np.array([[1.0, 0.99, 0.0],
@@ -307,7 +316,7 @@ class TestTrainSvmRandomProblems:
                       [0.0, 0.99, 1.0]])
         assert np.linalg.eigvalsh(k)[0] < -1e-8
         with pytest.warns(UserWarning, match="PSD"):
-            model = train_svm(GramMatrix(k, "precomputed"), [1.0, -1.0, 1.0])
+            model = train_svm(k, [1.0, -1.0, 1.0])
         assert model.n_train == 3
 
     def test_max_iter_exhaustion_warns_and_reports_not_converged(self):
@@ -316,10 +325,10 @@ class TestTrainSvmRandomProblems:
         y = np.array([1.0, -1.0] * 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full = train_svm(GramMatrix(k, "precomputed"), y, C=2.0)
+            full = train_svm(k, y, C=2.0)
         assert full.converged and full.n_iter > 1
         with pytest.warns(UserWarning, match="max_iter=1 .* not converged"):
-            model = train_svm(GramMatrix(k, "precomputed"), y, C=2.0, max_iter=1)
+            model = train_svm(k, y, C=2.0, max_iter=1)
         assert not model.converged
         assert model.n_iter == 1 and model.kkt_gap > 1e-4
 
@@ -336,8 +345,8 @@ class TestTrainSvmRandomProblems:
         x2 = np.repeat(x, 2, axis=0)
         y2 = np.repeat(y, 2)
         k2 = krn(x2, x2)
-        m1 = train_svm(GramMatrix(k, "precomputed"), y, C=10.0, tol=1e-10)
-        m2 = train_svm(GramMatrix((k2 + k2.T) / 2, "precomputed"), y2, C=10.0, tol=1e-10)
+        m1 = train_svm(k, y, C=10.0, tol=1e-10)
+        m2 = train_svm((k2 + k2.T) / 2, y2, C=10.0, tol=1e-10)
         probes = rng.normal(0.0, 2.0, (5, 2))
         s1 = decision_scores(m1, krn(probes, x))
         s2 = decision_scores(m2, krn(probes, x2))
@@ -355,8 +364,8 @@ class TestTrainSvmRandomProblems:
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         p = rng.permutation(n)
-        m1 = train_svm(GramMatrix(k, "precomputed"), y, C=2.0, tol=1e-12)
-        m2 = train_svm(GramMatrix(k[np.ix_(p, p)], "precomputed"), y[p], C=2.0,
+        m1 = train_svm(k, y, C=2.0, tol=1e-12)
+        m2 = train_svm(k[np.ix_(p, p)], y[p], C=2.0,
                        tol=1e-12)
         rows = rng.standard_normal((4, n)) * 0.3
         s1 = decision_scores(m1, rows)
@@ -369,7 +378,7 @@ class TestDecisionScores:
         rng = np.random.default_rng(40)
         k = random_psd_kernel(rng, 10)
         y = np.array([1.0] * 5 + [-1.0] * 5)
-        model = train_svm(GramMatrix(k, "precomputed"), y)
+        model = train_svm(k, y)
         scores = decision_scores(model, np.zeros((1, 10)))
         assert scores[0] == pytest.approx(model.bias, abs=1e-15)
 
@@ -379,7 +388,7 @@ class TestDecisionScores:
         y = np.array([1.0] * 10 + [-1.0] * 10)
         d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         k = np.exp(-0.5 * d2)
-        model = train_svm(GramMatrix((k + k.T) / 2, "precomputed"), y, C=1.0)
+        model = train_svm((k + k.T) / 2, y, C=1.0)
         beta = model_beta(model)
         alpha = np.abs(beta)
         unbounded = np.flatnonzero((alpha > 1e-6) & (alpha < 1.0 - 1e-6))
@@ -393,7 +402,7 @@ class TestDecisionScores:
         k = random_psd_kernel(rng, 12)
         y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
         y[:2] = (1.0, -1.0)
-        model = train_svm(GramMatrix(k, "precomputed"), y, C=1.5)
+        model = train_svm(k, y, C=1.5)
         rows = rng.standard_normal((3, 12)) * 0.2
         scores = decision_scores(model, rows)
         for r in range(3):
@@ -403,7 +412,7 @@ class TestDecisionScores:
             assert scores[r] == pytest.approx(expected, abs=1e-12)
 
     def test_row_length_mismatch(self):
-        model = train_svm(GramMatrix(np.eye(2), "precomputed"), [1, -1])
+        model = train_svm(np.eye(2), [1, -1])
         with pytest.raises(ValueError):
             decision_scores(model, np.zeros((1, 5)))
 
@@ -438,7 +447,7 @@ class TestPersistence:
         rng = np.random.default_rng(72)
         k = random_psd_kernel(rng, 8)
         y = np.array([1.0, -1.0] * 4)
-        model = train_svm(GramMatrix(k, "precomputed"), y, C=2.0,
+        model = train_svm(k, y, C=2.0,
                           feature_ref="features.csv")
         path = tmp_path / "model.json"
         save_model(model, path)
