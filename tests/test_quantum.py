@@ -17,12 +17,12 @@ from qpatch.quantum import (
 )
 
 from _oracles import (
+    dense_1q,
     dense_cz,
     dense_embed_pair,
     dense_embed_patch,
     dense_kernel,
     dense_rotation,
-    dense_1q,
 )
 
 
@@ -161,6 +161,29 @@ class TestApplyCz:
             product = dense_cz(n_qubits, a, b) @ product
         np.testing.assert_array_equal(_layer_sign(n_qubits), np.diag(product))
 
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_matches_dense_oracle(self, pair):
+        """Each layer CZ is a factor of the sign vector: dividing the layer's
+        diagonal by CZ(a, b) leaves the layer without that gate, on every
+        register that holds the pair."""
+        rng = np.random.default_rng(pair[0] * 10 + pair[1])
+        for n_qubits in (4, 8):
+            if pair[1] >= n_qubits:
+                continue
+            layer = [(j, j + 1) for j in range(n_qubits - 1)]
+            assert pair in layer
+            rest = np.eye(2 ** n_qubits, dtype=complex)
+            for a, b in layer:
+                if (a, b) != pair:
+                    rest = dense_cz(n_qubits, a, b) @ rest
+            state = random_state(rng, n_qubits)
+            np.testing.assert_allclose(
+                _layer_sign(n_qubits) * state,
+                dense_cz(n_qubits, *pair) @ (rest @ state), atol=1e-15)
+            np.testing.assert_allclose(
+                _layer_sign(n_qubits) * np.diag(dense_cz(n_qubits, *pair)) * state,
+                rest @ state, atol=1e-15)
+
 
 class TestCircuitSpec:
     def test_depth_bounds(self):
@@ -173,6 +196,39 @@ class TestCircuitSpec:
     def test_invalid_s3_axis(self):
         with pytest.raises(ValueError, match="s3 axis"):
             check_circuit(1, "Q")
+
+    def test_patch_layer_structure(self):
+        """Four qubits, depth 2: each layer is R_X(q0) R_Y(q1) R_Z(q2) R_Y(q3)
+        then CZ(0,1) CZ(1,2) CZ(2,3), the second layer the same as the first."""
+        rng = np.random.default_rng(21)
+        angles = rng.uniform(-np.pi, np.pi, 4)
+        layer = np.eye(16, dtype=complex)
+        for qubit, axis in enumerate("XYZY"):
+            layer = dense_1q(4, qubit, dense_rotation(axis, angles[qubit])) @ layer
+        for a, b in ((0, 1), (1, 2), (2, 3)):
+            layer = dense_cz(4, a, b) @ layer
+        psi = _embed_vector(angles[None], 2, "Z")
+        assert psi.shape == (1, 1, 16)
+        np.testing.assert_allclose(psi[0, 0], layer @ layer @ ground(4), atol=1e-12)
+
+    def test_pair_layer_has_inter_patch_cz_each_layer(self):
+        """Eight qubits, depth 3: the second patch is the first shifted by
+        four qubits, and CZ(3,4) is in every layer, not only the first."""
+        rng = np.random.default_rng(22)
+        angles = rng.uniform(-np.pi, np.pi, 8)
+        patches = np.eye(256, dtype=complex)
+        for qubit, axis in enumerate("XYZY" * 2):
+            patches = dense_1q(8, qubit, dense_rotation(axis, angles[qubit])) @ patches
+        for base in (0, 4):
+            for j in range(3):
+                patches = dense_cz(8, base + j, base + j + 1) @ patches
+        joined = dense_cz(8, 3, 4) @ patches
+        psi = _embed_vector(angles[None], 3, "Z")
+        assert psi.shape == (1, 1, 256)
+        every = joined @ joined @ joined @ ground(8)
+        first_only = patches @ patches @ joined @ ground(8)
+        np.testing.assert_allclose(psi[0, 0], every, atol=1e-12)
+        assert np.max(np.abs(psi[0, 0] - first_only)) > 1e-3
 
 
 class TestEmbedPatch:
