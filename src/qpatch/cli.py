@@ -18,11 +18,18 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread per process unless the caller chose otherwise: run-all's
+# workers already fill every usable CPU, and the last bits of a matrix
+# product depend on the BLAS thread count. Set before numpy first loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from . import dsp, metrics, patches, spoof, svm
-from .atomic import atomic_write
-from .config import ExperimentConfig, load_config
+import numpy as np  # noqa: E402
+
+from . import dsp, metrics, patches, spoof, svm  # noqa: E402
+from .atomic import atomic_write  # noqa: E402
+from .config import ExperimentConfig, load_config  # noqa: E402
+from .parallel import ordered_map  # noqa: E402
 
 log = logging.getLogger("qpatch")
 
@@ -144,14 +151,13 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
         except ValueError as err:
             raise CliInputError(str(err))
         # store paths relative to the work dir so artifacts move with it
-        entries = tuple(
-            dataclasses.replace(e, path=os.path.relpath(e.path, p["work"]))
-            for e in manifest.entries)
+        relative = {path: os.path.relpath(path, p["work"]) for path in manifest.wav_sha256}
+        entries = tuple(dataclasses.replace(e, path=relative[e.path])
+                        for e in manifest.entries)
         spoof.write_manifest(spoof.DatasetManifest(entries), p["manifest"])
         # features refuses a WAV edited after its spoof was made from it
-        facts["wav_sha256"] = {
-            e.path: hashlib.sha256((p["work"] / e.path).read_bytes()).hexdigest()
-            for e in entries}
+        facts["wav_sha256"] = {relative[path]: digest
+                               for path, digest in manifest.wav_sha256.items()}
     log.info("wrote manifest with %d entries to %s", len(entries), p["manifest"])
 
 
@@ -178,14 +184,21 @@ def _read_manifest(config: ExperimentConfig):
 def cmd_features(config: ExperimentConfig) -> None:
     p = _paths(config)
     manifest, wav_sha256 = _read_manifest(config)
+
+    def extract(entry):
+        try:
+            return _extract_one(entry, p["work"], config, wav_sha256)
+        except Exception as err:  # noqa: BLE001 - per-file isolation
+            return str(err)
+
     rows = []
     skipped = []
-    for entry in manifest.entries:
-        try:
-            rows.append(_extract_one(entry, p["work"], config, wav_sha256))
-        except Exception as err:  # noqa: BLE001 - per-file isolation
-            log.error("skipping %s: %s", entry.uid, err)
+    for entry, row in zip(manifest.entries, ordered_map(extract, manifest.entries)):
+        if isinstance(row, str):
+            log.error("skipping %s: %s", entry.uid, row)
             skipped.append(entry.uid)
+        else:
+            rows.append(row)
     if not rows:
         raise CliInputError("no feature rows could be extracted")
     with _record_made_under(p["features"], _features_facts(config)):
@@ -359,10 +372,9 @@ def main(argv=None) -> int:
             synthetic = None if config.input_dir else n
             cmd_synth(config, synthetic)
             cmd_features(config)
-            for kind in KINDS:
-                cmd_kernel(config, kind)
-            for kind in KINDS:
-                cmd_train_eval(config, kind)
+            # after features the two kinds share no file
+            ordered_map(lambda kind: (cmd_kernel(config, kind),
+                                      cmd_train_eval(config, kind)), KINDS)
         return 0
     except (CliInputError, ValueError, OSError) as err:
         log.error("%s", err)

@@ -16,6 +16,7 @@ of rates and applied as one batched matrix product per clip.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import struct
 import warnings
@@ -313,8 +314,11 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
         raise ValueError(f"{path}: {err}") from None
 
 
-def save_wav(path, w: Waveform) -> None:
-    """Write 16-bit PCM mono; values outside [-1, 1] are clipped with a warning."""
+def save_wav(path, w: Waveform) -> str:
+    """Write 16-bit PCM mono and return the sha256 of the file's bytes.
+
+    Values outside [-1, 1] are clipped with a warning.
+    """
     samples = w.samples
     n_clipped = int(np.count_nonzero(np.abs(samples) > 1.0))
     if n_clipped:
@@ -327,3 +331,6 @@ def save_wav(path, w: Waveform) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(pcm.tobytes())
+    digest = hashlib.sha256(header)
+    digest.update(pcm)
+    return digest.hexdigest()

@@ -17,13 +17,14 @@ import csv
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
 from .dsp import TARGET_SAMPLE_RATE, Waveform, load_wav, resample_to, save_wav
+from .parallel import ordered_map
 
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
@@ -78,6 +79,9 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class DatasetManifest:
     entries: tuple
+    # sha256 of each WAV by entry path, as build_dataset read or wrote it;
+    # empty for a manifest read back from its CSV
+    wav_sha256: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -183,13 +187,9 @@ def generate_synthetic_corpus(out_dir, n_files: int, seed: int,
     """Write n_files seeded synthetic voices as utt000.wav, utt001.wav, ..."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(n_files):
-        rng = substream(seed, "voice", i)
-        w = _harmonic_voice(rng, duration_s, sample_rate)
-        path = out_dir / f"utt{i:03d}.wav"
-        save_wav(path, w)
-        paths.append(path)
+    paths = [out_dir / f"utt{i:03d}.wav" for i in range(n_files)]
+    ordered_map(lambda i: save_wav(paths[i], _harmonic_voice(
+        substream(seed, "voice", i), duration_s, sample_rate)), range(n_files))
     return paths
 
 
@@ -200,6 +200,15 @@ def _assign_splits(ids: list[str], counts: SplitCounts, rng) -> dict[str, str]:
     for i, uid in enumerate(order):
         assignment[uid] = "train" if i < counts.train_per_class else "dev"
     return assignment
+
+
+def _spoof_one(path: Path, spoof_path: Path, config: SpoofConfig) -> tuple[str, str]:
+    """Write the spoof of one bona fide file; return the sha256 of the bytes
+    read and of the bytes written."""
+    raw = path.read_bytes()
+    w = resample_to(load_wav(path, raw))
+    return (hashlib.sha256(raw).hexdigest(),
+            save_wav(spoof_path, make_spoof(w, path.stem, config)))
 
 
 def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
@@ -221,16 +230,15 @@ def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
     wavs = wavs[:need]
     spoof_dir.mkdir(parents=True, exist_ok=True)
 
+    spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
+    digests = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
     bona_entries = {}
     spoof_entries = {}
-    for path in wavs:
-        uid = path.stem
-        w = resample_to(load_wav(path))
-        spoof_uid = f"{uid}_spoof"
-        spoof_path = spoof_dir / f"{spoof_uid}.wav"
-        save_wav(spoof_path, make_spoof(w, uid, config))
-        bona_entries[uid] = (str(path), uid)
-        spoof_entries[spoof_uid] = (str(spoof_path), uid)
+    wav_sha256 = {}
+    for path, spoof_path, digest in zip(wavs, spoof_paths, digests):
+        bona_entries[path.stem] = (str(path), path.stem)
+        spoof_entries[spoof_path.stem] = (str(spoof_path), path.stem)
+        wav_sha256[str(path)], wav_sha256[str(spoof_path)] = digest
 
     split_bona = _assign_splits(sorted(bona_entries), counts,
                                 substream(config.seed, "split", BONAFIDE))
@@ -244,7 +252,7 @@ def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
     for uid in sorted(spoof_entries):
         path, source = spoof_entries[uid]
         entries.append(ManifestEntry(uid, path, SPOOF, split_spoof[uid], source))
-    return DatasetManifest(tuple(entries))
+    return DatasetManifest(tuple(entries), wav_sha256)
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:

@@ -17,7 +17,7 @@ import pytest
 
 import qpatch
 from qpatch.cli import main
-from qpatch import dsp
+from qpatch import cli, dsp
 
 
 def base_args(work_dir, *extra):
@@ -455,6 +455,111 @@ class TestRunAll:
             a = (tmp_path / "a" / "work" / name).read_bytes()
             b = (tmp_path / "b" / "work" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the worker pool see n usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+BYTE_IDENTICAL = ["manifest.csv", "manifest.json", "features.csv",
+                  *(f"{name}_{kind}.{ext}" for kind in cli.KINDS
+                    for name, ext in (("gram", "csv"), ("cross", "csv"),
+                                      ("report", "json"), ("roc", "csv")))]
+
+
+@pytest.mark.skipif(sys.platform != "linux" or sys.version_info < (3, 11),
+                    reason="workers are forked on Linux from Python 3.11")
+class TestWorkers:
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
+        for n in (1, 2):
+            parent = tmp_path / f"cpus{n}"
+            parent.mkdir()
+            monkeypatch.chdir(parent)
+            usable_cpus(monkeypatch, n)
+            assert main(["--work-dir", "work", "--train-per-class", "4",
+                         "--dev-per-class", "2", "run-all"]) == 0
+        for name in BYTE_IDENTICAL:
+            one = (tmp_path / "cpus1" / "work" / name).read_bytes()
+            two = (tmp_path / "cpus2" / "work" / name).read_bytes()
+            assert one == two, f"{name} differs between one and two workers"
+
+    def test_a_worker_that_dies_fails_the_stage(self, tmp_path):
+        # a fresh interpreter under a timeout: a pool that hung would fail here
+        code = textwrap.dedent("""
+            import os
+            from qpatch import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            parent, extract = os.getpid(), cli._extract_one
+            def dies_in_a_worker(entry, *args):
+                if os.getpid() != parent and entry.uid == "utt002":
+                    os._exit(3)
+                return extract(entry, *args)
+            cli._extract_one = dies_in_a_worker
+            args = ["--work-dir", "w", "--train-per-class", "4", "--dev-per-class", "2"]
+            assert cli.main(args + ["synth", "--synthetic-audio", "6"]) == 0
+            print(cli.main(args + ["features"]))
+        """)
+        done = run_fresh_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1"]
+        assert "BrokenProcessPool" in (tmp_path / "w" / "run.log").read_text()
+        assert not (tmp_path / "w" / "features.csv").exists()
+
+    def test_the_parent_logs_a_skipped_wav(self, tmp_path, monkeypatch, caplog):
+        run_synth(tmp_path)
+        (tmp_path / "bonafide" / "utt002.wav").write_bytes(b"not audio")
+        usable_cpus(monkeypatch, 2)
+        assert run_stage(tmp_path, "features") == 2
+        # records that a worker logs never reach this process's caplog
+        skipped = [r for r in caplog.records if r.getMessage().startswith("skipping utt002")]
+        assert [r.process for r in skipped] == [os.getpid()]
+        assert len((tmp_path / "features.csv").read_text().splitlines()) == 1 + 11
+
+    def test_an_input_error_in_a_kind_chain_exits_2(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        kernel = cli.cmd_kernel
+
+        def stale_rbf_sidecar(config, kind):
+            kernel(config, kind)
+            if kind == "rbf":
+                (tmp_path / "gram_rbf.json").write_text(json.dumps({"params": {}}))
+
+        monkeypatch.setattr(cli, "cmd_kernel", stale_rbf_sidecar)
+        assert main(base_args(tmp_path) + ["run-all"]) == 2
+        log_text = (tmp_path / "run.log").read_text()
+        assert "Traceback" not in log_text
+        assert "gram_rbf.npy was made under another" in log_text.splitlines()[-1]
+        assert (tmp_path / "report_quantum.json").exists()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_cli_import_runs_blas_on_one_thread(tmp_path):
+    code = textwrap.dedent(f"""
+        import os
+        for name in {BLAS_THREAD_VARS!r}:
+            os.environ.pop(name, None)  # as a caller that set none of them
+        import qpatch.cli
+        print(len(os.listdir("/proc/self/task")))
+    """)
+    done = run_fresh_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
+
+
+def test_a_blas_thread_count_set_by_the_caller_is_kept(tmp_path):
+    code = textwrap.dedent("""
+        import os
+        os.environ["OPENBLAS_NUM_THREADS"] = "2"
+        import qpatch.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+    """)
+    done = run_fresh_python(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
 
 
 class TestConfigHandling:

@@ -1,6 +1,8 @@
 """Noise injection at exact SNR, spectral tilt, corpus generation, dataset build."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +239,12 @@ class TestBuildDataset:
         expected = make_spoof(w, spoof.source_id, SpoofConfig(seed=3))
         got = load_wav(spoof.path)
         np.testing.assert_allclose(got.samples, expected.samples, atol=1.5 / 32768)
+
+    def test_recorded_hashes_are_those_of_the_files(self, small_dataset):
+        _, manifest = small_dataset
+        assert set(manifest.wav_sha256) == {e.path for e in manifest.entries}
+        for path, digest in manifest.wav_sha256.items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
     def test_insufficient_files_error(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "few", 3, seed=1, duration_s=0.2)
