@@ -33,7 +33,7 @@ from .parallel import ordered_map  # noqa: E402
 
 log = logging.getLogger("qpatch")
 
-KINDS = ("quantum", "rbf")
+KINDS = svm.KERNEL_KINDS
 
 
 class CliInputError(Exception):
@@ -67,8 +67,9 @@ def _paths(config: ExperimentConfig) -> dict:
         "work": work,
         "manifest": work / "manifest.csv",
         "features": work / "features.csv",
-        "gram": lambda kind: work / f"gram_{kind}.csv",
-        "cross": lambda kind: work / f"cross_{kind}.csv",
+        # the kernel blocks train-eval reads; save_gram writes the CSV export beside each
+        "gram": lambda kind: work / f"gram_{kind}.npy",
+        "cross": lambda kind: work / f"cross_{kind}.npy",
         "model": lambda kind: work / f"model_{kind}.json",
         "report": lambda kind: work / f"report_{kind}.json",
         "roc": lambda kind: work / f"roc_{kind}.csv",
@@ -146,19 +147,14 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
                      synthetic_audio, input_dir)
             spoof.generate_synthetic_corpus(input_dir, synthetic_audio, config.seed)
         try:
-            manifest = spoof.build_dataset(input_dir, p["work"] / "spoof",
-                                           config.spoof_config(), config.split_counts())
+            manifest, wav_sha256 = spoof.build_dataset(
+                input_dir, p["work"], config.spoof_config(), config.split_counts())
         except ValueError as err:
             raise CliInputError(str(err))
-        # store paths relative to the work dir so artifacts move with it
-        relative = {path: os.path.relpath(path, p["work"]) for path in manifest.wav_sha256}
-        entries = tuple(dataclasses.replace(e, path=relative[e.path])
-                        for e in manifest.entries)
-        spoof.write_manifest(spoof.DatasetManifest(entries), p["manifest"])
+        spoof.write_manifest(manifest, p["manifest"])
         # features refuses a WAV edited after its spoof was made from it
-        facts["wav_sha256"] = {relative[path]: digest
-                               for path, digest in manifest.wav_sha256.items()}
-    log.info("wrote manifest with %d entries to %s", len(entries), p["manifest"])
+        facts["wav_sha256"] = wav_sha256
+    log.info("wrote manifest with %d entries to %s", len(manifest.entries), p["manifest"])
 
 
 def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
@@ -252,8 +248,8 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     # resolved on the train features: the structure block uses the model's gamma
     spec = config.kernel_spec(kind).resolve(x_train)
     facts = _kernel_facts(config, spec.params())
-    for artifact in (p["gram"](kind), p["cross"](kind)):  # load_gram reads the .npy
-        _check_made_under(artifact.with_suffix(".npy"), facts, f"kernel --kind {kind}")
+    for artifact in (p["gram"](kind), p["cross"](kind)):
+        _check_made_under(artifact, facts, f"kernel --kind {kind}")
     gram = svm.GramMatrix(svm.load_gram(p["gram"](kind)), kind, spec.params())
     cross = svm.load_gram(p["cross"](kind))
     n_train, n_dev = len(train_labels), len(dev_labels)
@@ -275,11 +271,12 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     dev_gram = svm.build_gram(x_dev, spec)
     structure = metrics.kernel_structure(dev_gram.values, dev_labels,
                                          features=x_dev, kernel=spec)
+    # every value below is already a plain int, float, bool, str or dict
     report = {
         "kind": kind,
-        "auroc": float(auroc_value),
-        "eer": float(eer_value),
-        "eer_threshold": float(eer_tau),
+        "auroc": auroc_value,
+        "eer": eer_value,
+        "eer_threshold": eer_tau,
         "n_train": n_train,
         "n_dev": n_dev,
         "kernel": {
@@ -289,14 +286,9 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             "gamma_policy": str(config.gamma),
             "gamma_resolved": spec.gamma if kind == "rbf" else None,
         },
-        "svm": {
-            "C": config.svm_c,
-            "n_support": int(model.support_indices.size),
-            "bias": float(model.bias),
-            "kkt_gap": float(model.kkt_gap),
-            "n_iter": int(model.n_iter),
-            "converged": bool(model.converged),
-        },
+        "svm": {"n_support": model.support_indices.size,
+                **{name: getattr(model, name)
+                   for name in ("C", "bias", "kkt_gap", "n_iter", "converged")}},
         "kernel_structure": structure.to_dict(),
         "config": config.to_dict(),
     }

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig
+from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig, build_mel_filterbank, frame_lengths
 from .patches import check_patch_size
 from .quantum import check_circuit
 from .spoof import SpoofConfig, SplitCounts
@@ -62,10 +62,10 @@ class ExperimentConfig:
             raise ValueError(f'gamma must be a finite number > 0 or "scale", '
                              f"got {self.gamma!r}")
         check_patch_size(self.patch_size, self.n_mels)
-        win_len = round(self.win_ms * TARGET_SAMPLE_RATE / 1000)
-        if self.fft_size < win_len:
-            raise ValueError(
-                f"fft_size {self.fft_size} shorter than window ({win_len} samples)")
+        # the front end's own checks: frame lengths, then mel bins and band edges
+        frame_lengths(self.win_ms, self.hop_ms, self.fft_size)
+        build_mel_filterbank(self.n_mels, self.fft_size, TARGET_SAMPLE_RATE,
+                             self.f_low, self.f_high)
 
     def front_end(self) -> FrontEndConfig:
         return FrontEndConfig(win_ms=self.win_ms, hop_ms=self.hop_ms,

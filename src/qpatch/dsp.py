@@ -79,6 +79,18 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / length))
 
 
+def frame_lengths(win_ms: float, hop_ms: float, fft_size: int,
+                  sample_rate: int = TARGET_SAMPLE_RATE) -> tuple[int, int]:
+    """Window and hop in samples, each at least one; the window fits in fft_size."""
+    win_len, hop_len = (round(ms * sample_rate / 1000.0) if math.isfinite(ms) else 0
+                        for ms in (win_ms, hop_ms))
+    if win_len <= 0 or hop_len <= 0:
+        raise ValueError(f"window and hop must be finite and >= 1 sample: {win_ms}, {hop_ms} ms")
+    if fft_size < win_len:
+        raise ValueError(f"fft_size {fft_size} shorter than window ({win_len} samples)")
+    return win_len, hop_len
+
+
 def stft(w: Waveform, win_ms: float = 25.0, hop_ms: float = 10.0,
          fft_size: int = 1024) -> np.ndarray:
     """Short-time Fourier transform with a periodic Hann window.
@@ -88,12 +100,7 @@ def stft(w: Waveform, win_ms: float = 25.0, hop_ms: float = 10.0,
     windowed, then zero-padded to fft_size; trailing samples shorter than
     one window are dropped.
     """
-    win_len = int(round(win_ms * w.sample_rate / 1000.0))
-    hop_len = int(round(hop_ms * w.sample_rate / 1000.0))
-    if win_len <= 0 or hop_len <= 0:
-        raise ValueError("window and hop must be positive")
-    if fft_size < win_len:
-        raise ValueError(f"fft_size {fft_size} shorter than window ({win_len} samples)")
+    win_len, hop_len = frame_lengths(win_ms, hop_ms, fft_size, w.sample_rate)
     if w.samples.size < win_len:
         raise ValueError(
             f"signal too short: {w.samples.size} samples < one {win_len}-sample window")

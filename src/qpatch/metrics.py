@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,6 +42,8 @@ def _check_binary(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be matching 1-D vectors")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     if not np.all(np.isin(labels, (0, 1))):
         raise ValueError("labels must be 0 or 1")
     if labels.min() == labels.max():
@@ -50,19 +52,14 @@ def _check_binary(scores, labels):
 
 
 def roc_points(scores, labels) -> RocCurve:
+    """The ROC at every threshold from integer counts: per class, the scores
+    below a threshold are its searchsorted position in the sorted scores."""
     scores, labels = _check_binary(scores, labels)
-    npos = int(labels.sum())
-    nneg = labels.size - npos
-    distinct = np.unique(scores)[::-1]
-    thresholds = np.concatenate([[np.inf], distinct, [-np.inf]])
-    fpr = np.empty(thresholds.size)
-    fnr = np.empty(thresholds.size)
-    for i, tau in enumerate(thresholds):
-        pred_pos = scores >= tau
-        tp = int(np.count_nonzero(pred_pos & (labels == 1)))
-        fp = int(np.count_nonzero(pred_pos & (labels == 0)))
-        fpr[i] = fp / nneg
-        fnr[i] = (npos - tp) / npos
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    fpr = (neg.size - np.searchsorted(neg, thresholds)) / neg.size
+    fnr = np.searchsorted(pos, thresholds) / pos.size
     return RocCurve(thresholds, fpr, fnr, 1.0 - fnr)
 
 
@@ -130,8 +127,7 @@ class GroupStats:
     def to_dict(self) -> dict:
         if self.n_pairs == 0:
             return {"mean": None, "std": None, "n_pairs": 0, "delta_pct": None}
-        return {"mean": self.mean, "std": self.std, "n_pairs": self.n_pairs,
-                "delta_pct": self.delta_pct}
+        return {**asdict(self), "delta_pct": self.delta_pct}
 
 
 @dataclass(frozen=True)
@@ -145,13 +141,10 @@ class KernelStructureReport:
     cross_class_per_slot: dict
 
     def to_dict(self) -> dict:
-        return {
-            "same_sample": {c: s.to_dict() for c, s in self.same_sample.items()},
-            "within_class": {c: s.to_dict() for c, s in self.within_class.items()},
-            "cross_class": self.cross_class.to_dict(),
-            "cross_class_per_slot": {k: s.to_dict()
-                                     for k, s in self.cross_class_per_slot.items()},
-        }
+        """Each field by its name, a group or a dict of groups by key."""
+        return {name: value.to_dict() if isinstance(value, GroupStats)
+                else {key: group.to_dict() for key, group in value.items()}
+                for name, value in vars(self).items()}
 
 
 def kernel_structure(gram_values, labels, features=None,
@@ -162,7 +155,8 @@ def kernel_structure(gram_values, labels, features=None,
     into the cross-sample statistics. When features and a kernel spec are
     given, the cross-class group is additionally recomputed per patch slot
     with single-patch kernels over each length-4 block: one n x n
-    kernel_matrix block per slot, indexed at the cross-class pairs.
+    kernel_matrix block per slot, indexed at the cross-class pairs. The spec
+    is used as given, so an RBF gamma must already be resolved on train rows.
     """
     k = np.asarray(gram_values, dtype=np.float64)
     labels = list(labels)
@@ -186,26 +180,12 @@ def kernel_structure(gram_values, labels, features=None,
         if kernel is None:
             raise ValueError("per-slot breakdown needs the kernel spec")
         x = _stack_features(features)
-        resolved = kernel.resolve(x)
         ci, cj = iu[cross_mask], ju[cross_mask]
         for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]
             per_slot[f"patch{slot + 1}"] = GroupStats.from_values(
-                kernel_matrix(block, block, resolved)[ci, cj])
+                kernel_matrix(block, block, kernel)[ci, cj])
     return KernelStructureReport(same_sample, within, cross, per_slot)
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(key): _plain(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:
@@ -217,7 +197,7 @@ def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:
     if not metrics:
         raise ValueError("refusing to write an empty report")
     payload = {"schema_version": SCHEMA_VERSION, "positive_label": POSITIVE_LABEL}
-    payload.update(_plain(metrics))
+    payload.update(metrics)
     with atomic_write(json_path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     rows = np.column_stack([roc.thresholds, roc.fpr, roc.tpr, roc.fnr])

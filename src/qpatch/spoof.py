@@ -16,8 +16,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +80,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class DatasetManifest:
     entries: tuple
-    # sha256 of each WAV by entry path, as build_dataset read or wrote it;
-    # empty for a manifest read back from its CSV
-    wav_sha256: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -211,16 +209,19 @@ def _spoof_one(path: Path, spoof_path: Path, config: SpoofConfig) -> tuple[str, 
             save_wav(spoof_path, make_spoof(w, path.stem, config)))
 
 
-def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
-                  counts: SplitCounts = SplitCounts()) -> DatasetManifest:
-    """Select bona fide files, synthesize their spoofs, and assign splits.
+def build_dataset(bonafide_dir, work_dir, config: SpoofConfig = SpoofConfig(),
+                  counts: SplitCounts = SplitCounts()) -> tuple[DatasetManifest, dict]:
+    """Select bona fide files, write their spoofs under work_dir/spoof, and
+    assign splits.
 
     Files are taken in sorted name order; each class is shuffled into its
     train/dev split with an independent substream so the two classes stay
-    balanced by construction.
+    balanced by construction. Entry paths are relative to work_dir, so the
+    manifest moves with it. Also returns the sha256 of each WAV by entry
+    path, of the bytes read (bona fide) or written (spoof).
     """
     bonafide_dir = Path(bonafide_dir)
-    spoof_dir = Path(spoof_dir)
+    spoof_dir = Path(work_dir) / "spoof"
     wavs = sorted(bonafide_dir.glob("*.wav"))
     need = counts.per_class
     if len(wavs) < need:
@@ -232,27 +233,20 @@ def build_dataset(bonafide_dir, spoof_dir, config: SpoofConfig = SpoofConfig(),
 
     spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
     digests = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
-    bona_entries = {}
-    spoof_entries = {}
     wav_sha256 = {}
-    for path, spoof_path, digest in zip(wavs, spoof_paths, digests):
-        bona_entries[path.stem] = (str(path), path.stem)
-        spoof_entries[spoof_path.stem] = (str(spoof_path), path.stem)
-        wav_sha256[str(path)], wav_sha256[str(spoof_path)] = digest
-
-    split_bona = _assign_splits(sorted(bona_entries), counts,
-                                substream(config.seed, "split", BONAFIDE))
-    split_spoof = _assign_splits(sorted(spoof_entries), counts,
-                                 substream(config.seed, "split", SPOOF))
+    by_label = {BONAFIDE: {}, SPOOF: {}}  # uid -> (path, source id)
+    for source, spoof_path, both in zip(wavs, spoof_paths, digests):
+        for label, wav, digest in zip((BONAFIDE, SPOOF), (source, spoof_path), both):
+            path = os.path.relpath(wav, work_dir)
+            by_label[label][wav.stem] = (path, source.stem)
+            wav_sha256[path] = digest
 
     entries = []
-    for uid in sorted(bona_entries):
-        path, source = bona_entries[uid]
-        entries.append(ManifestEntry(uid, path, BONAFIDE, split_bona[uid], source))
-    for uid in sorted(spoof_entries):
-        path, source = spoof_entries[uid]
-        entries.append(ManifestEntry(uid, path, SPOOF, split_spoof[uid], source))
-    return DatasetManifest(tuple(entries), wav_sha256)
+    for label, rows in by_label.items():
+        split = _assign_splits(sorted(rows), counts, substream(config.seed, "split", label))
+        entries += [ManifestEntry(uid, rows[uid][0], label, split[uid], rows[uid][1])
+                    for uid in sorted(rows)]
+    return DatasetManifest(tuple(entries)), wav_sha256
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +73,7 @@ class GramMatrix:
         object.__setattr__(self, "values", values)
         if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
-        n = values.shape[0]
-        if values.ndim != 2 or values.shape != (n, n):
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("Gram matrix must be square")
         if not np.all(np.isfinite(values)):
             raise ValueError("Gram matrix has non-finite entries")
@@ -134,11 +133,14 @@ def rbf_kernel(x, y, gamma: float) -> float:
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(n x m) kernel of the rows of a against the rows of b; spec must be resolved."""
+    """(n x m) kernel of the rows of a against the rows of b; an RBF gamma
+    must be numeric, resolved by the caller on the training rows."""
     if spec.kind == "quantum":
         states_a = _embed_vector(a, spec.depth, spec.s3_axis)
         states_b = states_a if b is a else _embed_vector(b, spec.depth, spec.s3_axis)
         return fidelity_matrix(states_a, states_b)
+    if isinstance(spec.gamma, str):
+        raise ValueError(f"kernel_matrix needs a resolved gamma, got {spec.gamma!r}")
     out = np.empty((a.shape[0], b.shape[0]))
     for i, row in enumerate(a):
         d = b - row
@@ -271,43 +273,38 @@ def decision_scores(model: SvmModel, rows) -> np.ndarray:
     return rows[:, model.support_indices] @ model.dual_coefs + model.bias
 
 
-def save_gram(values, csv_path) -> None:
-    """Write a kernel block (train Gram or cross rows) as %.17g CSV, the
-    export, and as the <stem>.npy beside it that load_gram reads."""
-    with atomic_write(csv_path) as fh:
-        np.savetxt(fh, values, delimiter=",", fmt="%.17g")
-    with atomic_write(Path(csv_path).with_suffix(".npy"), "wb") as fh:
+def save_gram(values, npy_path) -> None:
+    """Write a kernel block (train Gram or cross rows) as the .npy that
+    load_gram reads, and as the %.17g CSV export beside it."""
+    with atomic_write(npy_path, "wb") as fh:
         np.save(fh, values, allow_pickle=False)
+    with atomic_write(Path(npy_path).with_suffix(".csv")) as fh:
+        np.savetxt(fh, values, delimiter=",", fmt="%.17g")
 
 
-def load_gram(csv_path) -> np.ndarray:
-    """Read the binary copy of a kernel block written by save_gram."""
-    return np.load(Path(csv_path).with_suffix(".npy"), allow_pickle=False)
+def load_gram(npy_path) -> np.ndarray:
+    """Read a kernel block written by save_gram; refuse, naming the file, one
+    that cannot be read or is not a finite 2-D float array."""
+    try:
+        with open(npy_path, "rb") as fh:
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot read kernel block {npy_path}: {err}") from None
+    if values.ndim != 2 or values.dtype.kind != "f" or not np.all(np.isfinite(values)):
+        raise ValueError(f"{npy_path} is not a finite 2-D float array")
+    return values
 
 
 def save_model(model: SvmModel, path) -> None:
-    payload = {
-        "dual_coefs": list(model.dual_coefs),
-        "support_indices": [int(i) for i in model.support_indices],
-        "bias": model.bias,
-        "C": model.C,
-        "n_train": model.n_train,
-        "kernel_params": model.kernel_params,
-        "feature_ref": model.feature_ref,
-        "kkt_gap": model.kkt_gap,
-        "n_iter": model.n_iter,
-        "converged": model.converged,
-    }
+    payload = asdict(model)
+    payload.update(dual_coefs=model.dual_coefs.tolist(),
+                   support_indices=model.support_indices.tolist())
     with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> SvmModel:
     payload = json.loads(Path(path).read_text())
-    return SvmModel(
-        dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
-        support_indices=np.array(payload["support_indices"], dtype=np.int64),
-        bias=payload["bias"], C=payload["C"], n_train=payload["n_train"],
-        kernel_params=payload["kernel_params"],
-        feature_ref=payload["feature_ref"], kkt_gap=payload["kkt_gap"],
-        n_iter=payload["n_iter"], converged=payload["converged"])
+    payload.update(dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
+                   support_indices=np.array(payload["support_indices"], dtype=np.int64))
+    return SvmModel(**payload)

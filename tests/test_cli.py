@@ -358,6 +358,13 @@ def _set_field(line, index, value):
     return ",".join(fields)
 
 
+def _set_entry(path, index, value):
+    """Rewrite one entry of a .npy kernel block."""
+    values = np.load(path)
+    values[index] = value
+    np.save(path, values)
+
+
 def _keep_columns(path, columns):
     """Rewrite a CSV file keeping only the given columns of every line."""
     lines = path.read_text().splitlines()
@@ -402,6 +409,16 @@ MALFORMED = {
         lambda p: p.write_text(json.dumps(
             {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
         "features", "manifest.json records no wav_sha256; rerun synth"),
+    # damaged kernel blocks: train-eval reads the .npy files, not the CSV exports
+    "cross_npy_nan": ("cross_rbf.npy", lambda p: _set_entry(p, (1, 2), np.nan),
+                      "train-eval --kind rbf", "cross_rbf.npy is not a finite 2-D float array"),
+    "gram_npy_0d": ("gram_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
+                    "train-eval --kind rbf", "gram_rbf.npy is not a finite 2-D float array"),
+    "cross_npy_truncated": ("cross_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
+                            "train-eval --kind rbf",
+                            "cross_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
+    "gram_npy_inf": ("gram_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
+                     "train-eval --kind rbf", "gram_rbf.npy is not a finite 2-D float array"),
 }
 
 
@@ -607,12 +624,15 @@ class TestConfigHandling:
                                      {"seed": -1}, {"svm_c": 0},
                                      {"seed": "x"}, {"depth": 1.0}, {"n_mels": "64"},
                                      {"k": True}, {"fft_size": 1024.5},
-                                     {"input_dir": 5}],
+                                     {"input_dir": 5}, {"f_high": 9000.0},
+                                     {"f_low": 8000.0}, {"n_mels": 0}, {"hop_ms": 0},
+                                     {"win_ms": 0}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
                                   "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
                                   "train0", "devneg3", "tilt2", "snrnan",
                                   "seedneg", "svmc0", "seedstr", "depthfloat",
-                                  "melsstr", "ktrue", "fftfloat", "inputint"])
+                                  "melsstr", "ktrue", "fftfloat", "inputint",
+                                  "fhigh9000", "flowhigh", "mels0", "hop0", "win0"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad):
         cfg = tmp_path / "cfg.json"
         # the small split sits in the file, so a bad split value can override it

@@ -16,7 +16,7 @@ from qpatch.metrics import (
     roc_points,
     write_report,
 )
-from qpatch.svm import KernelSpec, build_gram
+from qpatch.svm import KernelSpec, build_gram, rbf_kernel
 from qpatch.quantum import fidelity_kernel
 
 
@@ -58,6 +58,25 @@ def eer_oracle(scores, labels):
                 return value, tau_a + t * (tau - tau_a)
             return value, tau if math.isfinite(tau) else tau_a
     raise AssertionError("no crossing found")
+
+
+def roc_loop_oracle(scores, labels):
+    """Per-threshold loop: count each class at or above every threshold
+    with vector comparisons over all n scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    npos = int(labels.sum())
+    nneg = labels.size - npos
+    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
+    fpr = np.empty(thresholds.size)
+    fnr = np.empty(thresholds.size)
+    for i, tau in enumerate(thresholds):
+        pred_pos = scores >= tau
+        tp = int(np.count_nonzero(pred_pos & (labels == 1)))
+        fp = int(np.count_nonzero(pred_pos & (labels == 0)))
+        fpr[i] = fp / nneg
+        fnr[i] = (npos - tp) / npos
+    return thresholds, fpr, fnr
 
 
 def random_scores(rng, max_n=12):
@@ -131,6 +150,26 @@ class TestRocPoints:
         labels = [0, 0, 1, 1, 0]
         roc = roc_points(scores, labels)
         assert roc.thresholds.size == 3 + 2
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_threshold_loop_oracle_exactly(self, seed):
+        # up to 400 scores rounded to one or two decimals, so most are tied
+        rng = np.random.default_rng(seed + 900)
+        scores, labels = random_scores(rng, max_n=400)
+        if seed % 2:
+            scores = np.round(rng.random(scores.size), 2)
+        roc = roc_points(scores, labels)
+        want = roc_loop_oracle(scores, labels)
+        for got, expected in zip((roc.thresholds, roc.fpr, roc.fnr), want):
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("fn", [roc_points, auroc, eer])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected(fn, bad):
+    # with the nan, a per-threshold loop gave an fpr stopping at 2/3 and AUROC 0.417
+    with pytest.raises(ValueError, match="scores must be finite"):
+        fn([0.3, bad, 0.7, 0.1, 0.7], [1, 0, 1, 0, 0])
 
 
 class TestEer:
@@ -258,6 +297,22 @@ class TestKernelStructure:
         with pytest.raises(ValueError):
             kernel_structure(np.eye(3), ["a", "b"])
 
+    def test_rbf_spec_is_used_as_given(self):
+        rng = np.random.default_rng(8)
+        feats = rng.uniform(-2, 2, (6, 8))
+        labels = ["bonafide"] * 3 + ["spoof"] * 3
+        # a symbolic gamma is refused, not resolved on these (dev) rows
+        with pytest.raises(ValueError, match="resolved gamma"):
+            kernel_structure(np.eye(6), labels, features=feats, kernel=KernelSpec(kind="rbf"))
+        # a gamma resolved on other (train) rows is the one used per slot
+        spec = KernelSpec(kind="rbf").resolve(rng.uniform(-1, 1, (10, 8)))
+        assert spec.gamma != KernelSpec(kind="rbf").resolve(feats).gamma
+        rep = kernel_structure(np.eye(6), labels, features=feats, kernel=spec)
+        expected = [rbf_kernel(feats[i, :4], feats[j, :4], spec.gamma)
+                    for i in range(3) for j in range(3, 6)]
+        assert rep.cross_class_per_slot["patch1"].mean == pytest.approx(
+            np.mean(expected), abs=1e-15)
+
     def test_report_to_dict_serializable(self):
         k = np.ones((4, 4))
         rep = kernel_structure(k, ["bonafide", "spoof", "bonafide", "spoof"])
@@ -298,15 +353,6 @@ class TestWriteReport:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "threshold,fpr,tpr,fnr"
         assert len(lines) - 1 == 3 + 2  # distinct scores + two endpoints
-
-    def test_numpy_values_serialized(self, tmp_path):
-        metrics = {"auroc": np.float64(0.75), "n": np.int64(20),
-                   "scores": np.array([0.1, 0.2])}
-        write_report(tmp_path / "r.json", tmp_path / "roc.csv", metrics, self._roc())
-        parsed = json.loads((tmp_path / "r.json").read_text())
-        assert parsed["auroc"] == 0.75
-        assert parsed["n"] == 20
-        assert parsed["scores"] == [0.1, 0.2]
 
     def test_rewrite_byte_identical(self, tmp_path):
         metrics = {"auroc": 0.8125, "eer": 0.25}

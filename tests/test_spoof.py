@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from pathlib import Path
+import os
 
 import numpy as np
 import pytest
@@ -200,14 +200,13 @@ def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
     generate_synthetic_corpus(root / "bonafide", 10, seed=3, duration_s=0.5)
     counts = SplitCounts(train_per_class=8, dev_per_class=2)
-    manifest = build_dataset(root / "bonafide", root / "spoof",
-                             SpoofConfig(seed=3), counts)
-    return root, manifest
+    manifest, wav_sha256 = build_dataset(root / "bonafide", root, SpoofConfig(seed=3), counts)
+    return root, manifest, wav_sha256
 
 
 class TestBuildDataset:
     def test_counts_and_balance(self, small_dataset):
-        _, manifest = small_dataset
+        _, manifest, _ = small_dataset
         assert len(manifest.entries) == 20
         train = [e for e in manifest.entries if e.split == "train"]
         dev = [e for e in manifest.entries if e.split == "dev"]
@@ -217,13 +216,13 @@ class TestBuildDataset:
             assert n_bona == len(subset) // 2
 
     def test_ids_disjoint_across_splits(self, small_dataset):
-        _, manifest = small_dataset
+        _, manifest, _ = small_dataset
         train_ids = {e.uid for e in manifest.entries if e.split == "train"}
         dev_ids = {e.uid for e in manifest.entries if e.split == "dev"}
         assert not train_ids & dev_ids
 
     def test_spoof_lineage(self, small_dataset):
-        root, manifest = small_dataset
+        root, manifest, _ = small_dataset
         spoofs = [e for e in manifest.entries if e.label == SPOOF]
         bona_ids = {e.uid for e in manifest.entries if e.label == BONAFIDE}
         for e in spoofs:
@@ -232,19 +231,34 @@ class TestBuildDataset:
             assert (root / "spoof" / f"{e.uid}.wav").exists()
 
     def test_spoof_audio_matches_direct_synthesis(self, small_dataset):
-        root, manifest = small_dataset
+        root, manifest, _ = small_dataset
         spoof = next(e for e in manifest.entries if e.label == SPOOF)
         source = next(e for e in manifest.entries if e.uid == spoof.source_id)
-        w = load_wav(source.path)
+        w = load_wav(root / source.path)
         expected = make_spoof(w, spoof.source_id, SpoofConfig(seed=3))
-        got = load_wav(spoof.path)
+        got = load_wav(root / spoof.path)
         np.testing.assert_allclose(got.samples, expected.samples, atol=1.5 / 32768)
 
+    def test_paths_are_relative_to_the_work_dir(self, small_dataset):
+        _, manifest, _ = small_dataset
+        paths = {e.uid: e.path for e in manifest.entries}
+        assert paths["utt000"] == os.path.join("bonafide", "utt000.wav")
+        assert paths["utt000_spoof"] == os.path.join("spoof", "utt000_spoof.wav")
+
     def test_recorded_hashes_are_those_of_the_files(self, small_dataset):
-        _, manifest = small_dataset
-        assert set(manifest.wav_sha256) == {e.path for e in manifest.entries}
-        for path, digest in manifest.wav_sha256.items():
-            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+        root, manifest, wav_sha256 = small_dataset
+        assert set(wav_sha256) == {e.path for e in manifest.entries}
+        for path, digest in wav_sha256.items():
+            assert hashlib.sha256((root / path).read_bytes()).hexdigest() == digest
+
+    def test_entries_are_sorted_by_uid_within_each_label(self, tmp_path):
+        # by file name "a-b.wav" sorts before "a.wav"; by uid "a" comes first
+        first, second = generate_synthetic_corpus(tmp_path / "bona", 2, seed=5, duration_s=0.2)
+        first.rename(tmp_path / "bona" / "a.wav")
+        second.rename(tmp_path / "bona" / "a-b.wav")
+        manifest, _ = build_dataset(tmp_path / "bona", tmp_path / "w",
+                                    counts=SplitCounts(train_per_class=1, dev_per_class=1))
+        assert [e.uid for e in manifest.entries] == ["a", "a-b", "a-b_spoof", "a_spoof"]
 
     def test_insufficient_files_error(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "few", 3, seed=1, duration_s=0.2)
@@ -255,13 +269,11 @@ class TestBuildDataset:
     def test_same_seed_identical_manifest(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "bona", 6, seed=4, duration_s=0.2)
         counts = SplitCounts(train_per_class=4, dev_per_class=2)
-        m1 = build_dataset(tmp_path / "bona", tmp_path / "sp1",
-                           SpoofConfig(seed=4), counts)
-        m2 = build_dataset(tmp_path / "bona", tmp_path / "sp2",
-                           SpoofConfig(seed=4), counts)
-        for a, b in zip(m1.entries, m2.entries):
-            assert (a.uid, a.label, a.split, a.source_id) == \
-                (b.uid, b.label, b.split, b.source_id)
+        m1, h1 = build_dataset(tmp_path / "bona", tmp_path / "w1", SpoofConfig(seed=4), counts)
+        m2, h2 = build_dataset(tmp_path / "bona", tmp_path / "w2", SpoofConfig(seed=4), counts)
+        # work-dir-relative paths: two work dirs beside each other give one manifest
+        assert m1 == m2
+        assert h1 == h2
 
 
 class TestManifestValidation:

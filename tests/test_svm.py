@@ -1,5 +1,6 @@
 """Gram construction, RBF baseline, SMO solver correctness, persistence."""
 
+import dataclasses
 import math
 import warnings
 
@@ -99,6 +100,12 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(kind="linear")
 
+    def test_kernel_matrix_refuses_a_symbolic_gamma(self):
+        # "scale" is resolved on training rows by the caller, never on the rows given
+        x = np.random.default_rng(3).uniform(-1, 1, (4, 8))
+        with pytest.raises(ValueError, match="resolved gamma, got 'scale'"):
+            kernel_matrix(x, x, KernelSpec(kind="rbf"))
+
 
 class TestGramMatrix:
     def test_rejects_asymmetric(self):
@@ -113,6 +120,12 @@ class TestGramMatrix:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel kind"):
             GramMatrix(np.eye(2), "precomputed")
+
+    @pytest.mark.parametrize("values", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
+                             ids=["0d", "1d", "2x3"])
+    def test_rejects_non_square(self, values):
+        with pytest.raises(ValueError, match="square"):
+            GramMatrix(values, "quantum")
 
 
 class TestBuildGram:
@@ -422,7 +435,7 @@ class TestPersistence:
         rng = np.random.default_rng(70)
         feats = [rng.uniform(-1, 1, 8) for _ in range(4)]
         g = build_gram(feats)
-        path = tmp_path / "gram.csv"
+        path = tmp_path / "gram.npy"
         save_gram(g.values, path)
         np.testing.assert_array_equal(load_gram(path), g.values)
         # any kernel block round-trips, a single cross row as a 2-D array too
@@ -435,13 +448,31 @@ class TestPersistence:
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
         g = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)])
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
         save_gram(g.values, p1)
         save_gram(g.values, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "a.npy",
                                                               "b.csv", "b.npy"]
+
+    @pytest.mark.parametrize("damage, expected", [
+        (lambda p: p.write_bytes(p.read_bytes()[:90]), "cannot read kernel block .*EOF"),
+        (lambda p: p.write_bytes(b""), "cannot read kernel block"),
+        (lambda p: p.unlink(), "cannot read kernel block"),
+        (lambda p: np.save(p, np.float64(1.0)), "not a finite 2-D float array"),
+        (lambda p: np.save(p, np.eye(2, dtype=np.int64)), "not a finite 2-D float array"),
+        (lambda p: np.save(p, np.array([[1.0, np.inf]])), "not a finite 2-D float array"),
+        (lambda p: np.save(p, np.array([[1.0, np.nan]])), "not a finite 2-D float array"),
+        (lambda p: np.save(p, np.array([["a"]], dtype=object)), "cannot read kernel block"),
+    ], ids=["truncated", "empty", "missing", "0d", "int", "inf", "nan", "object"])
+    def test_damaged_block_refused_naming_the_file(self, tmp_path, damage, expected):
+        path = tmp_path / "cross.npy"
+        save_gram(np.eye(2), path)
+        damage(path)
+        with pytest.raises(ValueError, match=expected) as err:
+            load_gram(path)
+        assert str(path) in str(err.value)
 
     def test_model_roundtrip(self, tmp_path):
         rng = np.random.default_rng(72)
@@ -452,13 +483,16 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(back.dual_coefs, model.dual_coefs)
-        np.testing.assert_array_equal(back.support_indices, model.support_indices)
-        assert back.bias == model.bias
-        assert back.C == model.C
-        assert back.n_train == model.n_train
+        # every field comes back with its value and type
+        for f in dataclasses.fields(SvmModel):
+            want, got = getattr(model, f.name), getattr(back, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert type(got) is type(want) and got == want, f.name
         assert back.feature_ref == "features.csv"
-        assert back.converged is model.converged is True
+        assert back.converged is True
         rows = rng.standard_normal((2, 8))
         np.testing.assert_array_equal(decision_scores(back, rows),
                                       decision_scores(model, rows))
