@@ -250,7 +250,11 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     facts = _kernel_facts(config, spec.params())
     for artifact in (p["gram"](kind), p["cross"](kind)):
         _check_made_under(artifact, facts, f"kernel --kind {kind}")
-    gram = svm.GramMatrix(svm.load_gram(p["gram"](kind)), kind, spec.params())
+    gram = svm.load_gram(p["gram"](kind))
+    try:
+        gram = svm.GramMatrix(gram, kind, spec.params())
+    except ValueError as err:
+        raise CliInputError(f"{p['gram'](kind)}: {err}") from None
     cross = svm.load_gram(p["cross"](kind))
     n_train, n_dev = len(train_labels), len(dev_labels)
     if gram.n != n_train or cross.shape != (n_dev, n_train):

@@ -9,6 +9,7 @@ needs nothing beyond numpy and is deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -273,13 +274,68 @@ def decision_scores(model: SvmModel, rows) -> np.ndarray:
     return rows[:, model.support_indices] @ model.dual_coefs + model.bias
 
 
+@functools.cache
+def _g17_tables():
+    """Built on first use: exact 10**0..10**22; for 0..9999 its ASCII digits as a
+    uint32 and one past its last non-zero digit; masks keeping the first 0..4
+    bytes; per exponent -6..0, what %g writes around the digits."""
+    pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+    ascii4 = (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
+    ends = np.max((ascii4 != 48) * np.arange(1, 5), axis=1)
+    masks = ((np.arange(4) < np.arange(5)[:, None]) * 255).astype(np.uint8)
+    # bytes: prefix 0-4, first digit 5, point 6, digits 8-23, exponent 24-27, delimiter 28
+    rows = [(b"", b".", b"e-06"), (b"", b".", b"e-05"), (b"0.000", b"\0", b""),
+            (b"0.00", b"\0", b""), (b"0.0", b"\0", b""), (b"0.", b"\0", b""), (b"", b".", b"")]
+    templates = np.frombuffer(b"".join(
+        prefix.ljust(6, b"\0") + point + bytes(17) + suffix.ljust(4, b"\0") + b",\0\0\0"
+        for prefix, point, suffix in rows), np.uint8).reshape(7, 32)
+    return pow10, ascii4.view(np.uint32).ravel(), ends, masks.view(np.uint32).ravel(), templates
+
+
+def _two_product(a, b):
+    """fl(a * b) and its exact rounding error (Dekker, Numer. Math. 18, 1971)."""
+    c, d = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1: split into 26-bit halves
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2, p = a - a1, b - b1, a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
 def save_gram(values, npy_path) -> None:
     """Write a kernel block (train Gram or cross rows) as the .npy that
-    load_gram reads, and as the %.17g CSV export beside it."""
+    load_gram reads, and as the %.17g CSV export beside it: the bytes of
+    np.savetxt(delimiter=","), entries in (1e-6, 10) laid out in numpy from
+    their exact 17 digits round(x * 10**(16 - e)), chunks with others by np.savetxt."""
     with atomic_write(npy_path, "wb") as fh:
         np.save(fh, values, allow_pickle=False)
-    with atomic_write(Path(npy_path).with_suffix(".csv")) as fh:
-        np.savetxt(fh, values, delimiter=",", fmt="%.17g")
+    values = np.asarray(values, dtype=np.float64)
+    pow10, ascii4, ends, masks, templates = _g17_tables()
+    step = max(1, 4096 // values.shape[1])  # bounds the buffers
+    with atomic_write(Path(npy_path).with_suffix(".csv"), "wb") as fh:
+        for chunk in (values[i:i + step] for i in range(0, len(values), step)):
+            # the double 1e-6 is below 10**-6: it prints as 9.9999999999999995e-07
+            if not np.all((chunk > 1e-6) & (chunk < 10.0)):
+                np.savetxt(fh, chunk, delimiter=",", fmt="%.17g")
+                continue
+            x = chunk.ravel()
+            e = np.clip(np.floor(np.log10(x)), -6, 0).astype(np.intp)
+            # log10 can miss by one next to a power of ten: the exact p + lo decides
+            p, lo = _two_product(x, pow10[16 - e])
+            e += (p > 1e17) | ((p == 1e17) & (lo >= 0))
+            e -= (p < 1e16) | ((p == 1e16) & (lo < 0))
+            p, lo = _two_product(x, pow10[16 - e])
+            # p >= 2**53 is an even integer, so rounding lo half to even rounds p + lo;
+            # no double in (1e-6, 10) rounds up to a power of ten, so nothing carries
+            digits = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+            buf = np.take(templates, e + 6, axis=0)
+            buf[:, 5] = 48 + digits // 10**16
+            offsets = np.arange(0, 16, 4)[:, None]
+            quads = digits % 10**16 // 10 ** (12 - offsets) % 10**4
+            # %g drops trailing zeros, and the point when no digit follows it
+            n_frac = np.max((ends[quads] + offsets) * (quads > 0), axis=0)
+            buf[:, 6] *= n_frac > 0
+            buf.view(np.uint32)[:, 2:6] = (ascii4[quads] & masks[np.clip(n_frac - offsets, 0, 4)]).T
+            buf.reshape(len(chunk), -1, 32)[:, -1, 28] = ord("\n")
+            fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def load_gram(npy_path) -> np.ndarray:

@@ -5,6 +5,7 @@ argparse wiring, exit codes, and artifact layout are all exercised exactly
 as a shell user would see them.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -419,6 +420,12 @@ MALFORMED = {
                             "cross_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
     "gram_npy_inf": ("gram_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
                      "train-eval --kind rbf", "gram_rbf.npy is not a finite 2-D float array"),
+    "gram_npy_asymmetric": ("gram_rbf.npy",
+                            lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
+                            "train-eval --kind rbf", "gram_rbf.npy: Gram matrix is not symmetric"),
+    "gram_npy_diagonal_not_one": ("gram_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
+                                  "train-eval --kind rbf",
+                                  "gram_rbf.npy: rbf Gram diagonal must be 1"),
 }
 
 
@@ -453,6 +460,12 @@ class TestRunAll:
         assert q["kernel"]["gamma_resolved"] is None
         assert r["kernel"]["gamma_resolved"] > 0
         assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
+        # each CSV export holds the bytes np.savetxt writes for its .npy
+        for npy in [tmp_path / f"{block}_{kind}.npy"
+                    for block in ("gram", "cross") for kind in cli.KINDS]:
+            expected = io.BytesIO()
+            np.savetxt(expected, np.load(npy), delimiter=",", fmt="%.17g")
+            assert npy.with_suffix(".csv").read_bytes() == expected.getvalue(), npy.name
 
     def test_two_runs_same_config_are_byte_identical(self, tmp_path, monkeypatch):
         # same work dir *name* from two different parents, so every stored

@@ -1,6 +1,7 @@
 """Gram construction, RBF baseline, SMO solver correctness, persistence."""
 
 import dataclasses
+import io
 import math
 import warnings
 
@@ -428,6 +429,56 @@ class TestDecisionScores:
         model = train_svm(np.eye(2), [1, -1])
         with pytest.raises(ValueError):
             decision_scores(model, np.zeros((1, 5)))
+
+
+def _around(x, n=40):
+    """The n doubles below x, x, and the n doubles above it, as three rows."""
+    rows = []
+    for step in (-np.inf, np.inf):
+        v, row = x, []
+        for _ in range(n):
+            v = np.nextafter(v, step)
+            row.append(v)
+        rows.append(row)
+    return [rows[0][::-1], [x], rows[1]]
+
+
+def _ties(rng):
+    """m / 2**(17 - e) for odd m: x * 10**(16 - e) ends in exactly .5."""
+    for e in range(-6, 1):
+        k = 17 - e
+        m = rng.integers(int(10.0**e * 2**k) + 1, int(10.0 ** (e + 1) * 2**k), 300) | 1
+        yield [m / 2.0**k]
+
+
+# each case is a list of blocks, each saved on its own; save_gram formats
+# chunks of about 4096 entries, one holding any entry outside (1e-6, 10)
+# through np.savetxt and any other in numpy, so the cases cover both kinds
+G17_BLOCKS = {
+    "uniform": lambda rng: [rng.uniform(0, 1, (300, 200))],
+    "uniform_ragged_chunks": lambda rng: [rng.uniform(0, 1, (1001, 7))],
+    "log_uniform_sorted": lambda rng: [
+        np.sort(10 ** rng.uniform(-9, np.log10(20), 100_000)).reshape(-1, 100)],
+    "powers_of_ten": lambda rng: [np.array([row]) for k in range(-8, 2)
+                                  for row in _around(float(f"1e{k}"))],
+    "dyadic_ties": lambda rng: [np.array(row) for row in _ties(rng)],
+    "special": lambda rng: [np.array([[0.0, -0.0, -0.5, np.nan, np.inf, -np.inf,
+                                       5e-324, 1e300, 0.5]])],
+    "mixed_chunk": lambda rng: [np.array([[0.5, 0.25, 0.0], [1e-7, 0.125, 3.0]])],
+    "one_by_one": lambda rng: [np.array([[0.3]]), np.array([[1.0]])],
+    "one_row": lambda rng: [rng.uniform(0, 1, (1, 5000))],
+    "one_column": lambda rng: [rng.uniform(0, 1, (5000, 1))],
+}
+
+
+@pytest.mark.parametrize("name", list(G17_BLOCKS))
+def test_csv_export_is_the_bytes_of_savetxt(tmp_path, name):
+    rng = np.random.default_rng(73)
+    for block in G17_BLOCKS[name](rng):
+        expected = io.BytesIO()
+        np.savetxt(expected, block, delimiter=",", fmt="%.17g")
+        save_gram(block, tmp_path / "block.npy")
+        assert (tmp_path / "block.csv").read_bytes() == expected.getvalue(), block
 
 
 class TestPersistence:
