@@ -12,14 +12,20 @@ feature vectors use eight qubits: the same structure on q0-q3 and q4-q7
 plus one inter-patch CZ(3,4) per layer. Layers repeat with identical
 angles up to depth 3.
 
-Simulation is batched and runs one layer at a time: _embed_vector maps
-an (n, 4k) feature matrix to (n, blocks, 2^q) amplitudes. A layer applies
-the 4 or 8 rotations in qubit order, each in place on all samples
-through a (n, 2^qubit, 2, rest) view, then multiplies by the layer's CZ
-diagonal, a fixed +-1 vector per qubit count. The CZs commute with the
-other patch's rotations, so moving them after all rotations is exact.
-The kernel is the mean over blocks of |S_A S_B^H|^2 (fidelity_matrix).
-embed_patch, embed_pair and fidelity_kernel are the n = 1 case.
+Simulation is batched: _embed_vector maps an (n, 4k) feature matrix to
+(n, blocks, 2^q) amplitudes, _ROW_BLOCK angle rows (a patch or a patch
+pair each) at a time. A state is held as a (2^h, 2^h) matrix psi, h = q / 2, whose row
+index is the first h qubits and whose column index the last h. A layer's
+rotations are a Kronecker product U_A (x) U_B of the two halves'
+rotations (_kron_rows), and (U_A (x) U_B) vec(psi) = vec(U_A psi U_B^T)
+with row-major vec. The first layer acts on |0...0>, so it is the outer
+product of the two halves' first columns; only deeper layers build U_A
+and U_B, 4x4 for one patch and 16x16 for a pair. Each layer ends with
+its CZ diagonal, a fixed +-1 matrix per qubit count. The CZs commute
+with the other patch's rotations, so moving them after all rotations is
+exact. The kernel is the mean over blocks of |S_A S_B^H|^2
+(fidelity_matrix). embed_patch, embed_pair and fidelity_kernel are the
+n = 1 case.
 """
 
 from __future__ import annotations
@@ -65,14 +71,14 @@ def rotation_matrix(axis: str, theta) -> np.ndarray:
     raise ValueError(f"unknown rotation axis {axis!r}")
 
 
-def _rotate(psi: np.ndarray, qubit: int, u: np.ndarray) -> None:
-    """Apply u[:, :, i] to `qubit` of row i of psi (n, 2^n_qubits), in place."""
-    v = psi.reshape(psi.shape[0], 2 ** qubit, 2, -1)
-    u, low = u[..., None, None], v[:, :, 0].copy()
-    v[:, :, 0] *= u[0, 0]
-    v[:, :, 0] += u[0, 1] * v[:, :, 1]
-    v[:, :, 1] *= u[1, 1]
-    v[:, :, 1] += u[1, 0] * low
+def _kron_rows(factors) -> np.ndarray:
+    """Row-wise Kronecker product of (2, c, m) factors, the first factor on
+    the most significant qubit: (m, 2^k, c^k) for k factors."""
+    out = np.ones((1, 1, 1))
+    for u in factors:
+        out = out[:, None, :, None] * u[None, :, None, :]
+        out = out.reshape(out.shape[0] * 2, -1, out.shape[-1])
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 @functools.lru_cache(maxsize=2)
@@ -116,6 +122,8 @@ def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
 
     Each layer runs R_X R_Y R_{s3_axis} R_Y on every four qubits, then the
     layer's CZs as one sign flip; repeated layers reuse the same angles.
+    Each state is built as a (2^h, 2^h) matrix psi, h = q / 2, on which a
+    layer is psi <- U_A psi U_B^T (module docstring).
     """
     x = np.asarray(values, dtype=np.float64)
     n, length = x.shape
@@ -125,29 +133,33 @@ def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
     check_circuit(depth, s3_axis)
     q = min(length, 8)
     angles = x.reshape(-1, q)
+    h = q // 2
     rotations = [rotation_matrix(axis, angles[:, j])
                  for j, axis in enumerate(("X", "Y", s3_axis, "Y") * (q // 4))]
-    sign = _layer_sign(q)
-    psi = np.zeros((angles.shape[0], 2 ** q), dtype=np.complex128)
-    psi[:, 0] = 1.0
-    for _ in range(depth):
-        for qubit, u in enumerate(rotations):
-            _rotate(psi, qubit, u)
-        psi *= sign
+    sign = _layer_sign(q).reshape(2 ** h, 2 ** h)
+    psi = np.empty((angles.shape[0], 2 ** h, 2 ** h), dtype=np.complex128)
+    for i in range(0, angles.shape[0], _ROW_BLOCK):
+        u = [r[..., i:i + _ROW_BLOCK] for r in rotations]
+        # the first layer acts on |0...0>: each rotation's first column
+        col_a, col_b = (_kron_rows([r[:, :1] for r in half]) for half in (u[:h], u[h:]))
+        block = psi[i:i + _ROW_BLOCK]
+        np.multiply(col_a, col_b.transpose(0, 2, 1), out=block)
+        block *= sign
+        if depth > 1:
+            u_a, u_bt = _kron_rows(u[:h]), _kron_rows(u[h:]).transpose(0, 2, 1)
+            for _ in range(depth - 1):
+                block[:] = u_a @ block @ u_bt * sign
     return psi.reshape(n, -1, 2 ** q)
 
 
 def fidelity_matrix(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     """Mean over blocks of |<a|b>|^2, every row of states_a against states_b.
 
-    Overlaps are formed _ROW_BLOCK rows at a time, never as a full complex n x m.
+    The overlaps are one complex array of that shape, so callers with many
+    rows pass them in row blocks (svm.kernel_matrix).
     """
-    out = np.empty((states_a.shape[0], states_b.shape[0]))
-    cols = states_b.transpose(1, 2, 0)
-    for i in range(0, states_a.shape[0], _ROW_BLOCK):
-        rows = states_a[i:i + _ROW_BLOCK].conj().transpose(1, 0, 2)
-        out[i:i + _ROW_BLOCK] = np.mean(np.abs(rows @ cols) ** 2, axis=0)
-    return out
+    overlaps = states_a.conj().transpose(1, 0, 2) @ states_b.transpose(1, 2, 0)
+    return np.mean(np.abs(overlaps) ** 2, axis=0)
 
 
 def fidelity_kernel(x, y, depth: int = 1, s3_axis: str = "Z") -> float:

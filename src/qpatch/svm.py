@@ -2,9 +2,10 @@
 
 Every kernel block (train Gram, cross rows, per-slot structure) comes from
 kernel_matrix: batched quantum fidelities, or an RBF baseline on the same
-features filled one row at a time. Training solves
-the standard soft-margin dual with a most-violating-pair SMO loop, which
-needs nothing beyond numpy and is deterministic.
+features filled one row at a time; a symmetric block computes its upper
+triangle only. Training solves the standard soft-margin dual with a
+most-violating-pair SMO loop, which needs nothing beyond numpy and is
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .quantum import _embed_vector, fidelity_matrix
+from .quantum import _ROW_BLOCK, _embed_vector, fidelity_matrix
 
 KERNEL_KINDS = ("quantum", "rbf")
 
@@ -135,27 +136,38 @@ def rbf_kernel(x, y, gamma: float) -> float:
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """(n x m) kernel of the rows of a against the rows of b; an RBF gamma
-    must be numeric, resolved by the caller on the training rows."""
+    must be numeric, resolved by the caller on the training rows.
+
+    Quantum rows are filled _ROW_BLOCK at a time, RBF rows one at a time.
+    When b is a, each row (block) starts at its diagonal entry and the
+    upper triangle is mirrored onto the lower one: exactly symmetric.
+    """
+    symmetric = b is a
+    out = np.empty((a.shape[0], b.shape[0]))
     if spec.kind == "quantum":
         states_a = _embed_vector(a, spec.depth, spec.s3_axis)
-        states_b = states_a if b is a else _embed_vector(b, spec.depth, spec.s3_axis)
-        return fidelity_matrix(states_a, states_b)
-    if isinstance(spec.gamma, str):
+        states_b = states_a if symmetric else _embed_vector(b, spec.depth, spec.s3_axis)
+        for i in range(0, a.shape[0], _ROW_BLOCK):
+            j = i if symmetric else 0
+            out[i:i + _ROW_BLOCK, j:] = fidelity_matrix(states_a[i:i + _ROW_BLOCK],
+                                                        states_b[j:])
+    elif isinstance(spec.gamma, str):
         raise ValueError(f"kernel_matrix needs a resolved gamma, got {spec.gamma!r}")
-    out = np.empty((a.shape[0], b.shape[0]))
-    for i, row in enumerate(a):
-        d = b - row
-        out[i] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+    else:
+        for i, row in enumerate(a):
+            j = i if symmetric else 0
+            d = b[j:] - row
+            out[i, j:] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+    if symmetric:
+        np.copyto(out, out.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
     return out
 
 
 def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
-    """Pairwise kernel matrix, with the upper triangle mirrored onto the lower."""
+    """Pairwise kernel matrix of the feature rows, exactly symmetric."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    k = np.triu(kernel_matrix(x, x, spec))
-    k += np.triu(k, 1).T
-    return GramMatrix(k, spec.kind, spec.params())
+    return GramMatrix(kernel_matrix(x, x, spec), spec.kind, spec.params())
 
 
 def cross_gram(test_features, train_features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:

@@ -7,8 +7,8 @@ import pytest
 from qpatch.quantum import (
     StateVector,
     _embed_vector,
+    _kron_rows,
     _layer_sign,
-    _rotate,
     check_circuit,
     embed_pair,
     embed_patch,
@@ -40,11 +40,20 @@ def overlap(a, b):
     return abs(np.vdot(a, b)) ** 2
 
 
+def on_qubit(n_qubits, qubit, u):
+    """The (m, 2^n, 2^n) row-wise Kronecker product of identities with the
+    (2, 2, m) rotations u on `qubit`."""
+    factors = [np.eye(2)[..., None]] * n_qubits
+    factors[qubit] = u
+    return _kron_rows(factors)
+
+
 def rotate(amps, axis, qubit, theta):
-    """One state through the batched in-place rotation, on a copy."""
-    psi = np.array(amps, dtype=complex)[None]
-    _rotate(psi, qubit, rotation_matrix(axis, theta))
-    return psi[0]
+    """One state through a rotation built as a half-register factor."""
+    amps = np.asarray(amps, dtype=complex)
+    n_qubits = amps.size.bit_length() - 1
+    u = rotation_matrix(axis, np.atleast_1d(theta))
+    return on_qubit(n_qubits, qubit, u)[0] @ amps
 
 
 class TestStateVector:
@@ -80,6 +89,9 @@ class TestRotationMatrix:
 
 
 class TestApplyRotation:
+    """Single rotations through _kron_rows, which builds each layer's
+    half-register factors U_A and U_B."""
+
     def test_ry_pi_flips_qubit(self):
         """R_Y(pi)|0> = |1> up to global phase."""
         out = rotate(ground(1), "Y", 0, np.pi)
@@ -114,12 +126,13 @@ class TestApplyRotation:
     @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
     @pytest.mark.parametrize("qubit", [0, 2, 3])
     def test_each_row_rotates_by_its_own_angle(self, axis, qubit):
-        """A (2, 2, n) matrix applies angle i to row i of an (n, 2^q) batch."""
+        """A (2, 2, n) matrix gives row i the factor of angle i."""
         rng = np.random.default_rng(7 + qubit)
         psi = np.stack([random_state(rng, 4) for _ in range(5)])
         thetas = rng.uniform(-np.pi, np.pi, 5)
-        out = psi.copy()
-        _rotate(out, qubit, rotation_matrix(axis, thetas))
+        factors = on_qubit(4, qubit, rotation_matrix(axis, thetas))
+        assert factors.shape == (5, 16, 16)
+        out = np.einsum("mij,mj->mi", factors, psi)
         for row, start, theta in zip(out, psi, thetas):
             oracle = dense_1q(4, qubit, dense_rotation(axis, theta)) @ start
             np.testing.assert_allclose(row, oracle, atol=1e-12)
@@ -283,6 +296,34 @@ class TestEmbedPair:
         out = embed_pair(angles[:4], angles[4:], depth=depth)
         np.testing.assert_allclose(out.amplitudes, dense_embed_pair(angles, depth),
                                    atol=1e-12)
+
+
+class TestRowBlocks:
+    """_embed_vector builds _ROW_BLOCK (64) angle rows at a time."""
+
+    def test_pair_rows_at_depth_three_match_dense_oracle(self):
+        """Length-16 rows, s3 axis Y: each 8-angle block is one pair state."""
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-np.pi, np.pi, (3, 16))
+        psi = _embed_vector(x, 3, "Y")
+        assert psi.shape == (3, 2, 256)
+        for row, states in zip(x, psi):
+            for block, state in enumerate(states):
+                np.testing.assert_allclose(
+                    state, dense_embed_pair(row[8 * block:8 * block + 8], 3, "Y"),
+                    atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+    def test_matches_row_by_row_embedding(self, n_rows, depth):
+        """Row counts on and around block edges, single patches and pairs."""
+        rng = np.random.default_rng(n_rows + depth)
+        for length in (4, 8):
+            x = rng.uniform(-np.pi, np.pi, (n_rows, length))
+            psi = _embed_vector(x, depth, "Y")
+            one_by_one = np.concatenate([_embed_vector(row[None], depth, "Y")
+                                         for row in x])
+            np.testing.assert_allclose(psi, one_by_one, rtol=0, atol=1e-15)
 
 
 class TestFidelityKernel:

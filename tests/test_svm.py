@@ -217,6 +217,29 @@ class TestKernelMatrix:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_symmetric_block_mirrors_its_upper_triangle(self, n, depth, kind):
+        """kernel_matrix(a, a) fills only the entries on and right of the
+        diagonal, around row-block edges: it is exactly symmetric, matches
+        the full a-against-a.copy() block, and its RBF entries are the bits
+        of a one-row-at-a-time oracle with the upper triangle mirrored."""
+        rng = np.random.default_rng(n + depth)
+        a = rng.uniform(-np.pi, np.pi, (n, 8))
+        spec = KernelSpec(kind=kind, depth=depth, s3_axis="Y").resolve(a)
+        k = kernel_matrix(a, a, spec)
+        assert np.array_equal(k, k.T)
+        np.testing.assert_allclose(k, kernel_matrix(a, a.copy(), spec), rtol=0, atol=1e-15)
+        if kind == "rbf":
+            oracle = np.empty((n, n))
+            for i, row in enumerate(a):
+                d = a - row
+                oracle[i] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+            oracle = np.triu(oracle)
+            oracle += np.triu(oracle, 1).T
+            assert np.array_equal(k, oracle)
+
+    @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_gram_is_exactly_symmetric_with_unit_diagonal(self, kind):
         """Past one row block of the overlap product (300 rows), the Gram is
         still exactly symmetric and matches the single-pair kernel."""
