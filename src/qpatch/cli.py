@@ -70,6 +70,7 @@ def _paths(config: ExperimentConfig) -> dict:
         # the kernel blocks train-eval reads; save_gram writes the CSV export beside each
         "gram": lambda kind: work / f"gram_{kind}.npy",
         "cross": lambda kind: work / f"cross_{kind}.npy",
+        "dev": lambda kind: work / f"dev_{kind}.npy",
         "model": lambda kind: work / f"model_{kind}.json",
         "report": lambda kind: work / f"report_{kind}.json",
         "roc": lambda kind: work / f"roc_{kind}.csv",
@@ -229,16 +230,16 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
     (_, x_train), (_, x_dev) = split["train"], split["dev"]
-    spec = config.kernel_spec(kind)
-    gram = svm.build_gram(x_train, spec)
-    cross = svm.cross_gram(x_dev, x_train, spec)
-    # cross rows and columns are the manifest's dev and train entries in file order
-    facts = _kernel_facts(config, gram.params)
-    for artifact, values in ((p["gram"](kind), gram.values), (p["cross"](kind), cross)):
-        with _record_made_under(artifact, facts):
-            svm.save_gram(values, artifact)
-    log.info("wrote %dx%d train Gram and %dx%d cross block for kind=%s",
-             gram.n, gram.n, cross.shape[0], cross.shape[1], kind)
+    spec = config.kernel_spec(kind).resolve(x_train)
+    # rows and columns are the manifest's train then dev entries in file order
+    k = svm.kernel_matrix(np.vstack([x_train, x_dev]), spec)
+    n = len(x_train)
+    facts = _kernel_facts(config, spec.params())
+    for block, values in (("gram", k[:n, :n]), ("cross", k[n:, :n]), ("dev", k[n:, n:])):
+        with _record_made_under(p[block](kind), facts):
+            svm.save_gram(values, p[block](kind))
+    log.info("wrote the Gram, cross and dev blocks of %d train and %d dev rows for kind=%s",
+             n, len(k) - n, kind)
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
@@ -248,17 +249,21 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     # resolved on the train features: the structure block uses the model's gamma
     spec = config.kernel_spec(kind).resolve(x_train)
     facts = _kernel_facts(config, spec.params())
-    for artifact in (p["gram"](kind), p["cross"](kind)):
-        _check_made_under(artifact, facts, f"kernel --kind {kind}")
-    gram = svm.load_gram(p["gram"](kind))
-    try:
-        gram = svm.GramMatrix(gram, kind, spec.params())
-    except ValueError as err:
-        raise CliInputError(f"{p['gram'](kind)}: {err}") from None
-    cross = svm.load_gram(p["cross"](kind))
     n_train, n_dev = len(train_labels), len(dev_labels)
-    if gram.n != n_train or cross.shape != (n_dev, n_train):
-        raise CliInputError("kernel files do not match the manifest split sizes")
+    blocks = []
+    for block, shape in (("gram", (n_train, n_train)), ("cross", (n_dev, n_train)),
+                         ("dev", (n_dev, n_dev))):
+        path = p[block](kind)
+        _check_made_under(path, facts, f"kernel --kind {kind}")
+        values = svm.load_gram(path)
+        try:
+            if values.shape != shape:
+                raise ValueError(f"shape {values.shape}, not the split sizes' {shape}")
+            blocks.append(values if block == "cross"
+                          else svm.GramMatrix(values, kind, spec.params()))
+        except ValueError as err:
+            raise CliInputError(f"{path}: {err}") from None
+    gram, cross, dev_gram = blocks
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
@@ -272,7 +277,6 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     auroc_value = metrics.auroc(dev_scores, y_dev01)
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
-    dev_gram = svm.build_gram(x_dev, spec)
     structure = metrics.kernel_structure(dev_gram.values, dev_labels,
                                          features=x_dev, kernel=spec)
     # every value below is already a plain int, float, bool, str or dict
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--synthetic-audio", type=int, metavar="N",
                        help="generate N seeded synthetic bona fide files first")
     sub.add_parser("features", help="extract patch features for every utterance")
-    kernel = sub.add_parser("kernel", help="compute train Gram and dev cross block")
+    kernel = sub.add_parser("kernel", help="compute the train Gram, cross and dev blocks")
     kernel.add_argument("--kind", choices=KINDS, required=True)
     train_eval = sub.add_parser("train-eval",
                                 help="train the SVM and write the evaluation report")

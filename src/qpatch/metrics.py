@@ -184,7 +184,7 @@ def kernel_structure(gram_values, labels, features=None,
         for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]
             per_slot[f"patch{slot + 1}"] = GroupStats.from_values(
-                kernel_matrix(block, block, kernel)[ci, cj])
+                kernel_matrix(block, kernel)[ci, cj])
     return KernelStructureReport(same_sample, within, cross, per_slot)
 
 

@@ -1,11 +1,10 @@
 """Kernel construction and a precomputed-kernel support vector machine.
 
-Every kernel block (train Gram, cross rows, per-slot structure) comes from
-kernel_matrix: batched quantum fidelities, or an RBF baseline on the same
-features filled one row at a time; a symmetric block computes its upper
-triangle only. Training solves the standard soft-margin dual with a
-most-violating-pair SMO loop, which needs nothing beyond numpy and is
-deterministic.
+Every kernel block is a kernel_matrix of one row matrix or a slice of one, as
+the train Gram, cross rows and dev Gram are of the stacked train and dev rows:
+quantum fidelities or an RBF baseline, computed on and right of the diagonal
+and mirrored. Training solves the standard soft-margin dual with a deterministic
+most-violating-pair SMO loop that needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -84,10 +83,6 @@ class GramMatrix:
         if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
             raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -134,32 +129,31 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(n x m) kernel of the rows of a against the rows of b; an RBF gamma
-    must be numeric, resolved by the caller on the training rows.
+def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """(n x n) kernel of the rows of x against themselves; an RBF gamma must
+    be numeric, resolved by the caller on the training rows.
 
-    Quantum rows are filled _ROW_BLOCK at a time, RBF rows one at a time.
-    When b is a, each row (block) starts at its diagonal entry and the
-    upper triangle is mirrored onto the lower one: exactly symmetric.
+    Quantum rows are filled _ROW_BLOCK at a time, RBF rows one at a time,
+    each from its diagonal entry on, and mirrored below the diagonal as it
+    is filled: exactly symmetric, with no kernel-sized temporary.
     """
-    symmetric = b is a
-    out = np.empty((a.shape[0], b.shape[0]))
+    n = x.shape[0]
+    out = np.empty((n, n))
     if spec.kind == "quantum":
-        states_a = _embed_vector(a, spec.depth, spec.s3_axis)
-        states_b = states_a if symmetric else _embed_vector(b, spec.depth, spec.s3_axis)
-        for i in range(0, a.shape[0], _ROW_BLOCK):
-            j = i if symmetric else 0
-            out[i:i + _ROW_BLOCK, j:] = fidelity_matrix(states_a[i:i + _ROW_BLOCK],
-                                                        states_b[j:])
+        states = _embed_vector(x, spec.depth, spec.s3_axis)
+        for i in range(0, n, _ROW_BLOCK):
+            j = i + _ROW_BLOCK
+            out[i:j, i:] = fidelity_matrix(states[i:j], states[i:])
+            out[j:, i:j] = out[i:j, j:].T
+            diag = out[i:j, i:j]
+            np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
     elif isinstance(spec.gamma, str):
         raise ValueError(f"kernel_matrix needs a resolved gamma, got {spec.gamma!r}")
     else:
-        for i, row in enumerate(a):
-            j = i if symmetric else 0
-            d = b[j:] - row
-            out[i, j:] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
-    if symmetric:
-        np.copyto(out, out.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
+        for i, row in enumerate(x):
+            d = x[i:] - row
+            out[i, i:] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+            out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
@@ -167,19 +161,18 @@ def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
     """Pairwise kernel matrix of the feature rows, exactly symmetric."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    return GramMatrix(kernel_matrix(x, x, spec), spec.kind, spec.params())
+    return GramMatrix(kernel_matrix(x, spec), spec.kind, spec.params())
 
 
+# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
 def cross_gram(test_features, train_features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    """Kernel rows of test samples against the training set (n_test x n_train).
-
-    gamma resolution uses the training features, matching build_gram.
-    """
+    """The (n_test x n_train) slice of one kernel_matrix over the stacked
+    [train; test] rows, gamma resolved on the training rows as in build_gram."""
     xt = _stack_features(test_features)
     xr = _stack_features(train_features)
     if xt.shape[1] != xr.shape[1]:
         raise ValueError("test/train feature lengths differ")
-    return kernel_matrix(xt, xr, kernel.resolve(xr))
+    return kernel_matrix(np.vstack([xr, xt]), kernel.resolve(xr))[len(xr):, :len(xr)]
 
 
 def _ensure_psd(k: np.ndarray) -> np.ndarray:
@@ -207,10 +200,10 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     first warns and marks the model not converged.
     """
     if isinstance(gram, GramMatrix):
-        k = gram.values.copy()
+        k = gram.values
         kernel_params = dict(gram.params)
     else:
-        k = np.asarray(gram, dtype=np.float64).copy()
+        k = np.asarray(gram, dtype=np.float64)
         kernel_params = {}
     y = np.asarray(labels, dtype=np.float64)
     n = k.shape[0]
@@ -313,17 +306,19 @@ def _two_product(a, b):
 
 
 def save_gram(values, npy_path) -> None:
-    """Write a kernel block (train Gram or cross rows) as the .npy that
-    load_gram reads, and as the %.17g CSV export beside it: the bytes of
-    np.savetxt(delimiter=","), entries in (1e-6, 10) laid out in numpy from
-    their exact 17 digits round(x * 10**(16 - e)), chunks with others by np.savetxt."""
-    with atomic_write(npy_path, "wb") as fh:
-        np.save(fh, values, allow_pickle=False)
+    """Write a kernel block row chunk by row chunk (np.save copies a strided
+    slice through nditer): the C-order .npy that load_gram reads, and the %.17g
+    CSV export beside it, the bytes of np.savetxt(delimiter=","), its chunks in
+    (1e-6, 10) laid out in numpy from exact 17 digits round(x * 10**(16 - e))."""
     values = np.asarray(values, dtype=np.float64)
     pow10, ascii4, ends, masks, templates = _g17_tables()
     step = max(1, 4096 // values.shape[1])  # bounds the buffers
-    with atomic_write(Path(npy_path).with_suffix(".csv"), "wb") as fh:
+    header = dict(np.lib.format.header_data_from_array_1_0(values), fortran_order=False)
+    with (atomic_write(npy_path, "wb") as npy,
+          atomic_write(Path(npy_path).with_suffix(".csv"), "wb") as fh):
+        np.lib.format.write_array_header_1_0(npy, header)
         for chunk in (values[i:i + step] for i in range(0, len(values), step)):
+            npy.write(chunk.tobytes())
             # the double 1e-6 is below 10**-6: it prints as 9.9999999999999995e-07
             if not np.all((chunk > 1e-6) & (chunk < 10.0)):
                 np.savetxt(fh, chunk, delimiter=",", fmt="%.17g")

@@ -140,7 +140,11 @@ class TestKernel:
         sidecar = json.loads((tmp_path / "cross_quantum.json").read_text())
         assert sidecar["params"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
         assert sorted(sidecar) == ["features", "manifest", "params"]
-        assert json.loads((tmp_path / "gram_quantum.json").read_text()) == sidecar
+        for block in ("gram", "dev"):
+            assert json.loads((tmp_path / f"{block}_quantum.json").read_text()) == sidecar
+        dev = np.loadtxt(tmp_path / "dev_quantum.csv", delimiter=",")
+        assert dev.shape == (4, 4)
+        np.testing.assert_allclose(np.diag(dev), 1.0, atol=1e-10)
 
     def test_rbf_differs_from_quantum(self, tmp_path):
         prepared(tmp_path)
@@ -278,6 +282,18 @@ class TestTrainEval:
         assert not (tmp_path / "report_quantum.json").exists()
         last = (tmp_path / "run.log").read_text().splitlines()[-1]
         assert "cross_quantum.npy" in last and "kernel --kind quantum" in last
+
+    def test_work_dir_without_a_dev_block_is_refused(self, tmp_path):
+        # a work dir made before kernel wrote the dev Gram holds only the
+        # train Gram and the cross block
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        for ext in ("npy", "csv", "json"):
+            (tmp_path / f"dev_quantum.{ext}").unlink()
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
+        assert not (tmp_path / "report_quantum.json").exists()
+        last = (tmp_path / "run.log").read_text().splitlines()[-1]
+        assert "dev_quantum.npy" in last and "kernel --kind quantum" in last
 
 
 class TestMadeUnder:
@@ -426,6 +442,21 @@ MALFORMED = {
     "gram_npy_diagonal_not_one": ("gram_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
                                   "train-eval --kind rbf",
                                   "gram_rbf.npy: rbf Gram diagonal must be 1"),
+    "cross_npy_wrong_shape": ("cross_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
+                              "train-eval --kind rbf",
+                              "cross_rbf.npy: shape (4, 7), not the split sizes' (4, 8)"),
+    # the dev Gram behind the structure report is checked as the train Gram is
+    "dev_npy_nan": ("dev_rbf.npy", lambda p: _set_entry(p, (1, 2), np.nan),
+                    "train-eval --kind rbf", "dev_rbf.npy is not a finite 2-D float array"),
+    "dev_npy_asymmetric": ("dev_rbf.npy",
+                           lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
+                           "train-eval --kind rbf", "dev_rbf.npy: Gram matrix is not symmetric"),
+    "dev_npy_diagonal_not_one": ("dev_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
+                                 "train-eval --kind rbf",
+                                 "dev_rbf.npy: rbf Gram diagonal must be 1"),
+    "dev_npy_wrong_shape": ("dev_rbf.npy", lambda p: np.save(p, np.eye(3)),
+                            "train-eval --kind rbf",
+                            "dev_rbf.npy: shape (3, 3), not the split sizes' (4, 4)"),
 }
 
 
@@ -462,7 +493,7 @@ class TestRunAll:
         assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
         # each CSV export holds the bytes np.savetxt writes for its .npy
         for npy in [tmp_path / f"{block}_{kind}.npy"
-                    for block in ("gram", "cross") for kind in cli.KINDS]:
+                    for block in ("gram", "cross", "dev") for kind in cli.KINDS]:
             expected = io.BytesIO()
             np.savetxt(expected, np.load(npy), delimiter=",", fmt="%.17g")
             assert npy.with_suffix(".csv").read_bytes() == expected.getvalue(), npy.name
@@ -478,6 +509,7 @@ class TestRunAll:
                          "--dev-per-class", "2", "run-all"]) == 0
         names = ["manifest.csv", "features.csv", "gram_quantum.csv",
                  "gram_rbf.csv", "cross_quantum.csv", "cross_rbf.csv",
+                 "dev_quantum.csv", "dev_rbf.csv",
                  "model_quantum.json", "model_rbf.json",
                  "report_quantum.json", "report_rbf.json",
                  "roc_quantum.csv", "roc_rbf.csv"]
@@ -494,7 +526,7 @@ def usable_cpus(monkeypatch, n):
 
 BYTE_IDENTICAL = ["manifest.csv", "manifest.json", "features.csv",
                   *(f"{name}_{kind}.{ext}" for kind in cli.KINDS
-                    for name, ext in (("gram", "csv"), ("cross", "csv"),
+                    for name, ext in (("gram", "csv"), ("cross", "csv"), ("dev", "csv"),
                                       ("report", "json"), ("roc", "csv")))]
 
 

@@ -3,12 +3,13 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from qpatch.quantum import fidelity_kernel
+from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
     GramMatrix,
     KernelSpec,
@@ -105,7 +106,7 @@ class TestKernelSpec:
         # "scale" is resolved on training rows by the caller, never on the rows given
         x = np.random.default_rng(3).uniform(-1, 1, (4, 8))
         with pytest.raises(ValueError, match="resolved gamma, got 'scale'"):
-            kernel_matrix(x, x, KernelSpec(kind="rbf"))
+            kernel_matrix(x, KernelSpec(kind="rbf"))
 
 
 class TestGramMatrix:
@@ -196,7 +197,8 @@ class TestKernelMatrix:
         rng = np.random.default_rng(10 * depth + length)
         a = rng.uniform(-np.pi, np.pi, (2, length))
         b = rng.uniform(-np.pi, np.pi, (1, length))
-        got = kernel_matrix(a, b, KernelSpec(depth=depth, s3_axis=s3_axis))
+        got = kernel_matrix(np.vstack([a, b]), KernelSpec(depth=depth, s3_axis=s3_axis))
+        got = got[:len(a), len(a):]
         want = [[dense_kernel(x, y, depth, s3_axis) for y in b] for x in a]
         assert got.shape == (2, 1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -210,7 +212,8 @@ class TestKernelMatrix:
         rng = np.random.default_rng(length)
         a = rng.uniform(-np.pi, np.pi, (5, length))
         b = rng.uniform(-np.pi, np.pi, (4, length))
-        got = kernel_matrix(a, b, KernelSpec(depth=1, s3_axis=s3_axis))
+        got = kernel_matrix(np.vstack([a, b]), KernelSpec(depth=1, s3_axis=s3_axis))
+        got = got[:len(a), len(a):]
         cos2 = np.cos((a[:, None, :] - b[None, :, :]) / 2.0) ** 2
         cos2[..., np.tile(["X", "Y", s3_axis, "Y"], length // 4) == "Z"] = 1.0
         want = cos2.reshape(5, 4, -1, min(length, 8)).prod(axis=-1).mean(axis=-1)
@@ -220,17 +223,20 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_symmetric_block_mirrors_its_upper_triangle(self, n, depth, kind):
-        """kernel_matrix(a, a) fills only the entries on and right of the
-        diagonal, around row-block edges: it is exactly symmetric, matches
-        the full a-against-a.copy() block, and its RBF entries are the bits
-        of a one-row-at-a-time oracle with the upper triangle mirrored."""
+        """kernel_matrix fills only the entries on and right of the diagonal,
+        around row-block edges, and mirrors each row block: it is exactly
+        symmetric, its quantum entries match one unblocked fidelity_matrix
+        of the same states, and its RBF entries are the bits of a
+        one-row-at-a-time oracle with the upper triangle mirrored."""
         rng = np.random.default_rng(n + depth)
         a = rng.uniform(-np.pi, np.pi, (n, 8))
         spec = KernelSpec(kind=kind, depth=depth, s3_axis="Y").resolve(a)
-        k = kernel_matrix(a, a, spec)
+        k = kernel_matrix(a, spec)
         assert np.array_equal(k, k.T)
-        np.testing.assert_allclose(k, kernel_matrix(a, a.copy(), spec), rtol=0, atol=1e-15)
-        if kind == "rbf":
+        if kind == "quantum":
+            states = _embed_vector(a, depth, "Y")
+            np.testing.assert_allclose(k, fidelity_matrix(states, states), rtol=0, atol=1e-15)
+        else:
             oracle = np.empty((n, n))
             for i, row in enumerate(a):
                 d = a - row
@@ -238,6 +244,21 @@ class TestKernelMatrix:
             oracle = np.triu(oracle)
             oracle += np.triu(oracle, 1).T
             assert np.array_equal(k, oracle)
+
+    @pytest.mark.parametrize("kind", ["quantum", "rbf"])
+    def test_peak_memory_stays_below_two_kernels(self, kind):
+        """Mirroring each row block as it is filled needs no temporary the
+        size of the kernel: a whole-matrix mirror peaks above twice the
+        output, this stays below 1.75 times it."""
+        x = np.random.default_rng(12).uniform(-np.pi, np.pi, (600, 4))
+        spec = KernelSpec(kind=kind).resolve(x)
+        tracemalloc.start()
+        try:
+            kernel_matrix(x, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * x.shape[0] ** 2 * 8
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_gram_is_exactly_symmetric_with_unit_diagonal(self, kind):
@@ -326,7 +347,9 @@ class TestTrainSvmRandomProblems:
         if np.all(y == y[0]):
             y[0] = -y[0]
         C = float(rng.uniform(0.5, 5.0))
+        given = k.copy()
         model = train_svm(k, y, C=C)
+        assert np.array_equal(k, given)  # the solver reads the kernel in place, never writes it
         beta = model_beta(model)
         alpha = np.abs(beta)
         assert np.all(alpha >= -1e-12)
@@ -518,6 +541,16 @@ class TestPersistence:
         back = load_gram(path)
         assert back.shape == (1, 4)
         np.testing.assert_array_equal(back, cross)
+
+    def test_npy_holds_the_bytes_np_save_writes_for_a_contiguous_copy(self, tmp_path):
+        # kernel blocks are strided slices of one stacked kernel, written in row chunks
+        k = np.random.default_rng(72).uniform(0.1, 1.0, (700, 700))
+        for block in (k[:600, :600], k[600:, :600], k[:, :1], k[:1, :1], np.zeros((3, 4)),
+                      np.asfortranarray(k[:5, :7])):
+            expected = io.BytesIO()
+            np.save(expected, np.ascontiguousarray(block))
+            save_gram(block, tmp_path / "block.npy")
+            assert (tmp_path / "block.npy").read_bytes() == expected.getvalue(), block.shape
 
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
