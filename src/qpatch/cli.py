@@ -67,10 +67,7 @@ def _paths(config: ExperimentConfig) -> dict:
         "work": work,
         "manifest": work / "manifest.csv",
         "features": work / "features.csv",
-        # the kernel blocks train-eval reads; save_gram writes the CSV export beside each
-        "gram": lambda kind: work / f"gram_{kind}.npy",
-        "cross": lambda kind: work / f"cross_{kind}.npy",
-        "dev": lambda kind: work / f"dev_{kind}.npy",
+        "kernel": lambda kind: work / f"kernel_{kind}.npy",
         "model": lambda kind: work / f"model_{kind}.json",
         "report": lambda kind: work / f"report_{kind}.json",
         "roc": lambda kind: work / f"roc_{kind}.csv",
@@ -234,12 +231,11 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     # rows and columns are the manifest's train then dev entries in file order
     k = svm.kernel_matrix(np.vstack([x_train, x_dev]), spec)
     n = len(x_train)
-    facts = _kernel_facts(config, spec.params())
-    for block, values in (("gram", k[:n, :n]), ("cross", k[n:, :n]), ("dev", k[n:, n:])):
-        with _record_made_under(p[block](kind), facts):
-            svm.save_gram(values, p[block](kind))
-    log.info("wrote the Gram, cross and dev blocks of %d train and %d dev rows for kind=%s",
-             n, len(k) - n, kind)
+    with _record_made_under(p["kernel"](kind), _kernel_facts(config, spec.params())):
+        # the exports to read and compare: the train Gram and the dev x train cross rows
+        svm.save_gram(k, p["kernel"](kind), [(p["work"] / f"gram_{kind}.csv", k[:n, :n]),
+                                             (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
+    log.info("wrote the kernel of %d train and %d dev rows for kind=%s", n, len(k) - n, kind)
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
@@ -248,22 +244,19 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     (train_labels, x_train), (dev_labels, x_dev) = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
     spec = config.kernel_spec(kind).resolve(x_train)
-    facts = _kernel_facts(config, spec.params())
     n_train, n_dev = len(train_labels), len(dev_labels)
-    blocks = []
-    for block, shape in (("gram", (n_train, n_train)), ("cross", (n_dev, n_train)),
-                         ("dev", (n_dev, n_dev))):
-        path = p[block](kind)
-        _check_made_under(path, facts, f"kernel --kind {kind}")
-        values = svm.load_gram(path)
-        try:
-            if values.shape != shape:
-                raise ValueError(f"shape {values.shape}, not the split sizes' {shape}")
-            blocks.append(values if block == "cross"
-                          else svm.GramMatrix(values, kind, spec.params()))
-        except ValueError as err:
-            raise CliInputError(f"{path}: {err}") from None
-    gram, cross, dev_gram = blocks
+    path = p["kernel"](kind)
+    _check_made_under(path, _kernel_facts(config, spec.params()), f"kernel --kind {kind}")
+    k = svm.load_gram(path)
+    n = n_train + n_dev
+    try:
+        if k.shape != (n, n):
+            raise ValueError(f"shape {k.shape}, not the split sizes' {(n, n)}")
+        gram = svm.GramMatrix(k[:n_train, :n_train], kind, spec.params())
+        dev_gram = svm.GramMatrix(k[n_train:, n_train:], kind, spec.params())
+    except ValueError as err:
+        raise CliInputError(f"{path}: {err}") from None
+    cross = k[n_train:, :n_train]
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
@@ -330,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--synthetic-audio", type=int, metavar="N",
                        help="generate N seeded synthetic bona fide files first")
     sub.add_parser("features", help="extract patch features for every utterance")
-    kernel = sub.add_parser("kernel", help="compute the train Gram, cross and dev blocks")
+    kernel = sub.add_parser("kernel", help="compute the kernel over the train and dev rows")
     kernel.add_argument("--kind", choices=KINDS, required=True)
     train_eval = sub.add_parser("train-eval",
                                 help="train the SVM and write the evaluation report")

@@ -78,7 +78,8 @@ class GramMatrix:
             raise ValueError("Gram matrix must be square")
         if not np.all(np.isfinite(values)):
             raise ValueError("Gram matrix has non-finite entries")
-        if np.max(np.abs(values - values.T)) > 1e-10:
+        asymmetry = values - values.T
+        if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-10:  # one n x n temporary
             raise ValueError("Gram matrix is not symmetric")
         if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
             raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
@@ -305,20 +306,24 @@ def _two_product(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def save_gram(values, npy_path) -> None:
-    """Write a kernel block row chunk by row chunk (np.save copies a strided
-    slice through nditer): the C-order .npy that load_gram reads, and the %.17g
-    CSV export beside it, the bytes of np.savetxt(delimiter=","), its chunks in
-    (1e-6, 10) laid out in numpy from exact 17 digits round(x * 10**(16 - e))."""
+def save_gram(values, npy_path, csv_exports=()) -> None:
+    """np.save a whole kernel to the .npy load_gram reads, then write each
+    (csv_path, block) of csv_exports, a slice of it, as save_csv does."""
+    with atomic_write(npy_path, "wb") as fh:
+        np.save(fh, np.asarray(values, dtype=np.float64))
+    for csv_path, block in csv_exports:
+        save_csv(block, csv_path)
+
+
+def save_csv(values, csv_path) -> None:
+    """Write the %.17g CSV export of a kernel block row chunk by row chunk, the
+    bytes of np.savetxt(delimiter=","), its chunks in (1e-6, 10) laid out in
+    numpy from exact 17 digits round(x * 10**(16 - e))."""
     values = np.asarray(values, dtype=np.float64)
     pow10, ascii4, ends, masks, templates = _g17_tables()
     step = max(1, 4096 // values.shape[1])  # bounds the buffers
-    header = dict(np.lib.format.header_data_from_array_1_0(values), fortran_order=False)
-    with (atomic_write(npy_path, "wb") as npy,
-          atomic_write(Path(npy_path).with_suffix(".csv"), "wb") as fh):
-        np.lib.format.write_array_header_1_0(npy, header)
+    with atomic_write(csv_path, "wb") as fh:
         for chunk in (values[i:i + step] for i in range(0, len(values), step)):
-            npy.write(chunk.tobytes())
             # the double 1e-6 is below 10**-6: it prints as 9.9999999999999995e-07
             if not np.all((chunk > 1e-6) & (chunk < 10.0)):
                 np.savetxt(fh, chunk, delimiter=",", fmt="%.17g")
@@ -346,8 +351,8 @@ def save_gram(values, npy_path) -> None:
 
 
 def load_gram(npy_path) -> np.ndarray:
-    """Read a kernel block written by save_gram; refuse, naming the file, one
-    that cannot be read or is not a finite 2-D float array."""
+    """Read a kernel written by save_gram; refuse, naming the file, one that
+    cannot be read or is not a finite 2-D float array."""
     try:
         with open(npy_path, "rb") as fh:
             values = np.lib.format.read_array(fh, allow_pickle=False)

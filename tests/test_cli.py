@@ -137,14 +137,12 @@ class TestKernel:
         assert gram.shape == (8, 8)
         assert cross.shape == (4, 8)
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
-        sidecar = json.loads((tmp_path / "cross_quantum.json").read_text())
+        sidecar = json.loads((tmp_path / "kernel_quantum.json").read_text())
         assert sidecar["params"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
         assert sorted(sidecar) == ["features", "manifest", "params"]
-        for block in ("gram", "dev"):
-            assert json.loads((tmp_path / f"{block}_quantum.json").read_text()) == sidecar
-        dev = np.loadtxt(tmp_path / "dev_quantum.csv", delimiter=",")
-        assert dev.shape == (4, 4)
-        np.testing.assert_allclose(np.diag(dev), 1.0, atol=1e-10)
+        kernel = np.load(tmp_path / "kernel_quantum.npy")
+        assert kernel.shape == (12, 12)
+        np.testing.assert_allclose(np.diag(kernel), 1.0, atol=1e-10)
 
     def test_rbf_differs_from_quantum(self, tmp_path):
         prepared(tmp_path)
@@ -247,7 +245,7 @@ class TestTrainEval:
                     + ["train-eval", "--kind", "quantum"])
         assert code == 2
         assert not (tmp_path / "report_quantum.json").exists()
-        assert "gram_quantum.npy was made under another params" in (
+        assert "kernel_quantum.npy was made under another params" in (
             tmp_path / "run.log").read_text()
 
     def test_features_rerun_with_another_k_are_refused(self, tmp_path):
@@ -257,7 +255,7 @@ class TestTrainEval:
         code = main(base_args(tmp_path, "--k", "4") + ["train-eval", "--kind", "rbf"])
         assert code == 2
         assert not (tmp_path / "report_rbf.json").exists()
-        assert "gram_rbf.npy was made under another features" in (
+        assert "kernel_rbf.npy was made under another features" in (
             tmp_path / "run.log").read_text()
 
     def test_cross_block_in_another_split_order_is_refused(self, tmp_path):
@@ -269,31 +267,25 @@ class TestTrainEval:
         manifest.write_text("\n".join([header, *rows[::-1]]) + "\n")
         assert run_stage(tmp_path, "features") == 0
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert "gram_quantum.npy was made under another features, manifest" in (
+        assert "kernel_quantum.npy was made under another features, manifest" in (
             tmp_path / "run.log").read_text()
 
-    def test_kernel_csv_without_its_npy_is_refused(self, tmp_path):
-        # train-eval reads the binary copy; a work dir made before it existed
-        # holds only the CSV
+    def test_work_dir_in_the_three_block_layout_is_refused(self, tmp_path):
+        # a work dir made when kernel wrote the train Gram, cross and dev
+        # blocks as files of their own holds no kernel_<kind>.npy
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "quantum")
-        (tmp_path / "cross_quantum.npy").unlink()
+        kernel = tmp_path / "kernel_quantum.npy"
+        k, sidecar = np.load(kernel), kernel.with_suffix(".json").read_text()
+        for block, values in (("gram", k[:8, :8]), ("cross", k[8:, :8]), ("dev", k[8:, 8:])):
+            np.save(tmp_path / f"{block}_quantum.npy", values)
+            (tmp_path / f"{block}_quantum.json").write_text(sidecar)
+        kernel.unlink()
+        kernel.with_suffix(".json").unlink()
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
         assert not (tmp_path / "report_quantum.json").exists()
         last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert "cross_quantum.npy" in last and "kernel --kind quantum" in last
-
-    def test_work_dir_without_a_dev_block_is_refused(self, tmp_path):
-        # a work dir made before kernel wrote the dev Gram holds only the
-        # train Gram and the cross block
-        prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        for ext in ("npy", "csv", "json"):
-            (tmp_path / f"dev_quantum.{ext}").unlink()
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert not (tmp_path / "report_quantum.json").exists()
-        last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert "dev_quantum.npy" in last and "kernel --kind quantum" in last
+        assert "kernel_quantum.npy" in last and "kernel --kind quantum" in last
 
 
 class TestMadeUnder:
@@ -417,46 +409,50 @@ MALFORMED = {
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
                            "kernel --kind rbf", "features.json is missing or holds no"),
     "gram_json_without_kernel_kind": (
-        "gram_rbf.json",
+        "kernel_rbf.json",
         lambda p: p.write_text(json.dumps({"config_hash": "0", "params": {"kind": "rbf"}})),
-        "train-eval --kind rbf", "gram_rbf.npy was made under another"),
+        "train-eval --kind rbf", "kernel_rbf.npy was made under another"),
     # a manifest.json written before synth recorded the WAVs it read
     "manifest_json_without_wav_hashes": (
         "manifest.json",
         lambda p: p.write_text(json.dumps(
             {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
         "features", "manifest.json records no wav_sha256; rerun synth"),
-    # damaged kernel blocks: train-eval reads the .npy files, not the CSV exports
-    "cross_npy_nan": ("cross_rbf.npy", lambda p: _set_entry(p, (1, 2), np.nan),
-                      "train-eval --kind rbf", "cross_rbf.npy is not a finite 2-D float array"),
-    "gram_npy_0d": ("gram_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
-                    "train-eval --kind rbf", "gram_rbf.npy is not a finite 2-D float array"),
-    "cross_npy_truncated": ("cross_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
+    # a damaged kernel: train-eval reads the .npy, not the CSV exports. Its 12
+    # rows and columns are the 8 train then the 4 dev entries. A damaged entry
+    # names its case for the block it lands in: the train Gram, the dev x
+    # train cross rows or the dev Gram behind the structure report. A damage
+    # to the whole file (0-d, truncated, wrong shape) keeps its case's name
+    "cross_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 2), np.nan),
+                      "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+    "gram_npy_0d": ("kernel_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
+                    "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+    "cross_npy_truncated": ("kernel_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
                             "train-eval --kind rbf",
-                            "cross_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
-    "gram_npy_inf": ("gram_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
-                     "train-eval --kind rbf", "gram_rbf.npy is not a finite 2-D float array"),
-    "gram_npy_asymmetric": ("gram_rbf.npy",
+                            "kernel_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
+    "gram_npy_inf": ("kernel_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
+                     "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+    "gram_npy_asymmetric": ("kernel_rbf.npy",
                             lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
-                            "train-eval --kind rbf", "gram_rbf.npy: Gram matrix is not symmetric"),
-    "gram_npy_diagonal_not_one": ("gram_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
+                            "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+    "gram_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
                                   "train-eval --kind rbf",
-                                  "gram_rbf.npy: rbf Gram diagonal must be 1"),
-    "cross_npy_wrong_shape": ("cross_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
+                                  "kernel_rbf.npy: rbf Gram diagonal must be 1"),
+    "cross_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
                               "train-eval --kind rbf",
-                              "cross_rbf.npy: shape (4, 7), not the split sizes' (4, 8)"),
-    # the dev Gram behind the structure report is checked as the train Gram is
-    "dev_npy_nan": ("dev_rbf.npy", lambda p: _set_entry(p, (1, 2), np.nan),
-                    "train-eval --kind rbf", "dev_rbf.npy is not a finite 2-D float array"),
-    "dev_npy_asymmetric": ("dev_rbf.npy",
-                           lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
-                           "train-eval --kind rbf", "dev_rbf.npy: Gram matrix is not symmetric"),
-    "dev_npy_diagonal_not_one": ("dev_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
+                              "kernel_rbf.npy: shape (12, 11), not the split sizes' (12, 12)"),
+    "dev_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 10), np.nan),
+                    "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+    "dev_npy_asymmetric": ("kernel_rbf.npy",
+                           lambda p: _set_entry(p, (8, 9), np.load(p)[8, 9] + 0.1),
+                           "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+    "dev_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (10, 10), 0.5),
                                  "train-eval --kind rbf",
-                                 "dev_rbf.npy: rbf Gram diagonal must be 1"),
-    "dev_npy_wrong_shape": ("dev_rbf.npy", lambda p: np.save(p, np.eye(3)),
+                                 "kernel_rbf.npy: rbf Gram diagonal must be 1"),
+    # the kernel of a split with one dev entry fewer
+    "dev_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:-1, :-1]),
                             "train-eval --kind rbf",
-                            "dev_rbf.npy: shape (3, 3), not the split sizes' (4, 4)"),
+                            "kernel_rbf.npy: shape (11, 11), not the split sizes' (12, 12)"),
 }
 
 
@@ -491,12 +487,20 @@ class TestRunAll:
         assert q["kernel"]["gamma_resolved"] is None
         assert r["kernel"]["gamma_resolved"] > 0
         assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
-        # each CSV export holds the bytes np.savetxt writes for its .npy
-        for npy in [tmp_path / f"{block}_{kind}.npy"
-                    for block in ("gram", "cross", "dev") for kind in cli.KINDS]:
-            expected = io.BytesIO()
-            np.savetxt(expected, np.load(npy), delimiter=",", fmt="%.17g")
-            assert npy.with_suffix(".csv").read_bytes() == expected.getvalue(), npy.name
+        # per kind, one kernel and its sidecar, and two CSV exports holding
+        # the bytes np.savetxt writes for its train Gram and cross rows
+        kernel_files = {path.name for path in tmp_path.iterdir()
+                        if path.name.startswith(("kernel_", "gram_", "cross_", "dev_"))}
+        assert kernel_files == {f"{name}_{kind}.{ext}" for kind in cli.KINDS
+                                for name, ext in (("kernel", "npy"), ("kernel", "json"),
+                                                  ("gram", "csv"), ("cross", "csv"))}
+        for kind in cli.KINDS:
+            k = np.load(tmp_path / f"kernel_{kind}.npy")
+            for name, block in (("gram", k[:8, :8]), ("cross", k[8:, :8])):
+                expected = io.BytesIO()
+                np.savetxt(expected, block, delimiter=",", fmt="%.17g")
+                csv = tmp_path / f"{name}_{kind}.csv"
+                assert csv.read_bytes() == expected.getvalue(), csv.name
 
     def test_two_runs_same_config_are_byte_identical(self, tmp_path, monkeypatch):
         # same work dir *name* from two different parents, so every stored
@@ -509,7 +513,6 @@ class TestRunAll:
                          "--dev-per-class", "2", "run-all"]) == 0
         names = ["manifest.csv", "features.csv", "gram_quantum.csv",
                  "gram_rbf.csv", "cross_quantum.csv", "cross_rbf.csv",
-                 "dev_quantum.csv", "dev_rbf.csv",
                  "model_quantum.json", "model_rbf.json",
                  "report_quantum.json", "report_rbf.json",
                  "roc_quantum.csv", "roc_rbf.csv"]
@@ -526,7 +529,7 @@ def usable_cpus(monkeypatch, n):
 
 BYTE_IDENTICAL = ["manifest.csv", "manifest.json", "features.csv",
                   *(f"{name}_{kind}.{ext}" for kind in cli.KINDS
-                    for name, ext in (("gram", "csv"), ("cross", "csv"), ("dev", "csv"),
+                    for name, ext in (("gram", "csv"), ("cross", "csv"),
                                       ("report", "json"), ("roc", "csv")))]
 
 
@@ -585,13 +588,13 @@ class TestWorkers:
         def stale_rbf_sidecar(config, kind):
             kernel(config, kind)
             if kind == "rbf":
-                (tmp_path / "gram_rbf.json").write_text(json.dumps({"params": {}}))
+                (tmp_path / "kernel_rbf.json").write_text(json.dumps({"params": {}}))
 
         monkeypatch.setattr(cli, "cmd_kernel", stale_rbf_sidecar)
         assert main(base_args(tmp_path) + ["run-all"]) == 2
         log_text = (tmp_path / "run.log").read_text()
         assert "Traceback" not in log_text
-        assert "gram_rbf.npy was made under another" in log_text.splitlines()[-1]
+        assert "kernel_rbf.npy was made under another" in log_text.splitlines()[-1]
         assert (tmp_path / "report_quantum.json").exists()
 
 
@@ -657,7 +660,7 @@ class TestConfigHandling:
         prepared(tmp_path)
         assert main(base_args(tmp_path, "--gamma", "0.25")
                     + ["kernel", "--kind", "rbf"]) == 0
-        sidecar = json.loads((tmp_path / "gram_rbf.json").read_text())
+        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
         assert sidecar["params"]["gamma"] == 0.25
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},

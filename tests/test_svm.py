@@ -21,6 +21,7 @@ from qpatch.svm import (
     load_gram,
     load_model,
     rbf_kernel,
+    save_csv,
     save_gram,
     save_model,
     train_svm,
@@ -128,6 +129,20 @@ class TestGramMatrix:
     def test_rejects_non_square(self, values):
         with pytest.raises(ValueError, match="square"):
             GramMatrix(values, "quantum")
+
+    def test_validation_peaks_at_one_temporary_the_size_of_the_block(self):
+        """The symmetry check takes |K - K.T| in place: train-eval's peak
+        holds the kernel and one block-sized temporary, not two."""
+        n = 600
+        values = build_gram(np.random.default_rng(13).uniform(-1, 1, (n, 4)),
+                            KernelSpec(kind="rbf")).values
+        tracemalloc.start()
+        try:
+            GramMatrix(values, "rbf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8
 
 
 class TestBuildGram:
@@ -497,7 +512,7 @@ def _ties(rng):
         yield [m / 2.0**k]
 
 
-# each case is a list of blocks, each saved on its own; save_gram formats
+# each case is a list of blocks, each saved on its own; save_csv formats
 # chunks of about 4096 entries, one holding any entry outside (1e-6, 10)
 # through np.savetxt and any other in numpy, so the cases cover both kinds
 G17_BLOCKS = {
@@ -523,7 +538,7 @@ def test_csv_export_is_the_bytes_of_savetxt(tmp_path, name):
     for block in G17_BLOCKS[name](rng):
         expected = io.BytesIO()
         np.savetxt(expected, block, delimiter=",", fmt="%.17g")
-        save_gram(block, tmp_path / "block.npy")
+        save_csv(block, tmp_path / "block.csv")
         assert (tmp_path / "block.csv").read_bytes() == expected.getvalue(), block
 
 
@@ -542,26 +557,16 @@ class TestPersistence:
         assert back.shape == (1, 4)
         np.testing.assert_array_equal(back, cross)
 
-    def test_npy_holds_the_bytes_np_save_writes_for_a_contiguous_copy(self, tmp_path):
-        # kernel blocks are strided slices of one stacked kernel, written in row chunks
-        k = np.random.default_rng(72).uniform(0.1, 1.0, (700, 700))
-        for block in (k[:600, :600], k[600:, :600], k[:, :1], k[:1, :1], np.zeros((3, 4)),
-                      np.asfortranarray(k[:5, :7])):
-            expected = io.BytesIO()
-            np.save(expected, np.ascontiguousarray(block))
-            save_gram(block, tmp_path / "block.npy")
-            assert (tmp_path / "block.npy").read_bytes() == expected.getvalue(), block.shape
-
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
-        g = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)])
-        p1, p2 = tmp_path / "a.npy", tmp_path / "b.npy"
-        save_gram(g.values, p1)
-        save_gram(g.values, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)]).values
+        for name in ("a", "b"):
+            save_gram(k, tmp_path / f"{name}.npy", [(tmp_path / f"{name}.csv", k[1:, :1])])
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "a.npy",
                                                               "b.csv", "b.npy"]
+        assert np.loadtxt(tmp_path / "a.csv", delimiter=",").tolist() == k[1:, 0].tolist()
 
     @pytest.mark.parametrize("damage, expected", [
         (lambda p: p.write_bytes(p.read_bytes()[:90]), "cannot read kernel block .*EOF"),
