@@ -252,25 +252,23 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     try:
         if k.shape != (n, n):
             raise ValueError(f"shape {k.shape}, not the split sizes' {(n, n)}")
-        gram = svm.GramMatrix(k[:n_train, :n_train], kind, spec.params())
-        dev_gram = svm.GramMatrix(k[n_train:, n_train:], kind, spec.params())
+        svm.GramMatrix(k, kind)
     except ValueError as err:
         raise CliInputError(f"{path}: {err}") from None
-    cross = k[n_train:, :n_train]
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
-    model = svm.train_svm(gram, y_train, C=config.svm_c,
-                          feature_ref=str(p["features"]))
+    model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c,
+                          kernel_params=spec.params(), feature_ref=str(p["features"]))
     svm.save_model(model, p["model"](kind))
 
-    dev_scores = svm.decision_scores(model, cross)
+    dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
     y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
     roc = metrics.roc_points(dev_scores, y_dev01)
     auroc_value = metrics.auroc(dev_scores, y_dev01)
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
-    structure = metrics.kernel_structure(dev_gram.values, dev_labels,
+    structure = metrics.kernel_structure(k[n_train:, n_train:], dev_labels,
                                          features=x_dev, kernel=spec)
     # every value below is already a plain int, float, bool, str or dict
     report = {

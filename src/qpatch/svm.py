@@ -65,9 +65,11 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
+    """A validated kernel: square, finite, symmetric, unit diagonal. Checked
+    _ROW_BLOCK rows at a time, so no temporary is the size of the kernel."""
+
     values: np.ndarray
     kernel_kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -76,11 +78,14 @@ class GramMatrix:
             raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("Gram matrix must be square")
-        if not np.all(np.isfinite(values)):
+        blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(values), _ROW_BLOCK)]
+        if not all(np.isfinite(values[b]).all() for b in blocks):
             raise ValueError("Gram matrix has non-finite entries")
-        asymmetry = values - values.T
-        if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-10:  # one n x n temporary
-            raise ValueError("Gram matrix is not symmetric")
+        for b in blocks:  # each row block on and right of the diagonal against its mirror
+            asymmetry = values[b, b.start:] - values[b.start:, b].T
+            if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-10:
+                raise ValueError("Gram matrix is not symmetric")
+            del asymmetry  # freed before the next block's is made
         if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
             raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
 
@@ -162,7 +167,7 @@ def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
     """Pairwise kernel matrix of the feature rows, exactly symmetric."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    return GramMatrix(kernel_matrix(x, spec), spec.kind, spec.params())
+    return GramMatrix(kernel_matrix(x, spec), spec.kind)
 
 
 # no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
@@ -190,8 +195,8 @@ def _ensure_psd(k: np.ndarray) -> np.ndarray:
     return (fixed + fixed.T) / 2.0
 
 
-def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
-              max_iter: int = 10000, feature_ref: str = "") -> SvmModel:
+def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 10000,
+              kernel_params: dict | None = None, feature_ref: str = "") -> SvmModel:
     """Most-violating-pair SMO on the dual of the soft-margin SVM.
 
     Tracks beta_i = alpha_i * y_i inside the box [min(0, C*y_i), max(0, C*y_i)]
@@ -200,12 +205,7 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     Newton step. Stops when the gap falls to tol; running out of max_iter
     first warns and marks the model not converged.
     """
-    if isinstance(gram, GramMatrix):
-        k = gram.values
-        kernel_params = dict(gram.params)
-    else:
-        k = np.asarray(gram, dtype=np.float64)
-        kernel_params = {}
+    k = np.asarray(gram, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     n = k.shape[0]
     if y.shape != (n,):
@@ -266,7 +266,7 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4,
     support = np.flatnonzero(alpha > 1e-12)
     final_gap = float(gap) if np.isfinite(gap) else 0.0
     return SvmModel(dual_coefs=beta[support], support_indices=support,
-                    bias=bias, C=C, n_train=n, kernel_params=kernel_params,
+                    bias=bias, C=C, n_train=n, kernel_params=dict(kernel_params or {}),
                     feature_ref=feature_ref, kkt_gap=final_gap, n_iter=it,
                     converged=converged)
 

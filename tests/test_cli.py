@@ -449,6 +449,13 @@ MALFORMED = {
     "dev_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (10, 10), 0.5),
                                  "train-eval --kind rbf",
                                  "kernel_rbf.npy: rbf Gram diagonal must be 1"),
+    # a cross entry and its mirror in the train x dev columns disagree
+    "cross_npy_mirror": ("kernel_rbf.npy",
+                         lambda p: _set_entry(p, (9, 2), np.load(p)[9, 2] + 0.1),
+                         "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+    "cross_npy_upper": ("kernel_rbf.npy",
+                        lambda p: _set_entry(p, (2, 9), np.load(p)[2, 9] + 0.1),
+                        "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
     # the kernel of a split with one dev entry fewer
     "dev_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:-1, :-1]),
                             "train-eval --kind rbf",
