@@ -18,9 +18,9 @@ pair each) at a time. A state is held as a (2^h, 2^h) matrix psi, h = q / 2, who
 index is the first h qubits and whose column index the last h. A layer's
 rotations are a Kronecker product U_A (x) U_B of the two halves'
 rotations (_kron_rows), and (U_A (x) U_B) vec(psi) = vec(U_A psi U_B^T)
-with row-major vec. The first layer acts on |0...0>, so it is the outer
-product of the two halves' first columns; only deeper layers build U_A
-and U_B, 4x4 for one patch and 16x16 for a pair. Each layer ends with
+with row-major vec. U_A and U_B, 4x4 for one patch and 16x16 for a pair,
+are built once per row block for every layer; the first acts on |0...0>,
+so it is U_A's first column times U_B^T's first row. Each layer ends with
 its CZ diagonal, a fixed +-1 matrix per qubit count. The CZs commute
 with the other patch's rotations, so moving them after all rotations is
 exact. The kernel is the mean over blocks of |S_A S_B^H|^2
@@ -140,15 +140,13 @@ def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
     psi = np.empty((angles.shape[0], 2 ** h, 2 ** h), dtype=np.complex128)
     for i in range(0, angles.shape[0], _ROW_BLOCK):
         u = [r[..., i:i + _ROW_BLOCK] for r in rotations]
-        # the first layer acts on |0...0>: each rotation's first column
-        col_a, col_b = (_kron_rows([r[:, :1] for r in half]) for half in (u[:h], u[h:]))
+        u_a, u_bt = _kron_rows(u[:h]), _kron_rows(u[h:]).transpose(0, 2, 1)
         block = psi[i:i + _ROW_BLOCK]
-        np.multiply(col_a, col_b.transpose(0, 2, 1), out=block)
+        # the first layer acts on |0...0>: U_A's first column times U_B^T's first row
+        np.multiply(u_a[:, :, :1], u_bt[:, :1], out=block)
         block *= sign
-        if depth > 1:
-            u_a, u_bt = _kron_rows(u[:h]), _kron_rows(u[h:]).transpose(0, 2, 1)
-            for _ in range(depth - 1):
-                block[:] = u_a @ block @ u_bt * sign
+        for _ in range(depth - 1):
+            block[:] = u_a @ block @ u_bt * sign
     return psi.reshape(n, -1, 2 ** q)
 
 

@@ -69,13 +69,10 @@ class GramMatrix:
     _ROW_BLOCK rows at a time, so no temporary is the size of the kernel."""
 
     values: np.ndarray
-    kernel_kind: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if self.kernel_kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("Gram matrix must be square")
         blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(values), _ROW_BLOCK)]
@@ -87,7 +84,7 @@ class GramMatrix:
                 raise ValueError("Gram matrix is not symmetric")
             del asymmetry  # freed before the next block's is made
         if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
-            raise ValueError(f"{self.kernel_kind} Gram diagonal must be 1")
+            raise ValueError("Gram diagonal must be 1")
 
 
 @dataclass(frozen=True)
@@ -139,27 +136,30 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """(n x n) kernel of the rows of x against themselves; an RBF gamma must
     be numeric, resolved by the caller on the training rows.
 
-    Quantum rows are filled _ROW_BLOCK at a time, RBF rows one at a time,
-    each from its diagonal entry on, and mirrored below the diagonal as it
-    is filled: exactly symmetric, with no kernel-sized temporary.
+    Both kinds are filled _ROW_BLOCK rows at a time, each from its diagonal
+    entry on, and mirrored below the diagonal as it is filled: exactly
+    symmetric, with no kernel-sized temporary. The kinds differ only in the
+    block of rows i:j against columns i: that they compute.
     """
-    n = x.shape[0]
-    out = np.empty((n, n))
     if spec.kind == "quantum":
         states = _embed_vector(x, spec.depth, spec.s3_axis)
-        for i in range(0, n, _ROW_BLOCK):
-            j = i + _ROW_BLOCK
-            out[i:j, i:] = fidelity_matrix(states[i:j], states[i:])
-            out[j:, i:j] = out[i:j, j:].T
-            diag = out[i:j, i:j]
-            np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
+
+        def block(i, j):
+            return fidelity_matrix(states[i:j], states[i:])
     elif isinstance(spec.gamma, str):
         raise ValueError(f"kernel_matrix needs a resolved gamma, got {spec.gamma!r}")
     else:
-        for i, row in enumerate(x):
-            d = x[i:] - row
-            out[i, i:] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
-            out[i + 1:, i] = out[i, i + 1:]
+        def block(i, j):
+            d = x[i:j, None] - x[i:]
+            return np.exp(-spec.gamma * np.einsum("ijk,ijk->ij", d, d))
+    n = x.shape[0]
+    out = np.empty((n, n))
+    for i in range(0, n, _ROW_BLOCK):
+        j = i + _ROW_BLOCK
+        out[i:j, i:] = block(i, j)
+        out[j:, i:j] = out[i:j, j:].T
+        diag = out[i:j, i:j]
+        np.copyto(diag, diag.T, where=np.tri(len(diag), k=-1, dtype=bool))
     return out
 
 
@@ -167,7 +167,7 @@ def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
     """Pairwise kernel matrix of the feature rows, exactly symmetric."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    return GramMatrix(kernel_matrix(x, spec), spec.kind)
+    return GramMatrix(kernel_matrix(x, spec))
 
 
 # no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
@@ -350,17 +350,23 @@ def save_csv(values, csv_path) -> None:
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-def load_gram(npy_path) -> np.ndarray:
-    """Read a kernel written by save_gram; refuse, naming the file, one that
-    cannot be read or is not a finite 2-D float array."""
+def load_gram(npy_path, n: int) -> np.ndarray:
+    """Read the (n x n) kernel save_gram wrote and check it whole, once, as a
+    GramMatrix; refuse, naming the file, one that cannot be read, is not a
+    float array of that shape or fails GramMatrix's checks."""
     try:
         with open(npy_path, "rb") as fh:
             values = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError) as err:
         raise ValueError(f"cannot read kernel block {npy_path}: {err}") from None
-    if values.ndim != 2 or values.dtype.kind != "f" or not np.all(np.isfinite(values)):
-        raise ValueError(f"{npy_path} is not a finite 2-D float array")
-    return values
+    try:
+        if values.dtype.kind != "f":
+            raise ValueError(f"dtype {values.dtype}, not a float")
+        if values.shape != (n, n):
+            raise ValueError(f"shape {values.shape}, not {(n, n)}")
+        return GramMatrix(values).values
+    except ValueError as err:
+        raise ValueError(f"{npy_path}: {err}") from None
 
 
 def save_model(model: SvmModel, path) -> None:

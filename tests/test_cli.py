@@ -18,7 +18,7 @@ import pytest
 
 import qpatch
 from qpatch.cli import main
-from qpatch import cli, dsp
+from qpatch import cli, dsp, patches
 
 
 def base_args(work_dir, *extra):
@@ -424,31 +424,31 @@ MALFORMED = {
     # train cross rows or the dev Gram behind the structure report. A damage
     # to the whole file (0-d, truncated, wrong shape) keeps its case's name
     "cross_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 2), np.nan),
-                      "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+                      "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
     "gram_npy_0d": ("kernel_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
-                    "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+                    "train-eval --kind rbf", "kernel_rbf.npy: shape (), not (12, 12)"),
     "cross_npy_truncated": ("kernel_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
                             "train-eval --kind rbf",
                             "kernel_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
     "gram_npy_inf": ("kernel_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
-                     "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+                     "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
     "gram_npy_asymmetric": ("kernel_rbf.npy",
                             lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
                             "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
     "gram_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
                                   "train-eval --kind rbf",
-                                  "kernel_rbf.npy: rbf Gram diagonal must be 1"),
+                                  "kernel_rbf.npy: Gram diagonal must be 1"),
     "cross_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
                               "train-eval --kind rbf",
-                              "kernel_rbf.npy: shape (12, 11), not the split sizes' (12, 12)"),
+                              "kernel_rbf.npy: shape (12, 11), not (12, 12)"),
     "dev_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 10), np.nan),
-                    "train-eval --kind rbf", "kernel_rbf.npy is not a finite 2-D float array"),
+                    "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
     "dev_npy_asymmetric": ("kernel_rbf.npy",
                            lambda p: _set_entry(p, (8, 9), np.load(p)[8, 9] + 0.1),
                            "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
     "dev_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (10, 10), 0.5),
                                  "train-eval --kind rbf",
-                                 "kernel_rbf.npy: rbf Gram diagonal must be 1"),
+                                 "kernel_rbf.npy: Gram diagonal must be 1"),
     # a cross entry and its mirror in the train x dev columns disagree
     "cross_npy_mirror": ("kernel_rbf.npy",
                          lambda p: _set_entry(p, (9, 2), np.load(p)[9, 2] + 0.1),
@@ -459,7 +459,7 @@ MALFORMED = {
     # the kernel of a split with one dev entry fewer
     "dev_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:-1, :-1]),
                             "train-eval --kind rbf",
-                            "kernel_rbf.npy: shape (11, 11), not the split sizes' (12, 12)"),
+                            "kernel_rbf.npy: shape (11, 11), not (12, 12)"),
 }
 
 
@@ -748,10 +748,67 @@ def test_run_all_on_resampled_inputs_needs_no_scipy(tmp_path):
     assert (tmp_path / "w" / "report_quantum.json").exists()
 
 
-def run_fresh_python(code, cwd):
-    """Run code in a new interpreter that imports qpatch from this checkout."""
+# numpy's x86-64-v2 baseline loops in place of its AVX2 and AVX-512 ones, and
+# OpenBLAS's Haswell kernels in place of the ones it picks for this CPU
+OTHER_CPU_PATHS = {
+    "numpy_x86_64_v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+# the largest change measured on the default workload under these two settings
+# was 1.3e-15 in a feature and 2.1e-15 in a kernel entry
+CPU_PATH_ATOL = 1e-14
+
+
+def run_default_run_all(cwd, **env):
+    """Default run-all into cwd/run in a new interpreter, with env added."""
+    cwd.mkdir(parents=True, exist_ok=True)
+    done = run_fresh_python("import sys\nfrom qpatch.cli import main\n"
+                            "sys.exit(main(['--work-dir', 'run', 'run-all']))", cwd, **env)
+    assert done.returncode == 0, done.stderr
+    return cwd / "run"
+
+
+@pytest.fixture(scope="module")
+def native_default_run(tmp_path_factory):
+    return run_default_run_all(tmp_path_factory.mktemp("native"))
+
+
+@pytest.mark.parametrize("setting", list(OTHER_CPU_PATHS))
+def test_default_run_all_agrees_on_other_cpu_code_paths(tmp_path, native_default_run, setting):
+    """Byte identity holds on one machine, numpy build and BLAS build. Another
+    CPU's SIMD loops or BLAS kernel may move the features and kernels in
+    their last bits; the audio must stay the same bytes, the features and
+    kernels within CPU_PATH_ATOL, and AUROC and EER exactly. Where this CPU
+    lacks the disabled features (no AVX2 or AVX-512, or not x86) numpy
+    ignores the setting, and the test compares identical builds."""
+    native = native_default_run
+    other = run_default_run_all(tmp_path, **OTHER_CPU_PATHS[setting])
+    for name in ("manifest.csv", "manifest.json"):
+        assert (other / name).read_bytes() == (native / name).read_bytes(), name
+    wavs = sorted(path.relative_to(native) for path in native.rglob("*.wav"))
+    assert len(wavs) == 100
+    assert sorted(path.relative_to(other) for path in other.rglob("*.wav")) == wavs
+    for wav in wavs:
+        assert (other / wav).read_bytes() == (native / wav).read_bytes(), wav
+    rows = [patches.read_features_csv(run / "features.csv") for run in (native, other)]
+    assert [row[:2] for row in rows[1]] == [row[:2] for row in rows[0]]
+    np.testing.assert_allclose([row[2] for row in rows[1]], [row[2] for row in rows[0]],
+                               rtol=0, atol=CPU_PATH_ATOL)
+    for kind in cli.KINDS:
+        np.testing.assert_allclose(np.load(other / f"kernel_{kind}.npy"),
+                                   np.load(native / f"kernel_{kind}.npy"),
+                                   rtol=0, atol=CPU_PATH_ATOL)
+        reports = [json.loads((run / f"report_{kind}.json").read_text())
+                   for run in (native, other)]
+        for name in ("auroc", "eer"):
+            assert reports[1][name] == reports[0][name], (kind, name)
+
+
+def run_fresh_python(code, cwd, **env):
+    """Run code in a new interpreter that imports qpatch from this checkout,
+    with env added to this process's environment."""
     src = str(Path(qpatch.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)

@@ -113,22 +113,18 @@ class TestKernelSpec:
 class TestGramMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), "quantum")
+            GramMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
     def test_rejects_bad_diagonal_for_unit_kernels(self):
         k = np.array([[2.0, 0.1], [0.1, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            GramMatrix(k, "rbf")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel kind"):
-            GramMatrix(np.eye(2), "precomputed")
+            GramMatrix(k)
 
     @pytest.mark.parametrize("values", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
                              ids=["0d", "1d", "2x3"])
     def test_rejects_non_square(self, values):
         with pytest.raises(ValueError, match="square"):
-            GramMatrix(values, "quantum")
+            GramMatrix(values)
 
     def test_validation_peaks_at_one_temporary_the_size_of_the_block(self):
         """Finiteness and symmetry are checked one row block at a time: the
@@ -139,7 +135,7 @@ class TestGramMatrix:
                             KernelSpec(kind="rbf")).values
         tracemalloc.start()
         try:
-            GramMatrix(values, "rbf")
+            GramMatrix(values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -160,7 +156,7 @@ class TestGramMatrix:
         values = np.eye(200)
         values[entry] = value
         with pytest.raises(ValueError, match=message):
-            GramMatrix(values, "rbf")
+            GramMatrix(values)
 
 
 class TestBuildGram:
@@ -251,17 +247,20 @@ class TestKernelMatrix:
         want = cos2.reshape(5, 4, -1, min(length, 8)).prod(axis=-1).mean(axis=-1)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["quantum", "rbf"])
+    @pytest.mark.parametrize("kind, length", [("quantum", 8), ("rbf", 8),
+                                              ("quantum", 16), ("rbf", 16)],
+                             ids=["quantum", "rbf", "quantum-16", "rbf-16"])
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    def test_symmetric_block_mirrors_its_upper_triangle(self, n, depth, kind):
-        """kernel_matrix fills only the entries on and right of the diagonal,
-        around row-block edges, and mirrors each row block: it is exactly
-        symmetric, its quantum entries match one unblocked fidelity_matrix
-        of the same states, and its RBF entries are the bits of a
-        one-row-at-a-time oracle with the upper triangle mirrored."""
+    def test_symmetric_block_mirrors_its_upper_triangle(self, n, depth, kind, length):
+        """kernel_matrix fills both kinds in one row-block loop, only the
+        entries on and right of the diagonal, around row-block edges, and
+        mirrors each row block: it is exactly symmetric, its quantum entries
+        match one unblocked fidelity_matrix of the same states, and its RBF
+        entries are the bits of a one-row-at-a-time oracle with the upper
+        triangle mirrored. Row length 16 is deep_circuit's (k 4)."""
         rng = np.random.default_rng(n + depth)
-        a = rng.uniform(-np.pi, np.pi, (n, 8))
+        a = rng.uniform(-np.pi, np.pi, (n, length))
         spec = KernelSpec(kind=kind, depth=depth, s3_axis="Y").resolve(a)
         k = kernel_matrix(a, spec)
         assert np.array_equal(k, k.T)
@@ -562,17 +561,30 @@ def test_csv_export_is_the_bytes_of_savetxt(tmp_path, name):
 class TestPersistence:
     def test_gram_roundtrip(self, tmp_path):
         rng = np.random.default_rng(70)
-        feats = [rng.uniform(-1, 1, 8) for _ in range(4)]
-        g = build_gram(feats)
+        g = build_gram([rng.uniform(-1, 1, 8) for _ in range(4)])
         path = tmp_path / "gram.npy"
         save_gram(g.values, path)
-        np.testing.assert_array_equal(load_gram(path), g.values)
-        # any kernel block round-trips, a single cross row as a 2-D array too
-        cross = cross_gram(feats[:1], feats)
-        save_gram(cross, path)
-        back = load_gram(path)
-        assert back.shape == (1, 4)
-        np.testing.assert_array_equal(back, cross)
+        back = load_gram(path, 4)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, g.values)
+
+    def test_reading_and_checking_peaks_at_one_kernel_and_a_block(self, tmp_path):
+        """load_gram reads the kernel and checks it with GramMatrix's blocked
+        scan, with no whole-array temporary of its own: reading and checking
+        a kernel the size of scaled_hard's peaks at the kernel itself plus
+        less than a tenth of one."""
+        n = 1000
+        values = build_gram(np.random.default_rng(14).uniform(-1, 1, (n, 4)),
+                            KernelSpec(kind="rbf")).values
+        path = tmp_path / "kernel.npy"
+        save_gram(values, path)
+        tracemalloc.start()
+        try:
+            load_gram(path, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8
 
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -589,18 +601,23 @@ class TestPersistence:
         (lambda p: p.write_bytes(p.read_bytes()[:90]), "cannot read kernel block .*EOF"),
         (lambda p: p.write_bytes(b""), "cannot read kernel block"),
         (lambda p: p.unlink(), "cannot read kernel block"),
-        (lambda p: np.save(p, np.float64(1.0)), "not a finite 2-D float array"),
-        (lambda p: np.save(p, np.eye(2, dtype=np.int64)), "not a finite 2-D float array"),
-        (lambda p: np.save(p, np.array([[1.0, np.inf]])), "not a finite 2-D float array"),
-        (lambda p: np.save(p, np.array([[1.0, np.nan]])), "not a finite 2-D float array"),
+        (lambda p: np.save(p, np.float64(1.0)), r"shape \(\), not \(2, 2\)"),
+        (lambda p: np.save(p, np.eye(2, dtype=np.int64)), "dtype int64, not a float"),
+        (lambda p: np.save(p, np.array([[1.0, np.inf], [np.inf, 1.0]])), "non-finite"),
+        (lambda p: np.save(p, np.array([[1.0, np.nan], [np.nan, 1.0]])), "non-finite"),
         (lambda p: np.save(p, np.array([["a"]], dtype=object)), "cannot read kernel block"),
-    ], ids=["truncated", "empty", "missing", "0d", "int", "inf", "nan", "object"])
+        (lambda p: np.save(p, np.eye(3)), r"shape \(3, 3\), not \(2, 2\)"),
+        (lambda p: np.save(p, np.eye(2)[:, :1]), r"shape \(2, 1\), not \(2, 2\)"),
+        (lambda p: np.save(p, np.array([[1.0, 0.2], [0.3, 1.0]])), "not symmetric"),
+        (lambda p: np.save(p, np.array([[1.0, 0.2], [0.2, 0.5]])), "diagonal must be 1"),
+    ], ids=["truncated", "empty", "missing", "0d", "int", "inf", "nan", "object",
+            "wrong_shape", "not_square", "asymmetric", "diagonal_not_one"])
     def test_damaged_block_refused_naming_the_file(self, tmp_path, damage, expected):
-        path = tmp_path / "cross.npy"
+        path = tmp_path / "kernel.npy"
         save_gram(np.eye(2), path)
         damage(path)
         with pytest.raises(ValueError, match=expected) as err:
-            load_gram(path)
+            load_gram(path, 2)
         assert str(path) in str(err.value)
 
     def test_model_roundtrip(self, tmp_path):
