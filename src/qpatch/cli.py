@@ -182,7 +182,7 @@ def cmd_features(config: ExperimentConfig) -> None:
     def extract(entry):
         try:
             return _extract_one(entry, p["work"], config, wav_sha256)
-        except Exception as err:  # noqa: BLE001 - per-file isolation
+        except (CliInputError, ValueError, OSError) as err:  # what a bad WAV raises
             return str(err)
 
     rows = []

@@ -24,37 +24,18 @@ so it is U_A's first column times U_B^T's first row. Each layer ends with
 its CZ diagonal, a fixed +-1 matrix per qubit count. The CZs commute
 with the other patch's rotations, so moving them after all rotations is
 exact. The kernel is the mean over blocks of |S_A S_B^H|^2
-(fidelity_matrix). embed_patch, embed_pair and fidelity_kernel are the
-n = 1 case.
+(fidelity_matrix). fidelity_kernel is its one-sample case.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DEPTH = 3
 VALID_AXES = ("X", "Y", "Z")
 _ROW_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class StateVector:
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        if amplitudes.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"amplitude count {amplitudes.shape} does not match "
-                f"{self.n_qubits} qubits")
-        norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
-        if abs(norm_sq - 1.0) > 1e-10:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
 
 
 def rotation_matrix(axis: str, theta) -> np.ndarray:
@@ -98,23 +79,6 @@ def check_circuit(depth: int, s3_axis: str) -> None:
         raise ValueError(f"depth must be 1..{MAX_DEPTH}, got {depth}")
     if s3_axis not in VALID_AXES:
         raise ValueError(f"invalid s3 axis {s3_axis!r}")
-
-
-def embed_patch(s, depth: int = 1, s3_axis: str = "Z") -> StateVector:
-    """Map one patch summary (s1..s4) to a four-qubit state."""
-    angles = np.asarray(s, dtype=np.float64)
-    if angles.shape != (4,):
-        raise ValueError(f"patch summary must have 4 values, got {angles.shape}")
-    return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 4)
-
-
-def embed_pair(s_first, s_second, depth: int = 1, s3_axis: str = "Z") -> StateVector:
-    """Map two patch summaries to an eight-qubit state."""
-    angles = np.concatenate([np.asarray(s_first, dtype=np.float64),
-                             np.asarray(s_second, dtype=np.float64)])
-    if angles.shape != (8,):
-        raise ValueError("each patch summary must have 4 values")
-    return StateVector(_embed_vector(angles[None], depth, s3_axis)[0, 0], 8)
 
 
 def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:

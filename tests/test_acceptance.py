@@ -17,7 +17,7 @@ import pytest
 
 from qpatch import metrics, patches, svm
 from qpatch.cli import main
-from qpatch.quantum import embed_pair, embed_patch, fidelity_kernel
+from qpatch.quantum import _embed_vector, fidelity_kernel
 from qpatch.spoof import BONAFIDE, read_manifest
 from qpatch.svm import KernelSpec, train_svm
 
@@ -55,13 +55,13 @@ def test_embeddings_match_dense_kronecker_oracle():
     for i in range(50):
         depth = 1 + i % 3
         x4 = rng.normal(0.0, 2.0, size=4)
-        got = embed_patch(x4, depth=depth).amplitudes
+        got = _embed_vector(x4[None], depth, "Z")[0, 0]
         want = dense_embed_patch(x4, depth=depth)
         worst = max(worst, np.max(np.abs(got - want)))
     for i in range(50):
         depth = 1 + i % 3
         x8 = rng.normal(0.0, 2.0, size=8)
-        got = embed_pair(x8[:4], x8[4:], depth=depth).amplitudes
+        got = _embed_vector(x8[None], depth, "Z")[0, 0]
         want = dense_embed_pair(x8, depth=depth)
         worst = max(worst, np.max(np.abs(got - want)))
     elapsed = time.perf_counter() - start

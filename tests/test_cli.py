@@ -122,6 +122,21 @@ class TestFeatures:
         assert len(lines) == 1 + 11  # the bad file is missing, the rest survive
         assert not any(line.startswith("utt002,") for line in lines)
 
+    def test_an_internal_error_exits_1_and_skips_no_file(self, tmp_path, monkeypatch):
+        """Only what a bad WAV raises skips its file: a bug in the code fails
+        the stage as an internal error, with its traceback in run.log."""
+        run_synth(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a bad file")
+
+        monkeypatch.setattr(patches, "extract_features", broken)
+        assert run_stage(tmp_path, "features") == 1
+        log_text = (tmp_path / "run.log").read_text()
+        assert "internal error" in log_text and "Traceback" in log_text
+        assert "a bug, not a bad file" in log_text and "skipping" not in log_text
+        assert not (tmp_path / "features.csv").exists()
+
 
 def prepared(tmp_path):
     run_synth(tmp_path)

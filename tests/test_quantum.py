@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from qpatch.quantum import (
-    StateVector,
     _embed_vector,
     _kron_rows,
     _layer_sign,
     check_circuit,
-    embed_pair,
-    embed_patch,
     fidelity_kernel,
     rotation_matrix,
 )
@@ -24,6 +21,11 @@ from _oracles import (
     dense_kernel,
     dense_rotation,
 )
+
+
+def embed_one(x, depth=1, s3_axis="Z"):
+    """The state of one feature row: 4 angles (a patch) or 8 (a pair)."""
+    return _embed_vector(np.asarray(x, float)[None], depth, s3_axis)[0, 0]
 
 
 def random_state(rng, n_qubits):
@@ -61,14 +63,6 @@ class TestStateVector:
         """Zero angles leave every row of a batch in |0...0>."""
         psi = _embed_vector(np.zeros((3, 4)), 3, "Y")
         np.testing.assert_array_equal(psi, np.tile(ground(4), (3, 1, 1)))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            StateVector(np.ones(4), 2)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0]), 2)
 
 
 class TestRotationMatrix:
@@ -204,7 +198,7 @@ class TestCircuitSpec:
             with pytest.raises(ValueError, match="depth"):
                 check_circuit(bad, "Z")
             with pytest.raises(ValueError, match="depth"):
-                embed_patch(np.zeros(4), depth=bad)
+                embed_one(np.zeros(4), depth=bad)
 
     def test_invalid_s3_axis(self):
         with pytest.raises(ValueError, match="s3 axis"):
@@ -246,56 +240,51 @@ class TestCircuitSpec:
 
 class TestEmbedPatch:
     def test_zero_summary_gives_ground_state(self):
-        out = embed_patch(np.zeros(4))
-        np.testing.assert_array_equal(out.amplitudes, ground(4))
+        np.testing.assert_array_equal(embed_one(np.zeros(4)), ground(4))
 
     def test_pi_on_s1_flips_qubit0(self):
-        out = embed_patch(np.array([np.pi, 0, 0, 0]))
+        out = embed_one([np.pi, 0, 0, 0])
         target_amps = np.zeros(16, dtype=complex)
         target_amps[8] = 1.0  # |1000>
-        assert overlap(out.amplitudes, target_amps) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(out, target_amps) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle(self, depth, seed):
         rng = np.random.default_rng(100 * depth + seed)
         angles = rng.uniform(-np.pi, np.pi, size=4)
-        out = embed_patch(angles, depth=depth)
-        np.testing.assert_allclose(out.amplitudes, dense_embed_patch(angles, depth),
-                                   atol=1e-12)
+        np.testing.assert_allclose(embed_one(angles, depth),
+                                   dense_embed_patch(angles, depth), atol=1e-12)
 
     def test_accepts_patch_summary(self):
         """A one-patch feature row (k = 1) is the summary the pipeline ships."""
         s = [0.4, 1.2, 0.8, -0.3]
-        np.testing.assert_allclose(embed_patch(s).amplitudes, dense_embed_patch(s),
-                                   atol=1e-12)
+        np.testing.assert_allclose(embed_one(s), dense_embed_patch(s), atol=1e-12)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            embed_patch(np.zeros(5))
+            embed_one(np.zeros(5))
 
 
 class TestEmbedPair:
     def test_zero_summaries_give_ground_state(self):
-        out = embed_pair(np.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(out.amplitudes, ground(8))
+        np.testing.assert_array_equal(embed_one(np.zeros(8)), ground(8))
 
     def test_self_fidelity_both_orders(self):
         rng = np.random.default_rng(3)
         a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
-        ab = embed_pair(a, b)
-        ba = embed_pair(b, a)
-        assert overlap(ab.amplitudes, ab.amplitudes) == pytest.approx(1.0, abs=1e-10)
-        assert overlap(ba.amplitudes, ba.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        ab = embed_one([*a, *b])
+        ba = embed_one([*b, *a])
+        assert overlap(ab, ab) == pytest.approx(1.0, abs=1e-10)
+        assert overlap(ba, ba) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_oracle(self, depth, seed):
         rng = np.random.default_rng(200 * depth + seed)
         angles = rng.uniform(-np.pi, np.pi, size=8)
-        out = embed_pair(angles[:4], angles[4:], depth=depth)
-        np.testing.assert_allclose(out.amplitudes, dense_embed_pair(angles, depth),
-                                   atol=1e-12)
+        np.testing.assert_allclose(embed_one(angles, depth),
+                                   dense_embed_pair(angles, depth), atol=1e-12)
 
 
 class TestRowBlocks:
@@ -398,8 +387,7 @@ class TestBandwidthInertness:
 
     def test_q2_stays_in_zero(self):
         rng = np.random.default_rng(42)
-        state = embed_patch(rng.uniform(-np.pi, np.pi, 4), depth=3)
-        psi = state.amplitudes.reshape((2, 2, 2, 2))
+        psi = embed_one(rng.uniform(-np.pi, np.pi, 4), depth=3).reshape((2, 2, 2, 2))
         assert np.max(np.abs(psi[:, :, 1, :])) < 1e-14
 
     def test_y_axis_alternative_restores_sensitivity(self):

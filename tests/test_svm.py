@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qpatch import quantum
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
     GramMatrix,
@@ -28,6 +29,15 @@ from qpatch.svm import (
 )
 
 from _oracles import dense_kernel
+
+
+def product_cosine_kernel(a, b, depth, s3_axis):
+    """K_d of every row of a against every row of b: the mean over blocks of
+    prod cos^2(depth (x_j - y_j) / 2) over the slots whose axis is not Z."""
+    length = a.shape[1]
+    cos2 = np.cos(depth * (a[:, None, :] - b[None, :, :]) / 2.0) ** 2
+    cos2[..., np.tile(["X", "Y", s3_axis, "Y"], length // 4) == "Z"] = 1.0
+    return cos2.reshape(len(a), len(b), -1, min(length, 8)).prod(axis=-1).mean(axis=-1)
 
 
 def random_psd_kernel(rng, n, unit_diag=False):
@@ -242,10 +252,29 @@ class TestKernelMatrix:
         b = rng.uniform(-np.pi, np.pi, (4, length))
         got = kernel_matrix(np.vstack([a, b]), KernelSpec(depth=1, s3_axis=s3_axis))
         got = got[:len(a), len(a):]
-        cos2 = np.cos((a[:, None, :] - b[None, :, :]) / 2.0) ** 2
-        cos2[..., np.tile(["X", "Y", s3_axis, "Y"], length // 4) == "Z"] = 1.0
-        want = cos2.reshape(5, 4, -1, min(length, 8)).prod(axis=-1).mean(axis=-1)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, product_cosine_kernel(a, b, 1, s3_axis),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [4, 8, 16])
+    @pytest.mark.parametrize("s3_axis", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("cz", [False, True], ids=["no-cz", "cz"])
+    def test_layers_compose_to_the_depth_d_cosine_kernel(
+            self, monkeypatch, cz, depth, s3_axis, length):
+        """With every CZ sign +1 each qubit evolves alone, and d layers of
+        R_A(theta) are R_A(d theta): the kernel is the closed form K_d, with
+        no dense oracle involved. With the CZs it is K_1 at depth 1, where
+        they all follow the rotations, and leaves K_d once they sit between
+        layers. 70 rows cross a 64-row block edge."""
+        if not cz:
+            monkeypatch.setattr(quantum, "_layer_sign", lambda n_qubits: np.ones(2 ** n_qubits))
+        x = np.random.default_rng(10 * depth + length).uniform(-np.pi, np.pi, (70, length))
+        got = kernel_matrix(x, KernelSpec(depth=depth, s3_axis=s3_axis))
+        gap = np.max(np.abs(got - product_cosine_kernel(x, x, depth, s3_axis)))
+        if cz and depth > 1:
+            assert gap > 1e-3
+        else:
+            assert gap < 1e-12
 
     @pytest.mark.parametrize("kind, length", [("quantum", 8), ("rbf", 8),
                                               ("quantum", 16), ("rbf", 16)],
