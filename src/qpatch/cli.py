@@ -281,7 +281,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
         "svm": {"n_support": model.support_indices.size,
                 **{name: getattr(model, name)
                    for name in ("C", "bias", "kkt_gap", "n_iter", "converged")}},
-        "kernel_structure": structure.to_dict(),
+        "kernel_structure": structure,
         "config": config.to_dict(),
     }
     metrics.write_report(p["report"](kind), p["roc"](kind), report, roc)
@@ -338,10 +338,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        _setup_logging(Path(config.work_dir))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _setup_logging(Path(config.work_dir))
     try:
         if args.command == "synth":
             cmd_synth(config, args.synthetic_audio)

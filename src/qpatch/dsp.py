@@ -10,7 +10,8 @@ is a plain (n_mels, bins) weight array and the log-mel spectrogram a plain
 The runtime needs only numpy. WAV files are read and written by the small
 RIFF chunk parser below. Inputs at another rate are resampled with the
 low-pass filter of scipy's resample_poly, designed in numpy once per pair
-of rates and applied as one batched matrix product per clip.
+of rates and applied as one batched matrix product per clip; a rate whose
+filter would exceed 320,001 taps is refused.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
     return weights
 
 
+# the largest reduced up or down factor resample_to designs a filter for,
+# 20 * 16000 + 1 taps: 11127 Hz needs 16000, every standard rate at most 640
+_MAX_RESAMPLE_FACTOR = 16000
+
 # outputs one input window makes (a row of the matmul): a multiple of `up`
 # up to this, else the largest divisor of `up` not above it
 _BLOCK_OUTPUTS = 64
@@ -204,11 +209,18 @@ def _polyphase(up: int, down: int) -> tuple[np.ndarray, np.ndarray]:
 
 def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     """Windowed-sinc polyphase resampling: resample_poly's default output to a
-    few ulp, by one batched matmul; pass-through when already at target."""
+    few ulp, by one batched matmul; pass-through when already at target. A
+    rate whose reduced ratio needs a factor above _MAX_RESAMPLE_FACTOR is
+    refused before its filter is designed."""
     if w.sample_rate == target_rate:
         return w
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
+    if max(up, down) > _MAX_RESAMPLE_FACTOR:
+        raise ValueError(
+            f"sample rate {w.sample_rate} Hz needs a {up}:{down} resampling filter of "
+            f"{20 * max(up, down) + 1} taps, above the {20 * _MAX_RESAMPLE_FACTOR + 1} "
+            "supported")
     firsts, matrices = _polyphase(up, down)
     groups, width, cols = matrices.shape
     n, lead, step = w.samples.size, -firsts[0], groups * cols * down // up

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,50 +106,24 @@ def eer(scores, labels) -> tuple[float, float]:
     return value, tau
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    mean: float
-    std: float
-    n_pairs: int
-
-    @property
-    def delta_pct(self) -> float:
-        """Percent change from the self-similarity baseline of 1.0."""
-        return (self.mean - 1.0) * 100.0
-
-    @classmethod
-    def from_values(cls, values) -> "GroupStats":
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return cls(math.nan, math.nan, 0)
-        return cls(float(values.mean()), float(values.std()), int(values.size))
-
-    def to_dict(self) -> dict:
-        if self.n_pairs == 0:
-            return {"mean": None, "std": None, "n_pairs": 0, "delta_pct": None}
-        return {**asdict(self), "delta_pct": self.delta_pct}
-
-
-@dataclass(frozen=True)
-class KernelStructureReport:
-    """Similarity grouped by pair type, plus a per-patch-slot breakdown of
-    the cross-class group when features are available."""
-
-    same_sample: dict
-    within_class: dict
-    cross_class: GroupStats
-    cross_class_per_slot: dict
-
-    def to_dict(self) -> dict:
-        """Each field by its name, a group or a dict of groups by key."""
-        return {name: value.to_dict() if isinstance(value, GroupStats)
-                else {key: group.to_dict() for key, group in value.items()}
-                for name, value in vars(self).items()}
+def _group(values) -> dict:
+    """Mean, std and pair count of one similarity group, and the mean's percent
+    change from the self-similarity baseline of 1.0; all None when empty."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return {"mean": None, "std": None, "n_pairs": 0, "delta_pct": None}
+    mean = float(values.mean())
+    return {"mean": mean, "std": float(values.std()), "n_pairs": int(values.size),
+            "delta_pct": (mean - 1.0) * 100.0}
 
 
 def kernel_structure(gram_values, labels, features=None,
-                     kernel: KernelSpec | None = None) -> KernelStructureReport:
+                     kernel: KernelSpec | None = None) -> dict:
     """Group Gram entries into same-sample, within-class, and cross-class sets.
+
+    Returns the report's dict: same_sample and within_class map each class to
+    its group, cross_class is one group, and cross_class_per_slot maps each
+    patch slot to its group ({} without features).
 
     Off-diagonal groups use i < j pairs only, so the diagonal never leaks
     into the cross-sample statistics. When features and a kernel spec are
@@ -166,14 +140,14 @@ def kernel_structure(gram_values, labels, features=None,
     classes = sorted(set(labels))
     lab = np.array(labels)
 
-    same_sample = {c: GroupStats.from_values(np.diag(k)[lab == c]) for c in classes}
+    same_sample = {c: _group(np.diag(k)[lab == c]) for c in classes}
     iu, ju = np.triu_indices(n, k=1)
     within = {}
     for c in classes:
         mask = (lab[iu] == c) & (lab[ju] == c)
-        within[c] = GroupStats.from_values(k[iu[mask], ju[mask]])
+        within[c] = _group(k[iu[mask], ju[mask]])
     cross_mask = lab[iu] != lab[ju]
-    cross = GroupStats.from_values(k[iu[cross_mask], ju[cross_mask]])
+    cross = _group(k[iu[cross_mask], ju[cross_mask]])
 
     per_slot = {}
     if features is not None:
@@ -183,9 +157,9 @@ def kernel_structure(gram_values, labels, features=None,
         ci, cj = iu[cross_mask], ju[cross_mask]
         for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]
-            per_slot[f"patch{slot + 1}"] = GroupStats.from_values(
-                kernel_matrix(block, kernel)[ci, cj])
-    return KernelStructureReport(same_sample, within, cross, per_slot)
+            per_slot[f"patch{slot + 1}"] = _group(kernel_matrix(block, kernel)[ci, cj])
+    return {"same_sample": same_sample, "within_class": within, "cross_class": cross,
+            "cross_class_per_slot": per_slot}
 
 
 def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:

@@ -204,7 +204,11 @@ def _spoof_one(path: Path, spoof_path: Path, config: SpoofConfig) -> tuple[str, 
     """Write the spoof of one bona fide file; return the sha256 of the bytes
     read and of the bytes written."""
     raw = path.read_bytes()
-    w = resample_to(load_wav(path, raw))
+    w = load_wav(path, raw)
+    try:
+        w = resample_to(w)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return (hashlib.sha256(raw).hexdigest(),
             save_wav(spoof_path, make_spoof(w, path.stem, config)))
 

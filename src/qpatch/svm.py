@@ -63,28 +63,24 @@ class KernelSpec:
         return out
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """A validated kernel: square, finite, symmetric, unit diagonal. Checked
-    _ROW_BLOCK rows at a time, so no temporary is the size of the kernel."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(values), _ROW_BLOCK)]
-        if not all(np.isfinite(values[b]).all() for b in blocks):
-            raise ValueError("Gram matrix has non-finite entries")
-        for b in blocks:  # each row block on and right of the diagonal against its mirror
-            asymmetry = values[b, b.start:] - values[b.start:, b].T
-            if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-10:
-                raise ValueError("Gram matrix is not symmetric")
-            del asymmetry  # freed before the next block's is made
-        if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
-            raise ValueError("Gram diagonal must be 1")
+def check_gram(values) -> np.ndarray:
+    """values as a float64 array, refused unless square, finite, symmetric and
+    unit-diagonal. Checked _ROW_BLOCK rows at a time, so no temporary is the
+    size of the kernel."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError("Gram matrix must be square")
+    blocks = [slice(i, i + _ROW_BLOCK) for i in range(0, len(values), _ROW_BLOCK)]
+    if not all(np.isfinite(values[b]).all() for b in blocks):
+        raise ValueError("Gram matrix has non-finite entries")
+    for b in blocks:  # each row block on and right of the diagonal against its mirror
+        asymmetry = values[b, b.start:] - values[b.start:, b].T
+        if np.max(np.abs(asymmetry, out=asymmetry)) > 1e-10:
+            raise ValueError("Gram matrix is not symmetric")
+        del asymmetry  # freed before the next block's is made
+    if np.max(np.abs(np.diag(values) - 1.0)) > 1e-10:
+        raise ValueError("Gram diagonal must be 1")
+    return values
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,11 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return out
 
 
-def build_gram(features, kernel: KernelSpec = KernelSpec()) -> GramMatrix:
-    """Pairwise kernel matrix of the feature rows, exactly symmetric."""
+def build_gram(features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
+    """Pairwise kernel matrix of the feature rows, exactly symmetric, checked."""
     x = _stack_features(features)
     spec = kernel.resolve(x)
-    return GramMatrix(kernel_matrix(x, spec))
+    return check_gram(kernel_matrix(x, spec))
 
 
 # no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
@@ -351,9 +347,9 @@ def save_csv(values, csv_path) -> None:
 
 
 def load_gram(npy_path, n: int) -> np.ndarray:
-    """Read the (n x n) kernel save_gram wrote and check it whole, once, as a
-    GramMatrix; refuse, naming the file, one that cannot be read, is not a
-    float array of that shape or fails GramMatrix's checks."""
+    """Read the (n x n) kernel save_gram wrote and check it whole, once, with
+    check_gram; refuse, naming the file, one that cannot be read, is not a
+    float array of that shape or fails check_gram."""
     try:
         with open(npy_path, "rb") as fh:
             values = np.lib.format.read_array(fh, allow_pickle=False)
@@ -364,7 +360,7 @@ def load_gram(npy_path, n: int) -> np.ndarray:
             raise ValueError(f"dtype {values.dtype}, not a float")
         if values.shape != (n, n):
             raise ValueError(f"shape {values.shape}, not {(n, n)}")
-        return GramMatrix(values).values
+        return check_gram(values)
     except ValueError as err:
         raise ValueError(f"{npy_path}: {err}") from None
 

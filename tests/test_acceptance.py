@@ -189,10 +189,10 @@ def test_cross_class_similarity_below_both_within_class_means(default_run):
     assert len(rows) == 100
     labels = [label for _, label, _ in rows]
     gram = svm.build_gram([fv for _, _, fv in rows], KernelSpec(kind="quantum"))
-    report = metrics.kernel_structure(gram.values, labels)
+    report = metrics.kernel_structure(gram, labels)
     assert len(manifest.entries) == 100
-    for stats in report.within_class.values():
-        assert report.cross_class.mean < stats.mean
+    for stats in report["within_class"].values():
+        assert report["cross_class"]["mean"] < stats["mean"]
 
 
 def test_default_run_is_accurate_and_fast(default_run):

@@ -84,6 +84,18 @@ class TestSynth:
         assert (tmp_path / "w" / "manifest.csv").exists()
 
 
+    def test_a_rate_needing_a_huge_resampling_filter_exits_2_naming_the_file(self, tmp_path):
+        from qpatch.spoof import generate_synthetic_corpus
+        corpus = tmp_path / "voices"
+        generate_synthetic_corpus(corpus, 6, seed=11)
+        odd = corpus / "utt003.wav"
+        dsp.save_wav(odd, dsp.Waveform(np.zeros(4410), 44101))
+        assert main(base_args(tmp_path / "w", "--input-dir", corpus) + ["synth"]) == 2
+        log_text = (tmp_path / "w" / "run.log").read_text()
+        assert f"{odd}: sample rate 44101 Hz" in log_text
+        assert "Traceback" not in log_text
+        assert not (tmp_path / "w" / "manifest.csv").exists()
+
 class TestFeatures:
     def test_writes_one_row_per_utterance(self, tmp_path):
         run_synth(tmp_path)
@@ -121,6 +133,23 @@ class TestFeatures:
         lines = (tmp_path / "features.csv").read_text().splitlines()
         assert len(lines) == 1 + 11  # the bad file is missing, the rest survive
         assert not any(line.startswith("utt002,") for line in lines)
+
+    def test_a_rate_needing_a_huge_resampling_filter_is_skipped(self, tmp_path):
+        """A WAV that synth read and that needs a filter above the bound (here
+        swapped in behind synth's back) is skipped with the reason."""
+        run_synth(tmp_path)
+        wav = tmp_path / "bonafide" / "utt002.wav"
+        sidecar = tmp_path / "manifest.json"
+        facts = json.loads(sidecar.read_text())
+        facts["wav_sha256"]["bonafide/utt002.wav"] = dsp.save_wav(
+            wav, dsp.Waveform(np.zeros(4410), 44101))
+        sidecar.write_text(json.dumps(facts))
+        assert run_stage(tmp_path, "features") == 2
+        log_text = (tmp_path / "run.log").read_text()
+        assert "skipping utt002: sample rate 44101 Hz" in log_text
+        assert "Traceback" not in log_text
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        assert len(lines) == 1 + 11 and not any(line.startswith("utt002,") for line in lines)
 
     def test_an_internal_error_exits_1_and_skips_no_file(self, tmp_path, monkeypatch):
         """Only what a bad WAV raises skips its file: a bug in the code fails
@@ -717,6 +746,15 @@ class TestConfigHandling:
     def test_bad_flag_exits_before_any_work(self, tmp_path, flag):
         assert main(base_args(tmp_path, *flag) + ["run-all"]) == 2
         assert not (tmp_path / "features.csv").exists()
+
+    def test_an_unusable_work_dir_exits_2_naming_it(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        work = blocker / "work"
+        assert main(base_args(work) + ["run-all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(work) in err
+        assert "Traceback" not in err
 
     def test_run_log_is_written(self, tmp_path):
         run_synth(tmp_path)

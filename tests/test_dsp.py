@@ -416,6 +416,15 @@ class TestResample:
         with pytest.raises(ValueError, match="read-only"):
             firsts[0] = 0
 
+    @pytest.mark.parametrize("src_rate", [16001, 44101, 96001])
+    def test_a_rate_needing_a_huge_filter_is_refused_before_it_is_designed(self, src_rate):
+        # 16000:44101 would take 882,021 taps; 11127 Hz (16000:11127) is the largest allowed
+        before = _polyphase.cache_info()
+        with pytest.raises(ValueError, match=f"sample rate {src_rate} Hz needs a 16000:"
+                                             f"{src_rate} resampling filter"):
+            resample_to(Waveform(np.zeros(100), src_rate))
+        assert _polyphase.cache_info() == before
+
     @pytest.mark.parametrize("src_rate", [44100, 22050, 11127, 44056])
     def test_plan_size_grows_with_the_filter_not_with_up_times_down(self, src_rate):
         # one (width, up) matrix for every clip would hold up*down entries:

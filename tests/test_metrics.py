@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from qpatch.metrics import (
-    GroupStats,
-    KernelStructureReport,
     RocCurve,
     auroc,
     eer,
@@ -216,36 +214,43 @@ class TestEer:
 
 
 class TestGroupStats:
-    def test_from_values(self):
-        g = GroupStats.from_values([0.5, 0.7])
-        assert g.mean == pytest.approx(0.6)
-        assert g.std == pytest.approx(0.1)
-        assert g.n_pairs == 2
-        assert g.delta_pct == pytest.approx(-40.0)
+    """Each group of kernel_structure's dict: mean, std, pair count and the
+    mean's percent change from 1.0, or None fields when the group is empty."""
+
+    def _report(self):
+        # bonafide has one sample, so no within-class pair; the cross pairs are 0.5 and 0.7
+        k = np.array([[1.0, 0.5, 0.7], [0.5, 1.0, 0.9], [0.7, 0.9, 1.0]])
+        return kernel_structure(k, ["bonafide", "spoof", "spoof"])
+
+    def test_group_of_two_values(self):
+        g = self._report()["cross_class"]
+        assert g["mean"] == pytest.approx(0.6)
+        assert g["std"] == pytest.approx(0.1)
+        assert g["n_pairs"] == 2
+        assert g["delta_pct"] == pytest.approx(-40.0)
 
     def test_empty_group(self):
-        g = GroupStats.from_values([])
-        assert g.n_pairs == 0
-        assert g.to_dict()["mean"] is None
+        g = self._report()["within_class"]["bonafide"]
+        assert g == {"mean": None, "std": None, "n_pairs": 0, "delta_pct": None}
 
 
 class TestKernelStructure:
     def test_all_ones_kernel(self):
         k = np.ones((4, 4))
         rep = kernel_structure(k, ["bonafide", "bonafide", "spoof", "spoof"])
-        for stats in rep.same_sample.values():
-            assert stats.mean == 1.0 and stats.std == 0.0
-        for stats in rep.within_class.values():
-            assert stats.mean == 1.0
-            assert stats.delta_pct == 0.0
-        assert rep.cross_class.mean == 1.0
+        for stats in rep["same_sample"].values():
+            assert stats["mean"] == 1.0 and stats["std"] == 0.0
+        for stats in rep["within_class"].values():
+            assert stats["mean"] == 1.0
+            assert stats["delta_pct"] == 0.0
+        assert rep["cross_class"]["mean"] == 1.0
 
     def test_block_diagonal_kernel(self):
         k = np.kron(np.eye(2), np.ones((2, 2)))
         rep = kernel_structure(k, ["bonafide", "bonafide", "spoof", "spoof"])
-        assert rep.cross_class.mean == 0.0
-        assert rep.cross_class.delta_pct == -100.0
-        assert rep.within_class["bonafide"].mean == 1.0
+        assert rep["cross_class"]["mean"] == 0.0
+        assert rep["cross_class"]["delta_pct"] == -100.0
+        assert rep["within_class"]["bonafide"]["mean"] == 1.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_group_enumeration_oracle(self, seed):
@@ -267,31 +272,31 @@ class TestKernelStructure:
                     within_s.append(k[i, j])
                 else:
                     cross.append(k[i, j])
-        assert rep.within_class["bonafide"].mean == pytest.approx(
+        assert rep["within_class"]["bonafide"]["mean"] == pytest.approx(
             np.mean(within_b), abs=1e-15)
-        assert rep.within_class["spoof"].mean == pytest.approx(
+        assert rep["within_class"]["spoof"]["mean"] == pytest.approx(
             np.mean(within_s), abs=1e-15)
-        assert rep.cross_class.mean == pytest.approx(np.mean(cross), abs=1e-15)
-        assert rep.within_class["bonafide"].n_pairs == 6
-        assert rep.cross_class.n_pairs == 16
-        assert rep.same_sample["bonafide"].mean == 1.0
+        assert rep["cross_class"]["mean"] == pytest.approx(np.mean(cross), abs=1e-15)
+        assert rep["within_class"]["bonafide"]["n_pairs"] == 6
+        assert rep["cross_class"]["n_pairs"] == 16
+        assert rep["same_sample"]["bonafide"]["mean"] == 1.0
 
     def test_per_slot_breakdown(self):
         rng = np.random.default_rng(7)
         feats = [rng.uniform(-2, 2, 8) for _ in range(6)]
         labels = ["bonafide"] * 3 + ["spoof"] * 3
         gram = build_gram(feats, KernelSpec())
-        rep = kernel_structure(gram.values, labels, features=feats,
+        rep = kernel_structure(gram, labels, features=feats,
                                kernel=KernelSpec())
-        assert set(rep.cross_class_per_slot) == {"patch1", "patch2"}
+        assert set(rep["cross_class_per_slot"]) == {"patch1", "patch2"}
         # oracle: 4-qubit kernel on each block over the 9 cross pairs
         expected = []
         for i in range(3):
             for j in range(3, 6):
                 expected.append(fidelity_kernel(feats[i][:4], feats[j][:4]))
-        got = rep.cross_class_per_slot["patch1"]
-        assert got.n_pairs == 9
-        assert got.mean == pytest.approx(np.mean(expected), abs=1e-12)
+        got = rep["cross_class_per_slot"]["patch1"]
+        assert got["n_pairs"] == 9
+        assert got["mean"] == pytest.approx(np.mean(expected), abs=1e-12)
 
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -310,15 +315,14 @@ class TestKernelStructure:
         rep = kernel_structure(np.eye(6), labels, features=feats, kernel=spec)
         expected = [rbf_kernel(feats[i, :4], feats[j, :4], spec.gamma)
                     for i in range(3) for j in range(3, 6)]
-        assert rep.cross_class_per_slot["patch1"].mean == pytest.approx(
+        assert rep["cross_class_per_slot"]["patch1"]["mean"] == pytest.approx(
             np.mean(expected), abs=1e-15)
 
-    def test_report_to_dict_serializable(self):
+    def test_report_is_json_serializable(self):
         k = np.ones((4, 4))
         rep = kernel_structure(k, ["bonafide", "spoof", "bonafide", "spoof"])
-        payload = json.dumps(rep.to_dict())
-        parsed = json.loads(payload)
-        assert parsed["cross_class"]["mean"] == 1.0
+        assert json.loads(json.dumps(rep)) == rep
+        assert rep["cross_class"]["mean"] == 1.0
 
 
 class TestWriteReport:

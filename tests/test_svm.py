@@ -12,10 +12,10 @@ import pytest
 from qpatch import quantum
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
-    GramMatrix,
     KernelSpec,
     SvmModel,
     build_gram,
+    check_gram,
     cross_gram,
     decision_scores,
     kernel_matrix,
@@ -121,20 +121,28 @@ class TestKernelSpec:
 
 
 class TestGramMatrix:
+    """check_gram: a kernel is refused unless square, finite, symmetric and
+    unit-diagonal."""
+
+    def test_returns_a_float64_array_of_the_values(self):
+        checked = check_gram([[1, 0], [0, 1]])
+        assert checked.dtype == np.float64
+        np.testing.assert_array_equal(checked, np.eye(2))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            check_gram(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
     def test_rejects_bad_diagonal_for_unit_kernels(self):
         k = np.array([[2.0, 0.1], [0.1, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            GramMatrix(k)
+            check_gram(k)
 
     @pytest.mark.parametrize("values", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
                              ids=["0d", "1d", "2x3"])
     def test_rejects_non_square(self, values):
         with pytest.raises(ValueError, match="square"):
-            GramMatrix(values)
+            check_gram(values)
 
     def test_validation_peaks_at_one_temporary_the_size_of_the_block(self):
         """Finiteness and symmetry are checked one row block at a time: the
@@ -142,10 +150,10 @@ class TestGramMatrix:
         one temporary of its size."""
         n = 1000
         values = build_gram(np.random.default_rng(13).uniform(-1, 1, (n, 4)),
-                            KernelSpec(kind="rbf")).values
+                            KernelSpec(kind="rbf"))
         tracemalloc.start()
         try:
-            GramMatrix(values)
+            check_gram(values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -166,20 +174,20 @@ class TestGramMatrix:
         values = np.eye(200)
         values[entry] = value
         with pytest.raises(ValueError, match=message):
-            GramMatrix(values)
+            check_gram(values)
 
 
 class TestBuildGram:
     def test_single_sample(self):
         rng = np.random.default_rng(2)
         g = build_gram([rng.uniform(-1, 1, 8)])
-        np.testing.assert_allclose(g.values, [[1.0]], atol=1e-10)
+        np.testing.assert_allclose(g, [[1.0]], atol=1e-10)
 
     def test_duplicated_sample_gives_unit_entry(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 8)
         g = build_gram([x, rng.uniform(-1, 1, 8), x.copy()])
-        assert g.values[0, 2] == pytest.approx(1.0, abs=1e-10)
+        assert g[0, 2] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_matches_full_n_squared_oracle(self, kind):
@@ -196,7 +204,7 @@ class TestBuildGram:
                     expected = fidelity_kernel(feats[i], feats[j])
                 else:
                     expected = rbf_kernel(feats[i], feats[j], resolved.gamma)
-                assert g.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert g[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_ragged_features_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -204,7 +212,7 @@ class TestBuildGram:
 
     def test_array_and_row_list_agree(self):
         x = np.random.default_rng(8).uniform(-2, 2, (5, 8))
-        np.testing.assert_array_equal(build_gram(x).values, build_gram(list(x)).values)
+        np.testing.assert_array_equal(build_gram(x), build_gram(list(x)))
 
     def test_empty_and_non_flat_features_rejected(self):
         with pytest.raises(ValueError, match="empty feature list"):
@@ -217,14 +225,14 @@ class TestBuildGram:
         rng = np.random.default_rng(5)
         feats = [rng.uniform(-np.pi, np.pi, 8) for _ in range(50)]
         g = build_gram(feats, KernelSpec(kind=kind))
-        assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
+        assert np.linalg.eigvalsh(g)[0] >= -1e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         feats = [rng.uniform(-2, 2, 8) for _ in range(6)]
         a = build_gram(feats)
         b = build_gram([f.copy() for f in feats])
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestKernelMatrix:
@@ -327,7 +335,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(11)
         feats = rng.uniform(-np.pi, np.pi, (300, 16))
         spec = KernelSpec(kind=kind)
-        g = build_gram(feats, spec).values
+        g = build_gram(feats, spec)
         assert np.array_equal(g, g.T)
         np.testing.assert_allclose(np.diag(g), 1.0, rtol=0, atol=1e-12)
         if kind == "quantum":
@@ -592,19 +600,19 @@ class TestPersistence:
         rng = np.random.default_rng(70)
         g = build_gram([rng.uniform(-1, 1, 8) for _ in range(4)])
         path = tmp_path / "gram.npy"
-        save_gram(g.values, path)
+        save_gram(g, path)
         back = load_gram(path, 4)
         assert back.dtype == np.float64
-        np.testing.assert_array_equal(back, g.values)
+        np.testing.assert_array_equal(back, g)
 
     def test_reading_and_checking_peaks_at_one_kernel_and_a_block(self, tmp_path):
-        """load_gram reads the kernel and checks it with GramMatrix's blocked
+        """load_gram reads the kernel and checks it with check_gram's blocked
         scan, with no whole-array temporary of its own: reading and checking
         a kernel the size of scaled_hard's peaks at the kernel itself plus
         less than a tenth of one."""
         n = 1000
         values = build_gram(np.random.default_rng(14).uniform(-1, 1, (n, 4)),
-                            KernelSpec(kind="rbf")).values
+                            KernelSpec(kind="rbf"))
         path = tmp_path / "kernel.npy"
         save_gram(values, path)
         tracemalloc.start()
@@ -617,7 +625,7 @@ class TestPersistence:
 
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
-        k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)]).values
+        k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)])
         for name in ("a", "b"):
             save_gram(k, tmp_path / f"{name}.npy", [(tmp_path / f"{name}.csv", k[1:, :1])])
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
