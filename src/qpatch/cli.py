@@ -114,14 +114,19 @@ def _digest(artifact: Path) -> str:
     return hashlib.sha256(artifact.read_bytes() + sidecar.read_bytes()).hexdigest()
 
 
+def _fields(config: ExperimentConfig, *names: str) -> dict:
+    return {name: getattr(config, name) for name in names}
+
+
 def _manifest_facts(config: ExperimentConfig) -> dict:
-    return {"spoof_config": dataclasses.asdict(config.spoof_config()),
-            "split_counts": dataclasses.asdict(config.split_counts())}
+    return {"spoof_config": _fields(config, "seed", "snr_db", "tilt_high", "tilt_low"),
+            "split_counts": _fields(config, "dev_per_class", "train_per_class")}
 
 
 def _features_facts(config: ExperimentConfig) -> dict:
+    front_end = _fields(config, "f_high", "f_low", "fft_size", "hop_ms", "n_mels", "win_ms")
     return {"k": config.k, "patch_size": config.patch_size,
-            "front_end": dataclasses.asdict(config.front_end()),
+            "front_end": {**front_end, "sample_rate": dsp.TARGET_SAMPLE_RATE},
             "manifest": _digest(_paths(config)["manifest"])}
 
 
@@ -145,8 +150,7 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
                      synthetic_audio, input_dir)
             spoof.generate_synthetic_corpus(input_dir, synthetic_audio, config.seed)
         try:
-            manifest, wav_sha256 = spoof.build_dataset(
-                input_dir, p["work"], config.spoof_config(), config.split_counts())
+            manifest, wav_sha256 = spoof.build_dataset(input_dir, p["work"], config)
         except ValueError as err:
             raise CliInputError(str(err))
         spoof.write_manifest(manifest, p["manifest"])
@@ -161,7 +165,7 @@ def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
     if hashlib.sha256(raw).hexdigest() != wav_sha256.get(entry.path):
         raise CliInputError(f"{path} is not the file synth read; rerun synth")
     w = dsp.load_wav(path, raw)
-    spec = dsp.logmel_spectrogram(w, config.front_end())
+    spec = dsp.logmel_spectrogram(w, config)
     return (entry.uid, entry.label,
             *patches.extract_features(spec, k=config.k, patch_size=config.patch_size))
 

@@ -8,10 +8,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import TARGET_SAMPLE_RATE, FrontEndConfig, build_mel_filterbank, frame_lengths
+from .dsp import TARGET_SAMPLE_RATE, build_mel_filterbank, frame_lengths
 from .patches import check_patch_size
 from .quantum import check_circuit
-from .spoof import SpoofConfig, SplitCounts
+from .spoof import NO_NOISE
 from .svm import KernelSpec
 
 
@@ -51,8 +51,13 @@ class ExperimentConfig:
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
         check_circuit(self.depth, self.s3_axis)
-        self.spoof_config()  # rejects a bad snr_db or tilt range
-        self.split_counts()  # rejects a split below one per class
+        if not (math.isfinite(self.snr_db) or self.snr_db == NO_NOISE):
+            raise ValueError("snr_db must be finite or the no-noise sentinel")
+        if not (-1.0 < self.tilt_low <= self.tilt_high < 1.0):
+            raise ValueError(
+                f"tilt range [{self.tilt_low}, {self.tilt_high}] must sit inside (-1, 1)")
+        if self.train_per_class < 1 or self.dev_per_class < 1:
+            raise ValueError("both splits need at least one sample per class")
         if not 0 < self.svm_c < math.inf:
             raise ValueError(f"svm_c must be a finite number > 0, got {self.svm_c!r}")
         if self.seed < 0:
@@ -66,19 +71,6 @@ class ExperimentConfig:
         frame_lengths(self.win_ms, self.hop_ms, self.fft_size)
         build_mel_filterbank(self.n_mels, self.fft_size, TARGET_SAMPLE_RATE,
                              self.f_low, self.f_high)
-
-    def front_end(self) -> FrontEndConfig:
-        return FrontEndConfig(win_ms=self.win_ms, hop_ms=self.hop_ms,
-                              fft_size=self.fft_size, n_mels=self.n_mels,
-                              f_low=self.f_low, f_high=self.f_high)
-
-    def spoof_config(self) -> SpoofConfig:
-        return SpoofConfig(snr_db=self.snr_db, tilt_low=self.tilt_low,
-                           tilt_high=self.tilt_high, seed=self.seed)
-
-    def split_counts(self) -> SplitCounts:
-        return SplitCounts(train_per_class=self.train_per_class,
-                           dev_per_class=self.dev_per_class)
 
     def kernel_spec(self, kind: str) -> KernelSpec:
         return KernelSpec(kind=kind, depth=self.depth, s3_axis=self.s3_axis,

@@ -52,19 +52,6 @@ class Waveform:
             raise ValueError(f"invalid sample rate {self.sample_rate}")
 
 
-@dataclass(frozen=True)
-class FrontEndConfig:
-    """Parameters of the log-mel front end."""
-
-    sample_rate: int = TARGET_SAMPLE_RATE
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    fft_size: int = 1024
-    n_mels: int = 64
-    f_low: float = 0.0
-    f_high: float = 8000.0
-
-
 def hz_to_mel(f):
     """HTK mel scale."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -234,13 +221,16 @@ def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     return Waveform(samples, target_rate)
 
 
-def logmel_spectrogram(w: Waveform, config: FrontEndConfig = FrontEndConfig()) -> np.ndarray:
-    """Full front end: resample, STFT, mel energies, log compression, standardization.
+def logmel_spectrogram(w: Waveform, config) -> np.ndarray:
+    """Full front end: resample to 16 kHz, STFT, mel energies, log
+    compression, standardization.
 
-    Returns the standardized (frames, n_mels) log-mel matrix.
+    config is the ExperimentConfig; its win_ms, hop_ms, fft_size, n_mels,
+    f_low and f_high are read. Returns the standardized (frames, n_mels)
+    log-mel matrix.
     """
-    w = resample_to(w, config.sample_rate)
-    weights = build_mel_filterbank(config.n_mels, config.fft_size, config.sample_rate,
+    w = resample_to(w)
+    weights = build_mel_filterbank(config.n_mels, config.fft_size, TARGET_SAMPLE_RATE,
                                    config.f_low, config.f_high)
     spectrum = stft(w, config.win_ms, config.hop_ms, config.fft_size)
     return log_standardize(mel_energies(spectrum, weights))

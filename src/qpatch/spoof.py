@@ -40,35 +40,6 @@ def substream(seed: int, *tags) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SpoofConfig:
-    snr_db: float = 20.0
-    tilt_low: float = -0.6
-    tilt_high: float = 0.6
-    seed: int = 7
-
-    def __post_init__(self):
-        if not (math.isfinite(self.snr_db) or self.snr_db == NO_NOISE):
-            raise ValueError("snr_db must be finite or the no-noise sentinel")
-        if not (-1.0 < self.tilt_low <= self.tilt_high < 1.0):
-            raise ValueError(
-                f"tilt range [{self.tilt_low}, {self.tilt_high}] must sit inside (-1, 1)")
-
-
-@dataclass(frozen=True)
-class SplitCounts:
-    train_per_class: int = 40
-    dev_per_class: int = 10
-
-    @property
-    def per_class(self) -> int:
-        return self.train_per_class + self.dev_per_class
-
-    def __post_init__(self):
-        if self.train_per_class < 1 or self.dev_per_class < 1:
-            raise ValueError("both splits need at least one sample per class")
-
-
-@dataclass(frozen=True)
 class ManifestEntry:
     uid: str
     path: str
@@ -141,8 +112,12 @@ def spectral_distort(w: Waveform, tilt: float) -> Waveform:
     return Waveform(y * (rms_in / rms_out), w.sample_rate)
 
 
-def make_spoof(w: Waveform, uid: str, config: SpoofConfig) -> Waveform:
-    """Noise then tilt, with all draws from the utterance's own substream."""
+def make_spoof(w: Waveform, uid: str, config) -> Waveform:
+    """Noise then tilt, with all draws from the utterance's own substream.
+
+    config is the ExperimentConfig; its seed, snr_db, tilt_low and
+    tilt_high are read.
+    """
     rng = substream(config.seed, "spoof", uid)
     tilt = float(rng.uniform(config.tilt_low, config.tilt_high))
     noisy = add_noise(w, config.snr_db, rng)
@@ -191,16 +166,16 @@ def generate_synthetic_corpus(out_dir, n_files: int, seed: int,
     return paths
 
 
-def _assign_splits(ids: list[str], counts: SplitCounts, rng) -> dict[str, str]:
+def _assign_splits(ids: list[str], train_per_class: int, rng) -> dict[str, str]:
     order = list(ids)
     rng.shuffle(order)
     assignment = {}
     for i, uid in enumerate(order):
-        assignment[uid] = "train" if i < counts.train_per_class else "dev"
+        assignment[uid] = "train" if i < train_per_class else "dev"
     return assignment
 
 
-def _spoof_one(path: Path, spoof_path: Path, config: SpoofConfig) -> tuple[str, str]:
+def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
     """Write the spoof of one bona fide file; return the sha256 of the bytes
     read and of the bytes written."""
     raw = path.read_bytes()
@@ -213,26 +188,34 @@ def _spoof_one(path: Path, spoof_path: Path, config: SpoofConfig) -> tuple[str, 
             save_wav(spoof_path, make_spoof(w, path.stem, config)))
 
 
-def build_dataset(bonafide_dir, work_dir, config: SpoofConfig = SpoofConfig(),
-                  counts: SplitCounts = SplitCounts()) -> tuple[DatasetManifest, dict]:
+def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict]:
     """Select bona fide files, write their spoofs under work_dir/spoof, and
     assign splits.
 
-    Files are taken in sorted name order; each class is shuffled into its
-    train/dev split with an independent substream so the two classes stay
-    balanced by construction. Entry paths are relative to work_dir, so the
-    manifest moves with it. Also returns the sha256 of each WAV by entry
-    path, of the bytes read (bona fide) or written (spoof).
+    config is the ExperimentConfig; its train_per_class and dev_per_class
+    are read, and what make_spoof reads. Files are taken in sorted name
+    order; a selected X_spoof.wav beside a selected X.wav is refused before
+    any spoof is written, since the spoof of X takes the id X_spoof. Each
+    class is shuffled into its train/dev split with an independent
+    substream so the two classes stay balanced by construction. Entry
+    paths are relative to work_dir, so the manifest moves with it. Also
+    returns the sha256 of each WAV by entry path, of the bytes read (bona
+    fide) or written (spoof).
     """
     bonafide_dir = Path(bonafide_dir)
     spoof_dir = Path(work_dir) / "spoof"
     wavs = sorted(bonafide_dir.glob("*.wav"))
-    need = counts.per_class
+    need = config.train_per_class + config.dev_per_class
     if len(wavs) < need:
         raise ValueError(
             f"need {need} bona fide WAV files in {bonafide_dir}, found "
             f"{len(wavs)} (short {need - len(wavs)})")
     wavs = wavs[:need]
+    by_stem = {path.stem: path for path in wavs}
+    for path in wavs:
+        source = by_stem.get(path.stem.removesuffix("_spoof"))
+        if source is not None and source != path:
+            raise ValueError(f"{path} has the id of the spoof of {source}; rename one")
     spoof_dir.mkdir(parents=True, exist_ok=True)
 
     spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
@@ -247,7 +230,8 @@ def build_dataset(bonafide_dir, work_dir, config: SpoofConfig = SpoofConfig(),
 
     entries = []
     for label, rows in by_label.items():
-        split = _assign_splits(sorted(rows), counts, substream(config.seed, "split", label))
+        split = _assign_splits(sorted(rows), config.train_per_class,
+                               substream(config.seed, "split", label))
         entries += [ManifestEntry(uid, rows[uid][0], label, split[uid], rows[uid][1])
                     for uid in sorted(rows)]
     return DatasetManifest(tuple(entries)), wav_sha256

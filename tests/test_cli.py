@@ -96,6 +96,18 @@ class TestSynth:
         assert "Traceback" not in log_text
         assert not (tmp_path / "w" / "manifest.csv").exists()
 
+    def test_a_stem_taking_another_files_spoof_id_exits_2_before_any_spoof(self, tmp_path):
+        from qpatch.spoof import generate_synthetic_corpus
+        corpus = tmp_path / "voices"
+        generate_synthetic_corpus(corpus, 6, seed=11)
+        clash = corpus / "utt000_spoof.wav"
+        (corpus / "utt005.wav").rename(clash)
+        assert main(base_args(tmp_path / "w", "--input-dir", corpus) + ["synth"]) == 2
+        last = (tmp_path / "w" / "run.log").read_text().splitlines()[-1]
+        assert f"{clash} has the id of the spoof of {corpus / 'utt000.wav'}" in last
+        assert not list((tmp_path / "w").glob("spoof/*.wav"))
+        assert not (tmp_path / "w" / "manifest.csv").exists()
+
 class TestFeatures:
     def test_writes_one_row_per_utterance(self, tmp_path):
         run_synth(tmp_path)
@@ -107,8 +119,9 @@ class TestFeatures:
         assert sum(1 for h in header if h.startswith("x")) == 8  # k=2
         made_under = json.loads((tmp_path / "features.json").read_text())
         assert made_under["k"] == 2 and made_under["patch_size"] == 4
-        assert made_under["front_end"]["fft_size"] == 1024
-        assert made_under["front_end"]["n_mels"] == 64
+        assert made_under["front_end"] == {"f_high": 8000.0, "f_low": 0.0, "fft_size": 1024,
+                                           "hop_ms": 10.0, "n_mels": 64,
+                                           "sample_rate": 16000, "win_ms": 25.0}
 
     def test_k_controls_vector_length(self, tmp_path):
         run_synth(tmp_path)
@@ -340,7 +353,8 @@ class TestMadeUnder:
     def test_manifest_sidecar_records_the_spoof_config_and_split(self, tmp_path):
         run_synth(tmp_path, "--seed", 8)
         made_under = json.loads((tmp_path / "manifest.json").read_text())
-        assert made_under["spoof_config"]["seed"] == 8
+        assert made_under["spoof_config"] == {"seed": 8, "snr_db": 20.0,
+                                              "tilt_high": 0.6, "tilt_low": -0.6}
         assert made_under["split_counts"] == {"train_per_class": 4, "dev_per_class": 2}
 
     @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
@@ -720,7 +734,8 @@ class TestConfigHandling:
                                      {"patch_size": 5}, {"fft_size": 256},
                                      {"gamma": "foo"}, {"gamma": -5},
                                      {"train_per_class": 0}, {"dev_per_class": -3},
-                                     {"tilt_low": 2}, {"snr_db": float("nan")},
+                                     {"tilt_low": 2}, {"tilt_low": 0.5, "tilt_high": 0.1},
+                                     {"snr_db": float("nan")},
                                      {"seed": -1}, {"svm_c": 0},
                                      {"seed": "x"}, {"depth": 1.0}, {"n_mels": "64"},
                                      {"k": True}, {"fft_size": 1024.5},
@@ -729,7 +744,7 @@ class TestConfigHandling:
                                      {"win_ms": 0}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
                                   "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
-                                  "train0", "devneg3", "tilt2", "snrnan",
+                                  "train0", "devneg3", "tilt2", "tiltreversed", "snrnan",
                                   "seedneg", "svmc0", "seedstr", "depthfloat",
                                   "melsstr", "ktrue", "fftfloat", "inputint",
                                   "fhigh9000", "flowhigh", "mels0", "hop0", "win0"])

@@ -12,6 +12,7 @@ import pytest
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
+from qpatch.config import ExperimentConfig
 from qpatch.dsp import (
     EPS,
     Waveform,
@@ -439,7 +440,7 @@ class TestFullFrontEnd:
     def test_shape_and_standardization(self):
         rng = np.random.default_rng(3)
         w = Waveform(rng.standard_normal(16000) * 0.1, 16000)
-        spec = logmel_spectrogram(w)
+        spec = logmel_spectrogram(w, ExperimentConfig())
         assert spec.shape == (98, 64)
         assert abs(spec.mean()) < 1e-6
         assert abs(spec.std() - 1.0) < 1e-6
@@ -447,14 +448,14 @@ class TestFullFrontEnd:
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(4)
         samples = rng.standard_normal(16000) * 0.1
-        a = logmel_spectrogram(Waveform(samples, 16000))
-        b = logmel_spectrogram(Waveform(samples.copy(), 16000))
+        a = logmel_spectrogram(Waveform(samples, 16000), ExperimentConfig())
+        b = logmel_spectrogram(Waveform(samples.copy(), 16000), ExperimentConfig())
         np.testing.assert_array_equal(a, b)
 
     def test_resamples_non_target_input(self):
         rng = np.random.default_rng(5)
         w = Waveform(rng.standard_normal(48000) * 0.1, 48000)
-        spec = logmel_spectrogram(w)
+        spec = logmel_spectrogram(w, ExperimentConfig())
         assert spec.shape == (98, 64)
 
     def test_overflowing_float_input_refused(self):
@@ -462,7 +463,7 @@ class TestFullFrontEnd:
         w = Waveform(np.random.default_rng(6).standard_normal(16000) * 1e200, 16000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                logmel_spectrogram(w)
+                logmel_spectrogram(w, ExperimentConfig())
 
 
 class TestWavIO:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from qpatch.config import ExperimentConfig
 from qpatch.dsp import (
     Waveform,
     build_mel_filterbank,
@@ -22,8 +23,6 @@ from qpatch.spoof import (
     SPOOF,
     DatasetManifest,
     ManifestEntry,
-    SpoofConfig,
-    SplitCounts,
     add_noise,
     build_dataset,
     generate_synthetic_corpus,
@@ -146,24 +145,24 @@ class TestSpectralDistort:
 class TestMakeSpoof:
     def test_deterministic(self):
         w = sine_wave()
-        cfg = SpoofConfig(seed=11)
+        cfg = ExperimentConfig(seed=11)
         a = make_spoof(w, "utt000", cfg)
         b = make_spoof(w, "utt000", cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_differs_from_source_and_between_ids(self):
         w = sine_wave()
-        cfg = SpoofConfig(seed=11)
+        cfg = ExperimentConfig(seed=11)
         a = make_spoof(w, "utt000", cfg)
         b = make_spoof(w, "utt001", cfg)
         assert not np.array_equal(a.samples, w.samples)
         assert not np.array_equal(a.samples, b.samples)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SpoofConfig(tilt_low=-1.2)
-        with pytest.raises(ValueError):
-            SpoofConfig(snr_db=math.nan)
+        with pytest.raises(ValueError, match="tilt range"):
+            ExperimentConfig(tilt_low=-1.2)
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            ExperimentConfig(snr_db=math.nan)
 
 
 class TestSyntheticCorpus:
@@ -199,8 +198,8 @@ class TestSyntheticCorpus:
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
     generate_synthetic_corpus(root / "bonafide", 10, seed=3, duration_s=0.5)
-    counts = SplitCounts(train_per_class=8, dev_per_class=2)
-    manifest, wav_sha256 = build_dataset(root / "bonafide", root, SpoofConfig(seed=3), counts)
+    config = ExperimentConfig(train_per_class=8, dev_per_class=2, seed=3)
+    manifest, wav_sha256 = build_dataset(root / "bonafide", root, config)
     return root, manifest, wav_sha256
 
 
@@ -235,7 +234,7 @@ class TestBuildDataset:
         spoof = next(e for e in manifest.entries if e.label == SPOOF)
         source = next(e for e in manifest.entries if e.uid == spoof.source_id)
         w = load_wav(root / source.path)
-        expected = make_spoof(w, spoof.source_id, SpoofConfig(seed=3))
+        expected = make_spoof(w, spoof.source_id, ExperimentConfig(seed=3))
         got = load_wav(root / spoof.path)
         np.testing.assert_allclose(got.samples, expected.samples, atol=1.5 / 32768)
 
@@ -257,20 +256,20 @@ class TestBuildDataset:
         first.rename(tmp_path / "bona" / "a.wav")
         second.rename(tmp_path / "bona" / "a-b.wav")
         manifest, _ = build_dataset(tmp_path / "bona", tmp_path / "w",
-                                    counts=SplitCounts(train_per_class=1, dev_per_class=1))
+                                    ExperimentConfig(train_per_class=1, dev_per_class=1))
         assert [e.uid for e in manifest.entries] == ["a", "a-b", "a-b_spoof", "a_spoof"]
 
     def test_insufficient_files_error(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "few", 3, seed=1, duration_s=0.2)
         with pytest.raises(ValueError, match="short 7"):
             build_dataset(tmp_path / "few", tmp_path / "sp",
-                          counts=SplitCounts(train_per_class=8, dev_per_class=2))
+                          ExperimentConfig(train_per_class=8, dev_per_class=2))
 
     def test_same_seed_identical_manifest(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "bona", 6, seed=4, duration_s=0.2)
-        counts = SplitCounts(train_per_class=4, dev_per_class=2)
-        m1, h1 = build_dataset(tmp_path / "bona", tmp_path / "w1", SpoofConfig(seed=4), counts)
-        m2, h2 = build_dataset(tmp_path / "bona", tmp_path / "w2", SpoofConfig(seed=4), counts)
+        config = ExperimentConfig(train_per_class=4, dev_per_class=2, seed=4)
+        m1, h1 = build_dataset(tmp_path / "bona", tmp_path / "w1", config)
+        m2, h2 = build_dataset(tmp_path / "bona", tmp_path / "w2", config)
         # work-dir-relative paths: two work dirs beside each other give one manifest
         assert m1 == m2
         assert h1 == h2
