@@ -231,11 +231,11 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
     split = _load_split_features(config)
     (_, x_train), (_, x_dev) = split["train"], split["dev"]
-    spec = config.kernel_spec(kind).resolve(x_train)
+    params = svm.kernel_params(config, kind, x_train)
     # rows and columns are the manifest's train then dev entries in file order
-    k = svm.kernel_matrix(np.vstack([x_train, x_dev]), spec)
+    k = svm.kernel_matrix(np.vstack([x_train, x_dev]), **params)
     n = len(x_train)
-    with _record_made_under(p["kernel"](kind), _kernel_facts(config, spec.params())):
+    with _record_made_under(p["kernel"](kind), _kernel_facts(config, params)):
         # the exports to read and compare: the train Gram and the dev x train cross rows
         svm.save_gram(k, p["kernel"](kind), [(p["work"] / f"gram_{kind}.csv", k[:n, :n]),
                                              (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
@@ -247,16 +247,16 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     split = _load_split_features(config)
     (train_labels, x_train), (dev_labels, x_dev) = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
-    spec = config.kernel_spec(kind).resolve(x_train)
+    params = svm.kernel_params(config, kind, x_train)
     n_train, n_dev = len(train_labels), len(dev_labels)
     path = p["kernel"](kind)
-    _check_made_under(path, _kernel_facts(config, spec.params()), f"kernel --kind {kind}")
+    _check_made_under(path, _kernel_facts(config, params), f"kernel --kind {kind}")
     k = svm.load_gram(path, n_train + n_dev)
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
     model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c,
-                          kernel_params=spec.params(), feature_ref=str(p["features"]))
+                          kernel_params=params, feature_ref=str(p["features"]))
     svm.save_model(model, p["model"](kind))
 
     dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
@@ -266,7 +266,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
 
     structure = metrics.kernel_structure(k[n_train:, n_train:], dev_labels,
-                                         features=x_dev, kernel=spec)
+                                         features=x_dev, kernel=params)
     # every value below is already a plain int, float, bool, str or dict
     report = {
         "kind": kind,
@@ -280,7 +280,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             "depth": config.depth,
             "s3_axis": config.s3_axis,
             "gamma_policy": str(config.gamma),
-            "gamma_resolved": spec.gamma if kind == "rbf" else None,
+            "gamma_resolved": params.get("gamma"),
         },
         "svm": {"n_support": model.support_indices.size,
                 **{name: getattr(model, name)

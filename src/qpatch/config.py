@@ -12,7 +12,6 @@ from .dsp import TARGET_SAMPLE_RATE, build_mel_filterbank, frame_lengths
 from .patches import check_patch_size
 from .quantum import check_circuit
 from .spoof import NO_NOISE
-from .svm import KernelSpec
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,6 @@ class ExperimentConfig:
         frame_lengths(self.win_ms, self.hop_ms, self.fft_size)
         build_mel_filterbank(self.n_mels, self.fft_size, TARGET_SAMPLE_RATE,
                              self.f_low, self.f_high)
-
-    def kernel_spec(self, kind: str) -> KernelSpec:
-        return KernelSpec(kind=kind, depth=self.depth, s3_axis=self.s3_axis,
-                          gamma=self.gamma)
 
     def resolved_input_dir(self) -> Path:
         if self.input_dir is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
-from .svm import KernelSpec, _stack_features, kernel_matrix
+from .svm import _stack_features, kernel_matrix
 
 SCHEMA_VERSION = 1
 POSITIVE_LABEL = "bonafide"
@@ -118,7 +118,7 @@ def _group(values) -> dict:
 
 
 def kernel_structure(gram_values, labels, features=None,
-                     kernel: KernelSpec | None = None) -> dict:
+                     kernel: dict | None = None) -> dict:
     """Group Gram entries into same-sample, within-class, and cross-class sets.
 
     Returns the report's dict: same_sample and within_class map each class to
@@ -126,10 +126,10 @@ def kernel_structure(gram_values, labels, features=None,
     patch slot to its group ({} without features).
 
     Off-diagonal groups use i < j pairs only, so the diagonal never leaks
-    into the cross-sample statistics. When features and a kernel spec are
-    given, the cross-class group is additionally recomputed per patch slot
+    into the cross-sample statistics. When features and a kernel_params dict
+    are given, the cross-class group is additionally recomputed per patch slot
     with single-patch kernels over each length-4 block: one n x n
-    kernel_matrix block per slot, indexed at the cross-class pairs. The spec
+    kernel_matrix block per slot, indexed at the cross-class pairs. The dict
     is used as given, so an RBF gamma must already be resolved on train rows.
     """
     k = np.asarray(gram_values, dtype=np.float64)
@@ -152,12 +152,12 @@ def kernel_structure(gram_values, labels, features=None,
     per_slot = {}
     if features is not None:
         if kernel is None:
-            raise ValueError("per-slot breakdown needs the kernel spec")
+            raise ValueError("per-slot breakdown needs the kernel parameters")
         x = _stack_features(features)
         ci, cj = iu[cross_mask], ju[cross_mask]
         for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]
-            per_slot[f"patch{slot + 1}"] = _group(kernel_matrix(block, kernel)[ci, cj])
+            per_slot[f"patch{slot + 1}"] = _group(kernel_matrix(block, **kernel)[ci, cj])
     return {"same_sample": same_sample, "within_class": within, "cross_class": cross,
             "cross_class_per_slot": per_slot}
 

@@ -181,11 +181,10 @@ def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
     raw = path.read_bytes()
     w = load_wav(path, raw)
     try:
-        w = resample_to(w)
+        spoofed = make_spoof(resample_to(w), path.stem, config)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    return (hashlib.sha256(raw).hexdigest(),
-            save_wav(spoof_path, make_spoof(w, path.stem, config)))
+    return hashlib.sha256(raw).hexdigest(), save_wav(spoof_path, spoofed)
 
 
 def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,44 +23,20 @@ from .quantum import _ROW_BLOCK, _embed_vector, fidelity_matrix
 KERNEL_KINDS = ("quantum", "rbf")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which kernel to use and its parameters.
-
-    gamma may be the string "scale", resolved against training features as
-    1 / (dim * variance of all feature entries). depth and s3_axis only
-    matter for the quantum kind.
-    """
-
-    kind: str = "quantum"
-    depth: int = 1
-    s3_axis: str = "Z"
-    gamma: float | str = "scale"
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-    def resolve(self, features: np.ndarray) -> "KernelSpec":
-        """Replace a symbolic gamma with its numeric value for this data."""
-        if self.kind != "rbf" or not isinstance(self.gamma, str):
-            return self
-        if self.gamma != "scale":
-            raise ValueError(f"unknown gamma policy {self.gamma!r}")
-        x = np.asarray(features, dtype=np.float64)
+def kernel_params(config, kind: str, x_train) -> dict:
+    """The kernel's parameters as its sidecar and model record them, and as
+    kernel_matrix takes them: kind with config's depth and s3_axis (quantum)
+    or gamma (rbf). A gamma of "scale" is resolved on the training rows
+    x_train as 1 / (dim * variance of all entries); a numeric one is kept."""
+    if kind == "quantum":
+        return {"kind": kind, "depth": config.depth, "s3_axis": config.s3_axis}
+    gamma = config.gamma
+    if gamma == "scale":
+        x = np.asarray(x_train, dtype=np.float64)
         var = float(x.var())
         dim = x.shape[1]
         gamma = 1.0 / (dim * var) if var > 1e-12 else 1.0 / dim
-        return replace(self, gamma=gamma)
-
-    def params(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "quantum":
-            out["depth"] = self.depth
-            out["s3_axis"] = self.s3_axis
-        else:
-            out["gamma"] = self.gamma
-        return out
+    return {"kind": kind, "gamma": gamma}
 
 
 def check_gram(values) -> np.ndarray:
@@ -128,26 +104,30 @@ def rbf_kernel(x, y, gamma: float) -> float:
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(n x n) kernel of the rows of x against themselves; an RBF gamma must
-    be numeric, resolved by the caller on the training rows.
+def kernel_matrix(x: np.ndarray, kind: str, depth: int = 1, s3_axis: str = "Z",
+                  gamma: float | None = None) -> np.ndarray:
+    """(n x n) kernel of the rows of x against themselves, called as
+    kernel_matrix(x, **kernel_params(...)); an RBF gamma must be numeric,
+    resolved by the caller on the training rows.
 
     Both kinds are filled _ROW_BLOCK rows at a time, each from its diagonal
     entry on, and mirrored below the diagonal as it is filled: exactly
     symmetric, with no kernel-sized temporary. The kinds differ only in the
     block of rows i:j against columns i: that they compute.
     """
-    if spec.kind == "quantum":
-        states = _embed_vector(x, spec.depth, spec.s3_axis)
+    if kind == "quantum":
+        states = _embed_vector(x, depth, s3_axis)
 
         def block(i, j):
             return fidelity_matrix(states[i:j], states[i:])
-    elif isinstance(spec.gamma, str):
-        raise ValueError(f"kernel_matrix needs a resolved gamma, got {spec.gamma!r}")
+    elif kind != "rbf":
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    elif not isinstance(gamma, (int, float)):
+        raise ValueError(f"kernel_matrix needs a resolved gamma, got {gamma!r}")
     else:
         def block(i, j):
             d = x[i:j, None] - x[i:]
-            return np.exp(-spec.gamma * np.einsum("ijk,ijk->ij", d, d))
+            return np.exp(-gamma * np.einsum("ijk,ijk->ij", d, d))
     n = x.shape[0]
     out = np.empty((n, n))
     for i in range(0, n, _ROW_BLOCK):
@@ -159,22 +139,21 @@ def kernel_matrix(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return out
 
 
-def build_gram(features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    """Pairwise kernel matrix of the feature rows, exactly symmetric, checked."""
-    x = _stack_features(features)
-    spec = kernel.resolve(x)
-    return check_gram(kernel_matrix(x, spec))
+def build_gram(features, kernel: dict) -> np.ndarray:
+    """Pairwise kernel matrix of the feature rows under the kernel_params
+    dict kernel, exactly symmetric, checked."""
+    return check_gram(kernel_matrix(_stack_features(features), **kernel))
 
 
 # no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
-def cross_gram(test_features, train_features, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
+def cross_gram(test_features, train_features, kernel: dict) -> np.ndarray:
     """The (n_test x n_train) slice of one kernel_matrix over the stacked
-    [train; test] rows, gamma resolved on the training rows as in build_gram."""
+    [train; test] rows under the kernel_params dict kernel."""
     xt = _stack_features(test_features)
     xr = _stack_features(train_features)
     if xt.shape[1] != xr.shape[1]:
         raise ValueError("test/train feature lengths differ")
-    return kernel_matrix(np.vstack([xr, xt]), kernel.resolve(xr))[len(xr):, :len(xr)]
+    return kernel_matrix(np.vstack([xr, xt]), **kernel)[len(xr):, :len(xr)]
 
 
 def _ensure_psd(k: np.ndarray) -> np.ndarray:

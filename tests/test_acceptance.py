@@ -19,7 +19,7 @@ from qpatch import metrics, patches, svm
 from qpatch.cli import main
 from qpatch.quantum import _embed_vector, fidelity_kernel
 from qpatch.spoof import BONAFIDE, read_manifest
-from qpatch.svm import KernelSpec, train_svm
+from qpatch.svm import train_svm
 
 from _oracles import dense_embed_pair, dense_embed_patch
 
@@ -188,7 +188,8 @@ def test_cross_class_similarity_below_both_within_class_means(default_run):
     rows = patches.read_features_csv(work / "features.csv")
     assert len(rows) == 100
     labels = [label for _, label, _ in rows]
-    gram = svm.build_gram([fv for _, _, fv in rows], KernelSpec(kind="quantum"))
+    gram = svm.build_gram([fv for _, _, fv in rows],
+                          {"kind": "quantum", "depth": 1, "s3_axis": "Z"})
     report = metrics.kernel_structure(gram, labels)
     assert len(manifest.entries) == 100
     for stats in report["within_class"].values():

@@ -89,12 +89,17 @@ class TestSynth:
         corpus = tmp_path / "voices"
         generate_synthetic_corpus(corpus, 6, seed=11)
         odd = corpus / "utt003.wav"
-        dsp.save_wav(odd, dsp.Waveform(np.zeros(4410), 44101))
-        assert main(base_args(tmp_path / "w", "--input-dir", corpus) + ["synth"]) == 2
-        log_text = (tmp_path / "w" / "run.log").read_text()
-        assert f"{odd}: sample rate 44101 Hz" in log_text
-        assert "Traceback" not in log_text
-        assert not (tmp_path / "w" / "manifest.csv").exists()
+        # a rate the resampler refuses, then a silent file no SNR can be set against
+        for work, samples, rate, message in [
+                (tmp_path / "w", np.zeros(4410), 44101, "sample rate 44101 Hz"),
+                (tmp_path / "silent", np.zeros(16000), 16000,
+                 "cannot set an SNR against a zero-power signal")]:
+            dsp.save_wav(odd, dsp.Waveform(samples, rate))
+            assert main(base_args(work, "--input-dir", corpus) + ["synth"]) == 2
+            log_text = (work / "run.log").read_text()
+            assert f"{odd}: {message}" in log_text
+            assert "Traceback" not in log_text
+            assert not (work / "manifest.csv").exists()
 
     def test_a_stem_taking_another_files_spoof_id_exits_2_before_any_spoof(self, tmp_path):
         from qpatch.spoof import generate_synthetic_corpus
@@ -271,12 +276,16 @@ class TestTrainEval:
         the train features), not with a gamma re-resolved on the dev set."""
         from qpatch.patches import read_features_csv
         from qpatch.spoof import read_manifest
-        from qpatch.svm import rbf_kernel
+        from qpatch.svm import load_model, rbf_kernel
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "rbf")
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         report = json.loads((tmp_path / "report_rbf.json").read_text())
         gamma = report["kernel"]["gamma_resolved"]
+        # one dict is the kernel's identity: the sidecar's, the model's and the report's
+        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
+        model = load_model(tmp_path / "model_rbf.json")
+        assert sidecar["params"] == model.kernel_params == {"kind": "rbf", "gamma": gamma}
         dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv").entries
                    if e.split == "dev"}
         dev = [(label, stats) for uid, label, stats
@@ -295,6 +304,18 @@ class TestTrainEval:
         model = load_model(tmp_path / "model_rbf.json")
         assert model.n_train == 8
         assert model.kernel_params["kind"] == "rbf"
+
+    def test_psd_repair_reaches_run_log(self, tmp_path):
+        """A stored kernel that passes check_gram but is not PSD (its sidecar
+        records no kernel digest) is clipped before SMO, and run.log says so."""
+        prepared(tmp_path)
+        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        path = tmp_path / "kernel_quantum.npy"
+        k = np.load(path)
+        k[0, 1] = k[1, 0] = 2.0  # the train minor [[1, 2], [2, 1]] has eigenvalue -1
+        np.save(path, k)
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 0
+        assert "below the PSD slack" in (tmp_path / "run.log").read_text()
 
     def test_kernel_files_from_another_depth_are_refused(self, tmp_path):
         prepared(tmp_path)
@@ -728,6 +749,14 @@ class TestConfigHandling:
                     + ["kernel", "--kind", "rbf"]) == 0
         sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
         assert sidecar["params"]["gamma"] == 0.25
+        # a config file's integer gamma is recorded as that integer
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gamma": 2}))
+        assert main(base_args(tmp_path, "--config", config)
+                    + ["kernel", "--kind", "rbf"]) == 0
+        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
+        assert sidecar["params"] == {"kind": "rbf", "gamma": 2}
+        assert type(sidecar["params"]["gamma"]) is int
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},

@@ -14,7 +14,8 @@ from qpatch.metrics import (
     roc_points,
     write_report,
 )
-from qpatch.svm import KernelSpec, build_gram, rbf_kernel
+from qpatch.config import ExperimentConfig
+from qpatch.svm import build_gram, kernel_params, rbf_kernel
 from qpatch.quantum import fidelity_kernel
 
 
@@ -285,9 +286,9 @@ class TestKernelStructure:
         rng = np.random.default_rng(7)
         feats = [rng.uniform(-2, 2, 8) for _ in range(6)]
         labels = ["bonafide"] * 3 + ["spoof"] * 3
-        gram = build_gram(feats, KernelSpec())
-        rep = kernel_structure(gram, labels, features=feats,
-                               kernel=KernelSpec())
+        kernel = {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
+        gram = build_gram(feats, kernel)
+        rep = kernel_structure(gram, labels, features=feats, kernel=kernel)
         assert set(rep["cross_class_per_slot"]) == {"patch1", "patch2"}
         # oracle: 4-qubit kernel on each block over the 9 cross pairs
         expected = []
@@ -308,12 +309,13 @@ class TestKernelStructure:
         labels = ["bonafide"] * 3 + ["spoof"] * 3
         # a symbolic gamma is refused, not resolved on these (dev) rows
         with pytest.raises(ValueError, match="resolved gamma"):
-            kernel_structure(np.eye(6), labels, features=feats, kernel=KernelSpec(kind="rbf"))
+            kernel_structure(np.eye(6), labels, features=feats,
+                             kernel={"kind": "rbf", "gamma": "scale"})
         # a gamma resolved on other (train) rows is the one used per slot
-        spec = KernelSpec(kind="rbf").resolve(rng.uniform(-1, 1, (10, 8)))
-        assert spec.gamma != KernelSpec(kind="rbf").resolve(feats).gamma
-        rep = kernel_structure(np.eye(6), labels, features=feats, kernel=spec)
-        expected = [rbf_kernel(feats[i, :4], feats[j, :4], spec.gamma)
+        kernel = kernel_params(ExperimentConfig(), "rbf", rng.uniform(-1, 1, (10, 8)))
+        assert kernel["gamma"] != kernel_params(ExperimentConfig(), "rbf", feats)["gamma"]
+        rep = kernel_structure(np.eye(6), labels, features=feats, kernel=kernel)
+        expected = [rbf_kernel(feats[i, :4], feats[j, :4], kernel["gamma"])
                     for i in range(3) for j in range(3, 6)]
         assert rep["cross_class_per_slot"]["patch1"]["mean"] == pytest.approx(
             np.mean(expected), abs=1e-15)

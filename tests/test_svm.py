@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from qpatch import quantum
+from qpatch.config import ExperimentConfig
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
-    KernelSpec,
     SvmModel,
     build_gram,
     check_gram,
     cross_gram,
     decision_scores,
     kernel_matrix,
+    kernel_params,
     load_gram,
     load_model,
     rbf_kernel,
@@ -29,6 +30,14 @@ from qpatch.svm import (
 )
 
 from _oracles import dense_kernel
+
+QUANTUM = {"kind": "quantum"}  # depth 1, s3 axis Z: kernel_matrix's defaults
+
+
+def params(kind, x, **fields):
+    """kernel_params of kind on the training rows x under the default config
+    with fields set."""
+    return kernel_params(ExperimentConfig(**fields), kind, x)
 
 
 def product_cosine_kernel(a, b, depth, s3_axis):
@@ -90,34 +99,38 @@ class TestRbfKernel:
 
 
 class TestKernelSpec:
+    """The kernel's parameter dict: what kernel_params builds from a config
+    and what kernel_matrix refuses."""
+
     def test_scale_gamma(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 8))
-        spec = KernelSpec(kind="rbf").resolve(x)
-        assert spec.gamma == pytest.approx(1.0 / (8 * x.var()), rel=1e-12)
+        assert params("rbf", x) == {"kind": "rbf",
+                                    "gamma": pytest.approx(1.0 / (8 * x.var()), rel=1e-12)}
 
     def test_scale_gamma_constant_features(self):
         x = np.ones((5, 8))
-        spec = KernelSpec(kind="rbf").resolve(x)
-        assert spec.gamma == pytest.approx(1.0 / 8)
+        assert params("rbf", x) == {"kind": "rbf", "gamma": pytest.approx(1.0 / 8)}
 
     def test_numeric_gamma_passthrough(self):
-        spec = KernelSpec(kind="rbf", gamma=0.25).resolve(np.zeros((3, 4)))
-        assert spec.gamma == 0.25
+        assert params("rbf", np.zeros((3, 4)), gamma=0.25) == {"kind": "rbf", "gamma": 0.25}
+        # an integer stays an integer, as the sidecars record it
+        gamma = params("rbf", np.zeros((3, 4)), gamma=2)["gamma"]
+        assert gamma == 2 and type(gamma) is int
 
     def test_quantum_ignores_gamma(self):
-        spec = KernelSpec(kind="quantum").resolve(np.zeros((3, 8)))
-        assert spec.gamma == "scale"
+        got = params("quantum", np.zeros((3, 8)), depth=2, s3_axis="Y")
+        assert got == {"kind": "quantum", "depth": 2, "s3_axis": "Y"}
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            KernelSpec(kind="linear")
+        with pytest.raises(ValueError, match="unknown kernel kind 'linear'"):
+            kernel_matrix(np.zeros((3, 8)), "linear")
 
     def test_kernel_matrix_refuses_a_symbolic_gamma(self):
         # "scale" is resolved on training rows by the caller, never on the rows given
         x = np.random.default_rng(3).uniform(-1, 1, (4, 8))
-        with pytest.raises(ValueError, match="resolved gamma, got 'scale'"):
-            kernel_matrix(x, KernelSpec(kind="rbf"))
+        with pytest.raises(ValueError, match="needs a resolved gamma, got 'scale'"):
+            kernel_matrix(x, "rbf", gamma="scale")
 
 
 class TestGramMatrix:
@@ -149,8 +162,8 @@ class TestGramMatrix:
         peak of validating a kernel the size of scaled_hard's stays far below
         one temporary of its size."""
         n = 1000
-        values = build_gram(np.random.default_rng(13).uniform(-1, 1, (n, 4)),
-                            KernelSpec(kind="rbf"))
+        x = np.random.default_rng(13).uniform(-1, 1, (n, 4))
+        values = build_gram(x, params("rbf", x))
         tracemalloc.start()
         try:
             check_gram(values)
@@ -180,13 +193,13 @@ class TestGramMatrix:
 class TestBuildGram:
     def test_single_sample(self):
         rng = np.random.default_rng(2)
-        g = build_gram([rng.uniform(-1, 1, 8)])
+        g = build_gram([rng.uniform(-1, 1, 8)], QUANTUM)
         np.testing.assert_allclose(g, [[1.0]], atol=1e-10)
 
     def test_duplicated_sample_gives_unit_entry(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 8)
-        g = build_gram([x, rng.uniform(-1, 1, 8), x.copy()])
+        g = build_gram([x, rng.uniform(-1, 1, 8), x.copy()], QUANTUM)
         assert g[0, 2] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
@@ -195,43 +208,42 @@ class TestBuildGram:
         independently, including the (j, i) entries the shortcut skips."""
         rng = np.random.default_rng(4)
         feats = [rng.uniform(-np.pi, np.pi, 8) for _ in range(5)]
-        spec = KernelSpec(kind=kind)
-        g = build_gram(feats, spec)
-        resolved = spec.resolve(np.stack(feats))
+        kernel = params(kind, np.stack(feats))
+        g = build_gram(feats, kernel)
         for i in range(5):
             for j in range(5):
                 if kind == "quantum":
                     expected = fidelity_kernel(feats[i], feats[j])
                 else:
-                    expected = rbf_kernel(feats[i], feats[j], resolved.gamma)
+                    expected = rbf_kernel(feats[i], feats[j], kernel["gamma"])
                 assert g[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_ragged_features_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
-            build_gram([np.zeros(8), np.zeros(4)])
+            build_gram([np.zeros(8), np.zeros(4)], QUANTUM)
 
     def test_array_and_row_list_agree(self):
         x = np.random.default_rng(8).uniform(-2, 2, (5, 8))
-        np.testing.assert_array_equal(build_gram(x), build_gram(list(x)))
+        np.testing.assert_array_equal(build_gram(x, QUANTUM), build_gram(list(x), QUANTUM))
 
     def test_empty_and_non_flat_features_rejected(self):
         with pytest.raises(ValueError, match="empty feature list"):
-            build_gram([])
+            build_gram([], QUANTUM)
         with pytest.raises(ValueError, match="flat vector"):
-            build_gram([np.zeros((2, 4)), np.zeros((2, 4))])
+            build_gram([np.zeros((2, 4)), np.zeros((2, 4))], QUANTUM)
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_psd_on_random_samples(self, kind):
         rng = np.random.default_rng(5)
         feats = [rng.uniform(-np.pi, np.pi, 8) for _ in range(50)]
-        g = build_gram(feats, KernelSpec(kind=kind))
+        g = build_gram(feats, params(kind, np.stack(feats)))
         assert np.linalg.eigvalsh(g)[0] >= -1e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         feats = [rng.uniform(-2, 2, 8) for _ in range(6)]
-        a = build_gram(feats)
-        b = build_gram([f.copy() for f in feats])
+        a = build_gram(feats, QUANTUM)
+        b = build_gram([f.copy() for f in feats], QUANTUM)
         np.testing.assert_array_equal(a, b)
 
 
@@ -243,7 +255,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(10 * depth + length)
         a = rng.uniform(-np.pi, np.pi, (2, length))
         b = rng.uniform(-np.pi, np.pi, (1, length))
-        got = kernel_matrix(np.vstack([a, b]), KernelSpec(depth=depth, s3_axis=s3_axis))
+        got = kernel_matrix(np.vstack([a, b]), "quantum", depth, s3_axis)
         got = got[:len(a), len(a):]
         want = [[dense_kernel(x, y, depth, s3_axis) for y in b] for x in a]
         assert got.shape == (2, 1)
@@ -258,7 +270,7 @@ class TestKernelMatrix:
         rng = np.random.default_rng(length)
         a = rng.uniform(-np.pi, np.pi, (5, length))
         b = rng.uniform(-np.pi, np.pi, (4, length))
-        got = kernel_matrix(np.vstack([a, b]), KernelSpec(depth=1, s3_axis=s3_axis))
+        got = kernel_matrix(np.vstack([a, b]), "quantum", 1, s3_axis)
         got = got[:len(a), len(a):]
         np.testing.assert_allclose(got, product_cosine_kernel(a, b, 1, s3_axis),
                                    rtol=0, atol=1e-12)
@@ -277,7 +289,7 @@ class TestKernelMatrix:
         if not cz:
             monkeypatch.setattr(quantum, "_layer_sign", lambda n_qubits: np.ones(2 ** n_qubits))
         x = np.random.default_rng(10 * depth + length).uniform(-np.pi, np.pi, (70, length))
-        got = kernel_matrix(x, KernelSpec(depth=depth, s3_axis=s3_axis))
+        got = kernel_matrix(x, "quantum", depth, s3_axis)
         gap = np.max(np.abs(got - product_cosine_kernel(x, x, depth, s3_axis)))
         if cz and depth > 1:
             assert gap > 1e-3
@@ -298,8 +310,8 @@ class TestKernelMatrix:
         triangle mirrored. Row length 16 is deep_circuit's (k 4)."""
         rng = np.random.default_rng(n + depth)
         a = rng.uniform(-np.pi, np.pi, (n, length))
-        spec = KernelSpec(kind=kind, depth=depth, s3_axis="Y").resolve(a)
-        k = kernel_matrix(a, spec)
+        kernel = params(kind, a, depth=depth, s3_axis="Y")
+        k = kernel_matrix(a, **kernel)
         assert np.array_equal(k, k.T)
         if kind == "quantum":
             states = _embed_vector(a, depth, "Y")
@@ -308,7 +320,7 @@ class TestKernelMatrix:
             oracle = np.empty((n, n))
             for i, row in enumerate(a):
                 d = a - row
-                oracle[i] = np.exp(-spec.gamma * np.einsum("ij,ij->i", d, d))
+                oracle[i] = np.exp(-kernel["gamma"] * np.einsum("ij,ij->i", d, d))
             oracle = np.triu(oracle)
             oracle += np.triu(oracle, 1).T
             assert np.array_equal(k, oracle)
@@ -319,10 +331,10 @@ class TestKernelMatrix:
         size of the kernel: a whole-matrix mirror peaks above twice the
         output, this stays below 1.75 times it."""
         x = np.random.default_rng(12).uniform(-np.pi, np.pi, (600, 4))
-        spec = KernelSpec(kind=kind).resolve(x)
+        kernel = params(kind, x)
         tracemalloc.start()
         try:
-            kernel_matrix(x, spec)
+            kernel_matrix(x, **kernel)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,14 +346,14 @@ class TestKernelMatrix:
         still exactly symmetric and matches the single-pair kernel."""
         rng = np.random.default_rng(11)
         feats = rng.uniform(-np.pi, np.pi, (300, 16))
-        spec = KernelSpec(kind=kind)
-        g = build_gram(feats, spec)
+        kernel = params(kind, feats)
+        g = build_gram(feats, kernel)
         assert np.array_equal(g, g.T)
         np.testing.assert_allclose(np.diag(g), 1.0, rtol=0, atol=1e-12)
         if kind == "quantum":
             expected = fidelity_kernel(feats[290], feats[10])
         else:
-            expected = rbf_kernel(feats[290], feats[10], spec.resolve(feats).gamma)
+            expected = rbf_kernel(feats[290], feats[10], kernel["gamma"])
         assert g[290, 10] == pytest.approx(expected, abs=1e-12)
 
 
@@ -351,30 +363,29 @@ class TestCrossGram:
         rng = np.random.default_rng(7)
         train = [rng.uniform(-2, 2, 8) for _ in range(4)]
         test = [rng.uniform(-2, 2, 8) for _ in range(3)]
-        spec = KernelSpec(kind=kind)
-        rows = cross_gram(test, train, spec)
+        kernel = params(kind, np.stack(train))
+        rows = cross_gram(test, train, kernel)
         assert rows.shape == (3, 4)
-        resolved = spec.resolve(np.stack(train))
         for i in range(3):
             for j in range(4):
                 if kind == "quantum":
                     expected = fidelity_kernel(test[i], train[j])
                 else:
-                    expected = rbf_kernel(test[i], train[j], resolved.gamma)
+                    expected = rbf_kernel(test[i], train[j], kernel["gamma"])
                 assert rows[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_gamma_resolved_on_training_features(self):
         rng = np.random.default_rng(8)
         train = rng.standard_normal((6, 8))
         test = rng.standard_normal((2, 8)) * 10  # different scale on purpose
-        rows = cross_gram(test, train, KernelSpec(kind="rbf"))
+        rows = cross_gram(test, train, params("rbf", train))
         gamma = 1.0 / (8 * train.var())
         expected = rbf_kernel(test[0], train[0], gamma)
         assert rows[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cross_gram([np.zeros(4)], [np.zeros(8)])
+            cross_gram([np.zeros(4)], [np.zeros(8)], QUANTUM)
 
 
 class TestTrainSvmTwoPoint:
@@ -598,7 +609,7 @@ def test_csv_export_is_the_bytes_of_savetxt(tmp_path, name):
 class TestPersistence:
     def test_gram_roundtrip(self, tmp_path):
         rng = np.random.default_rng(70)
-        g = build_gram([rng.uniform(-1, 1, 8) for _ in range(4)])
+        g = build_gram([rng.uniform(-1, 1, 8) for _ in range(4)], QUANTUM)
         path = tmp_path / "gram.npy"
         save_gram(g, path)
         back = load_gram(path, 4)
@@ -611,8 +622,8 @@ class TestPersistence:
         a kernel the size of scaled_hard's peaks at the kernel itself plus
         less than a tenth of one."""
         n = 1000
-        values = build_gram(np.random.default_rng(14).uniform(-1, 1, (n, 4)),
-                            KernelSpec(kind="rbf"))
+        x = np.random.default_rng(14).uniform(-1, 1, (n, 4))
+        values = build_gram(x, params("rbf", x))
         path = tmp_path / "kernel.npy"
         save_gram(values, path)
         tracemalloc.start()
@@ -625,7 +636,7 @@ class TestPersistence:
 
     def test_gram_rewrite_byte_identical(self, tmp_path):
         rng = np.random.default_rng(71)
-        k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)])
+        k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)], QUANTUM)
         for name in ("a", "b"):
             save_gram(k, tmp_path / f"{name}.npy", [(tmp_path / f"{name}.csv", k[1:, :1])])
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
