@@ -156,7 +156,7 @@ def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
         spoof.write_manifest(manifest, p["manifest"])
         # features refuses a WAV edited after its spoof was made from it
         facts["wav_sha256"] = wav_sha256
-    log.info("wrote manifest with %d entries to %s", len(manifest.entries), p["manifest"])
+    log.info("wrote manifest with %d entries to %s", len(manifest), p["manifest"])
 
 
 def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
@@ -191,7 +191,7 @@ def cmd_features(config: ExperimentConfig) -> None:
 
     rows = []
     skipped = []
-    for entry, row in zip(manifest.entries, ordered_map(extract, manifest.entries)):
+    for entry, row in zip(manifest, ordered_map(extract, manifest)):
         if isinstance(row, str):
             log.error("skipping %s: %s", entry.uid, row)
             skipped.append(entry.uid)
@@ -204,7 +204,7 @@ def cmd_features(config: ExperimentConfig) -> None:
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
     if skipped:
         raise CliInputError(
-            f"{len(skipped)} of {len(manifest.entries)} files were skipped: "
+            f"{len(skipped)} of {len(manifest)} files were skipped: "
             + ", ".join(skipped))
 
 
@@ -216,7 +216,7 @@ def _load_split_features(config: ExperimentConfig) -> dict:
     feature_rows = {uid: (label, stats)
                     for uid, label, stats in patches.read_features_csv(p["features"])}
     split = {"train": ([], []), "dev": ([], [])}
-    for entry in manifest.entries:
+    for entry in manifest:
         if entry.uid not in feature_rows:
             raise CliInputError(f"feature row missing for {entry.uid}; rerun features")
         label, stats = feature_rows[entry.uid]
@@ -255,9 +255,9 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
-    model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c,
-                          kernel_params=params, feature_ref=str(p["features"]))
-    svm.save_model(model, p["model"](kind))
+    model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c)
+    svm.save_model({**model, "kernel_params": params, "feature_ref": str(p["features"])},
+                   p["model"](kind))
 
     dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
     y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
@@ -282,8 +282,8 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
             "gamma_policy": str(config.gamma),
             "gamma_resolved": params.get("gamma"),
         },
-        "svm": {"n_support": model.support_indices.size,
-                **{name: getattr(model, name)
+        "svm": {"n_support": model["support_indices"].size,
+                **{name: model[name]
                    for name in ("C", "bias", "kkt_gap", "n_iter", "converged")}},
         "kernel_structure": structure,
         "config": config.to_dict(),

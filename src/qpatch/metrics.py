@@ -10,8 +10,6 @@ over sorted scores in numpy, so this module does not load scipy.stats.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +19,6 @@ from .svm import _stack_features, kernel_matrix
 
 SCHEMA_VERSION = 1
 POSITIVE_LABEL = "bonafide"
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Empirical ROC sampled at +inf, every distinct score (descending), -inf.
-
-    A sample is predicted positive when its score >= threshold, so fpr
-    rises from 0 to 1 as the threshold falls.
-    """
-
-    thresholds: np.ndarray
-    fpr: np.ndarray
-    fnr: np.ndarray
-    tpr: np.ndarray
 
 
 def _check_binary(scores, labels):
@@ -51,16 +35,20 @@ def _check_binary(scores, labels):
     return scores, labels.astype(np.int64)
 
 
-def roc_points(scores, labels) -> RocCurve:
-    """The ROC at every threshold from integer counts: per class, the scores
-    below a threshold are its searchsorted position in the sorted scores."""
+def roc_points(scores, labels) -> np.ndarray:
+    """The empirical ROC as an (m, 4) array of [threshold, fpr, tpr, fnr] rows,
+    the table roc_<kind>.csv holds, at +inf, every distinct score (descending)
+    and -inf. A sample is predicted positive when its score >= threshold, so
+    fpr rises from 0 to 1 as the threshold falls. The rates come from integer
+    counts: per class, the scores below a threshold are its searchsorted
+    position in the sorted scores."""
     scores, labels = _check_binary(scores, labels)
     thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
     fpr = (neg.size - np.searchsorted(neg, thresholds)) / neg.size
     fnr = np.searchsorted(pos, thresholds) / pos.size
-    return RocCurve(thresholds, fpr, fnr, 1.0 - fnr)
+    return np.column_stack([thresholds, fpr, 1.0 - fnr, fnr])
 
 
 def auroc(scores, labels) -> float:
@@ -83,27 +71,22 @@ def eer(scores, labels) -> tuple[float, float]:
 
     Walks the ROC from high thresholds down and returns the first point
     where fpr >= fnr, interpolating linearly between the bracketing
-    operating points when the crossing falls between thresholds.
+    operating points when the crossing falls between thresholds. fpr - fnr
+    is -1 at the +inf row and +1 at the lowest score, so the crossing row b
+    lies between them and its threshold is finite. The row a before it is
+    the +inf row only when b = 1; then b's threshold is the one returned.
     """
-    roc = roc_points(scores, labels)
-    diff = roc.fpr - roc.fnr
-    idx = int(np.argmax(diff >= 0.0))
-    if diff[idx] == 0.0:
-        tau = roc.thresholds[idx]
-        if not math.isfinite(tau):
-            tau = roc.thresholds[min(idx + 1, roc.thresholds.size - 1)]
-        return float(roc.fpr[idx]), float(tau)
-    a, b = idx - 1, idx
-    fpr_a, fpr_b = roc.fpr[a], roc.fpr[b]
-    fnr_a, fnr_b = roc.fnr[a], roc.fnr[b]
-    t = (fnr_a - fpr_a) / ((fpr_b - fpr_a) + (fnr_a - fnr_b))
-    value = float(fpr_a + t * (fpr_b - fpr_a))
-    tau_a, tau_b = roc.thresholds[a], roc.thresholds[b]
-    if math.isfinite(tau_a) and math.isfinite(tau_b):
-        tau = float(tau_a + t * (tau_b - tau_a))
-    else:
-        tau = float(tau_b) if math.isfinite(tau_b) else float(tau_a)
-    return value, tau
+    thresholds, fpr, _, fnr = roc_points(scores, labels).T
+    diff = fpr - fnr
+    b = int(np.argmax(diff >= 0.0))
+    if diff[b] == 0.0:
+        return float(fpr[b]), float(thresholds[b])
+    a = b - 1
+    t = (fnr[a] - fpr[a]) / ((fpr[b] - fpr[a]) + (fnr[a] - fnr[b]))
+    value = float(fpr[a] + t * (fpr[b] - fpr[a]))
+    if a == 0:
+        return value, float(thresholds[b])
+    return value, float(thresholds[a] + t * (thresholds[b] - thresholds[a]))
 
 
 def _group(values) -> dict:
@@ -162,8 +145,8 @@ def kernel_structure(gram_values, labels, features=None,
             "cross_class_per_slot": per_slot}
 
 
-def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:
-    """Write the JSON summary and the ROC operating points CSV.
+def write_report(json_path, roc_csv_path, metrics: dict, roc: np.ndarray) -> None:
+    """Write the JSON summary and the CSV of roc_points's table.
 
     Refuses empty metrics before touching the filesystem, so a failed run
     never leaves a partial report behind.
@@ -174,7 +157,6 @@ def write_report(json_path, roc_csv_path, metrics: dict, roc: RocCurve) -> None:
     payload.update(metrics)
     with atomic_write(json_path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    rows = np.column_stack([roc.thresholds, roc.fpr, roc.tpr, roc.fnr])
     with atomic_write(roc_csv_path) as fh:
-        np.savetxt(fh, rows, delimiter=",", fmt="%.17g",
+        np.savetxt(fh, roc, delimiter=",", fmt="%.17g",
                    header="threshold,fpr,tpr,fnr", comments="")

@@ -48,25 +48,6 @@ class ManifestEntry:
     source_id: str
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ids = [e.uid for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate utterance ids in manifest")
-        for split in ("train", "dev"):
-            n_bona = sum(1 for e in self.entries
-                         if e.split == split and e.label == BONAFIDE)
-            n_spoof = sum(1 for e in self.entries
-                          if e.split == split and e.label == SPOOF)
-            if n_bona != n_spoof:
-                raise ValueError(
-                    f"{split} split unbalanced: {n_bona} bonafide vs {n_spoof} spoof")
-
-
 def add_noise(w: Waveform, snr_db: float, rng: np.random.Generator) -> Waveform:
     """Add white Gaussian noise scaled so the realized SNR equals snr_db.
 
@@ -187,9 +168,9 @@ def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
     return hashlib.sha256(raw).hexdigest(), save_wav(spoof_path, spoofed)
 
 
-def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict]:
+def build_dataset(bonafide_dir, work_dir, config) -> tuple[tuple, dict]:
     """Select bona fide files, write their spoofs under work_dir/spoof, and
-    assign splits.
+    assign splits; return the manifest as a tuple of ManifestEntry.
 
     config is the ExperimentConfig; its train_per_class and dev_per_class
     are read, and what make_spoof reads. Files are taken in sorted name
@@ -199,7 +180,8 @@ def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict
     substream so the two classes stay balanced by construction. Entry
     paths are relative to work_dir, so the manifest moves with it. Also
     returns the sha256 of each WAV by entry path, of the bytes read (bona
-    fide) or written (spoof).
+    fide) or written (spoof). If any spoof fails, every spoof path of this
+    call is removed before the error is raised, so none is left behind.
     """
     bonafide_dir = Path(bonafide_dir)
     spoof_dir = Path(work_dir) / "spoof"
@@ -218,7 +200,12 @@ def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict
     spoof_dir.mkdir(parents=True, exist_ok=True)
 
     spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
-    digests = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
+    try:
+        digests = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
+    except BaseException:
+        for path in spoof_paths:
+            path.unlink(missing_ok=True)
+        raise
     wav_sha256 = {}
     by_label = {BONAFIDE: {}, SPOOF: {}}  # uid -> (path, source id)
     for source, spoof_path, both in zip(wavs, spoof_paths, digests):
@@ -233,19 +220,22 @@ def build_dataset(bonafide_dir, work_dir, config) -> tuple[DatasetManifest, dict
                                substream(config.seed, "split", label))
         entries += [ManifestEntry(uid, rows[uid][0], label, split[uid], rows[uid][1])
                     for uid in sorted(rows)]
-    return DatasetManifest(tuple(entries)), wav_sha256
+    return tuple(entries), wav_sha256
 
 
-def write_manifest(manifest: DatasetManifest, path) -> None:
+def write_manifest(manifest, path) -> None:
+    """Write the ManifestEntry rows of manifest as the CSV read_manifest reads."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "path", "label", "split", "source_id"])
-        for e in manifest.entries:
+        for e in manifest:
             writer.writerow([e.uid, e.path, e.label, e.split, e.source_id])
 
 
-def read_manifest(path) -> DatasetManifest:
-    """Inverse of write_manifest; a malformed row raises ValueError naming its line."""
+def read_manifest(path) -> tuple:
+    """Inverse of write_manifest: the tuple of ManifestEntry. A malformed row
+    raises ValueError naming its line, a split whose classes differ in size
+    one naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -263,4 +253,10 @@ def read_manifest(path) -> DatasetManifest:
                 raise ValueError(f"{where}: unknown label {entry.label!r} "
                                  f"or split {entry.split!r}")
             entries[entry.uid] = entry
-    return DatasetManifest(tuple(entries.values()))
+    for split in ("train", "dev"):
+        n_bona, n_spoof = (sum(e.split == split and e.label == label
+                               for e in entries.values()) for label in (BONAFIDE, SPOOF))
+        if n_bona != n_spoof:
+            raise ValueError(f"{path}: {split} split unbalanced: "
+                             f"{n_bona} bonafide vs {n_spoof} spoof")
+    return tuple(entries.values())

@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -59,26 +57,6 @@ def check_gram(values) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class SvmModel:
-    """Soft-margin SVM in dual form over a precomputed kernel.
-
-    dual_coefs holds alpha_i * y_i for the support entries only;
-    support_indices maps them back into the training set.
-    """
-
-    dual_coefs: np.ndarray
-    support_indices: np.ndarray
-    bias: float
-    C: float
-    n_train: int
-    kernel_params: dict = field(default_factory=dict)
-    feature_ref: str = ""
-    kkt_gap: float = 0.0
-    n_iter: int = 0
-    converged: bool = True
-
-
 def _stack_features(features) -> np.ndarray:
     """The (n, length) matrix of a 2-D array or a list of equal-length rows."""
     try:
@@ -93,15 +71,6 @@ def _stack_features(features) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("each feature must be a flat vector")
     return x
-
-
-def rbf_kernel(x, y, gamma: float) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("length mismatch")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
 
 
 def kernel_matrix(x: np.ndarray, kind: str, depth: int = 1, s3_axis: str = "Z",
@@ -170,8 +139,7 @@ def _ensure_psd(k: np.ndarray) -> np.ndarray:
     return (fixed + fixed.T) / 2.0
 
 
-def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 10000,
-              kernel_params: dict | None = None, feature_ref: str = "") -> SvmModel:
+def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 10000) -> dict:
     """Most-violating-pair SMO on the dual of the soft-margin SVM.
 
     Tracks beta_i = alpha_i * y_i inside the box [min(0, C*y_i), max(0, C*y_i)]
@@ -179,6 +147,10 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
     pair with the largest KKT gap and moves them jointly by the clamped
     Newton step. Stops when the gap falls to tol; running out of max_iter
     first warns and marks the model not converged.
+
+    Returns the model as a dict: dual_coefs holds alpha_i * y_i for the
+    support entries only, support_indices maps them back into the training
+    set, with bias, C, n_train, the final kkt_gap, n_iter and converged.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -240,19 +212,19 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
 
     support = np.flatnonzero(alpha > 1e-12)
     final_gap = float(gap) if np.isfinite(gap) else 0.0
-    return SvmModel(dual_coefs=beta[support], support_indices=support,
-                    bias=bias, C=C, n_train=n, kernel_params=dict(kernel_params or {}),
-                    feature_ref=feature_ref, kkt_gap=final_gap, n_iter=it,
-                    converged=converged)
+    return {"dual_coefs": beta[support], "support_indices": support, "bias": bias,
+            "C": C, "n_train": n, "kkt_gap": final_gap, "n_iter": it,
+            "converged": converged}
 
 
-def decision_scores(model: SvmModel, rows) -> np.ndarray:
-    """f(x) = sum over support of alpha_i y_i K(x, x_i) + b, one per row."""
+def decision_scores(model: dict, rows) -> np.ndarray:
+    """f(x) = sum over support of alpha_i y_i K(x, x_i) + b, one per row, for
+    the dict train_svm returns."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.shape[1] != model.n_train:
+    if rows.shape[1] != model["n_train"]:
         raise ValueError(
-            f"kernel rows have {rows.shape[1]} entries, expected {model.n_train}")
-    return rows[:, model.support_indices] @ model.dual_coefs + model.bias
+            f"kernel rows have {rows.shape[1]} entries, expected {model['n_train']}")
+    return rows[:, model["support_indices"]] @ model["dual_coefs"] + model["bias"]
 
 
 @functools.cache
@@ -344,16 +316,9 @@ def load_gram(npy_path, n: int) -> np.ndarray:
         raise ValueError(f"{npy_path}: {err}") from None
 
 
-def save_model(model: SvmModel, path) -> None:
-    payload = asdict(model)
-    payload.update(dual_coefs=model.dual_coefs.tolist(),
-                   support_indices=model.support_indices.tolist())
+def save_model(model: dict, path) -> None:
+    """Write a model dict as sorted JSON, its arrays as lists."""
+    payload = {**model, "dual_coefs": model["dual_coefs"].tolist(),
+               "support_indices": model["support_indices"].tolist()}
     with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path) -> SvmModel:
-    payload = json.loads(Path(path).read_text())
-    payload.update(dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
-                   support_indices=np.array(payload["support_indices"], dtype=np.int64))
-    return SvmModel(**payload)

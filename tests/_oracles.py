@@ -1,4 +1,5 @@
-"""Dense-matrix oracles for the statevector simulator.
+"""Dense-matrix oracles for the statevector simulator, and the per-pair RBF
+kernel the blocked kernel matrices are checked against.
 
 Everything here is built the slow, explicit way: rotations via matrix
 exponentials of Pauli matrices, multi-qubit operators via Kronecker
@@ -94,3 +95,13 @@ def dense_kernel(x, y, depth=1, s3_axis="Z"):
         b = dense_embed_pair(y[i:i + 8], depth, s3_axis)
         vals.append(abs(np.conj(a) @ b) ** 2)
     return float(np.mean(vals))
+
+
+def rbf_kernel(x, y, gamma):
+    """Oracle RBF kernel of one pair: exp(-gamma * ||x - y||^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError("length mismatch")
+    d = x - y
+    return float(np.exp(-gamma * np.dot(d, d)))

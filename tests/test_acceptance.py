@@ -151,9 +151,9 @@ def test_auroc_and_eer_match_brute_force_oracles_exactly():
 
 def test_two_point_problem_recovers_closed_form():
     model = train_svm(np.eye(2), [1.0, -1.0], C=1.0)
-    alphas = model.dual_coefs * np.array([1.0, -1.0])[model.support_indices]
+    alphas = model["dual_coefs"] * np.array([1.0, -1.0])[model["support_indices"]]
     np.testing.assert_allclose(alphas, [1.0, 1.0], atol=1e-12, rtol=0.0)
-    assert abs(model.bias) <= 1e-12
+    assert abs(model["bias"]) <= 1e-12
 
 
 def test_random_problems_satisfy_kkt_within_tolerance():
@@ -168,7 +168,7 @@ def test_random_problems_satisfy_kkt_within_tolerance():
         c = float(rng.choice([0.5, 1.0, 10.0]))
         model = train_svm(kernel, labels, C=c, tol=tol)
         beta = np.zeros(n)
-        beta[model.support_indices] = model.dual_coefs
+        beta[model["support_indices"]] = model["dual_coefs"]
         upper = np.maximum(0.0, c * labels)
         lower = np.minimum(0.0, c * labels)
         assert np.all(beta <= upper + 1e-12) and np.all(beta >= lower - 1e-12)
@@ -191,7 +191,7 @@ def test_cross_class_similarity_below_both_within_class_means(default_run):
     gram = svm.build_gram([fv for _, _, fv in rows],
                           {"kind": "quantum", "depth": 1, "s3_axis": "Z"})
     report = metrics.kernel_structure(gram, labels)
-    assert len(manifest.entries) == 100
+    assert len(manifest) == 100
     for stats in report["within_class"].values():
         assert report["cross_class"]["mean"] < stats["mean"]
 

@@ -20,6 +20,11 @@ import pytest
 import qpatch
 from qpatch.cli import main
 from qpatch import cli, dsp, patches
+from qpatch.metrics import auroc
+from qpatch.spoof import read_manifest
+from qpatch.svm import decision_scores
+
+from _oracles import rbf_kernel
 
 
 def base_args(work_dir, *extra):
@@ -100,6 +105,8 @@ class TestSynth:
             assert f"{odd}: {message}" in log_text
             assert "Traceback" not in log_text
             assert not (work / "manifest.csv").exists()
+            # the spoofs made before the failure are removed, not left as orphans
+            assert not list((work / "spoof").glob("*.wav"))
 
     def test_a_stem_taking_another_files_spoof_id_exits_2_before_any_spoof(self, tmp_path):
         from qpatch.spoof import generate_synthetic_corpus
@@ -191,6 +198,25 @@ def prepared(tmp_path):
     return tmp_path
 
 
+def stored_model(work, kind):
+    """model_<kind>.json as a dict, its arrays rebuilt, after checking that
+    it holds exactly the solver's eight keys and the kernel's two, and that
+    its scores of the stored kernel's dev x train rows give the report's AUROC."""
+    model = json.loads((work / f"model_{kind}.json").read_text())
+    assert set(model) == {"dual_coefs", "support_indices", "bias", "C", "n_train",
+                          "kkt_gap", "n_iter", "converged", "kernel_params", "feature_ref"}
+    model.update(dual_coefs=np.array(model["dual_coefs"]),
+                 support_indices=np.array(model["support_indices"]))
+    n = model["n_train"]
+    # the kernel's rows are the manifest's train then dev entries in file order
+    scores = decision_scores(model, np.load(work / f"kernel_{kind}.npy")[n:, :n])
+    dev = [int(e.label == "bonafide") for e in read_manifest(work / "manifest.csv")
+           if e.split == "dev"]
+    report = json.loads((work / f"report_{kind}.json").read_text())
+    assert auroc(scores, dev) == report["auroc"]
+    return model
+
+
 class TestKernel:
     def test_quantum_gram_shapes_and_diagonal(self, tmp_path):
         prepared(tmp_path)
@@ -275,8 +301,6 @@ class TestTrainEval:
         """The structure block is computed with gamma_resolved (resolved on
         the train features), not with a gamma re-resolved on the dev set."""
         from qpatch.patches import read_features_csv
-        from qpatch.spoof import read_manifest
-        from qpatch.svm import load_model, rbf_kernel
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "rbf")
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
@@ -284,9 +308,9 @@ class TestTrainEval:
         gamma = report["kernel"]["gamma_resolved"]
         # one dict is the kernel's identity: the sidecar's, the model's and the report's
         sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
-        model = load_model(tmp_path / "model_rbf.json")
-        assert sidecar["params"] == model.kernel_params == {"kind": "rbf", "gamma": gamma}
-        dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv").entries
+        model = stored_model(tmp_path, "rbf")
+        assert sidecar["params"] == model["kernel_params"] == {"kind": "rbf", "gamma": gamma}
+        dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv")
                    if e.split == "dev"}
         dev = [(label, stats) for uid, label, stats
                in read_features_csv(tmp_path / "features.csv") if uid in dev_ids]
@@ -300,10 +324,10 @@ class TestTrainEval:
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "rbf")
         run_stage(tmp_path, "train-eval", "--kind", "rbf")
-        from qpatch.svm import load_model
-        model = load_model(tmp_path / "model_rbf.json")
-        assert model.n_train == 8
-        assert model.kernel_params["kind"] == "rbf"
+        model = stored_model(tmp_path, "rbf")
+        assert model["n_train"] == 8
+        assert model["kernel_params"]["kind"] == "rbf"
+        assert model["feature_ref"] == str(tmp_path / "features.csv")
 
     def test_psd_repair_reaches_run_log(self, tmp_path):
         """A stored kernel that passes check_gram but is not PSD (its sidecar
@@ -486,6 +510,10 @@ MALFORMED = {
     "manifest_unknown_split": ("manifest.csv",
                                lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
                                "kernel --kind rbf", "manifest.csv:2: unknown label"),
+    # utt000 relabeled: the train split holds 3 bona fide and 5 spoofs
+    "manifest_unbalanced": ("manifest.csv",
+                            lambda p: _edit_line(p, 1, lambda s: _set_field(s, 2, "spoof")),
+                            "features", "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
                            "kernel --kind rbf", "features.json is missing or holds no"),
     "gram_json_without_kernel_kind": (

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qpatch.metrics import (
-    RocCurve,
     auroc,
     eer,
     kernel_structure,
@@ -15,8 +14,10 @@ from qpatch.metrics import (
     write_report,
 )
 from qpatch.config import ExperimentConfig
-from qpatch.svm import build_gram, kernel_params, rbf_kernel
+from qpatch.svm import build_gram, kernel_params
 from qpatch.quantum import fidelity_kernel
+
+from _oracles import rbf_kernel
 
 
 def auroc_oracle(scores, labels):
@@ -135,20 +136,19 @@ class TestRocPoints:
         rng = np.random.default_rng(1)
         scores = rng.random(30)
         labels = np.array([1, 0] * 15)
-        roc = roc_points(scores, labels)
-        assert roc.thresholds[0] == np.inf and roc.thresholds[-1] == -np.inf
-        assert roc.fpr[0] == 0.0 and roc.fnr[0] == 1.0
-        assert roc.fpr[-1] == 1.0 and roc.fnr[-1] == 0.0
+        thresholds, fpr, tpr, fnr = roc_points(scores, labels).T
+        assert thresholds[0] == np.inf and thresholds[-1] == -np.inf
+        assert fpr[0] == 0.0 and fnr[0] == 1.0
+        assert fpr[-1] == 1.0 and fnr[-1] == 0.0
         # threshold descends, so fpr never decreases along the walk
-        assert np.all(np.diff(roc.fpr) >= 0)
-        assert np.all(np.diff(roc.fnr) <= 0)
-        np.testing.assert_array_equal(roc.tpr, 1.0 - roc.fnr)
+        assert np.all(np.diff(fpr) >= 0)
+        assert np.all(np.diff(fnr) <= 0)
+        np.testing.assert_array_equal(tpr, 1.0 - fnr)
 
     def test_row_count_is_distinct_plus_two(self):
         scores = [0.3, 0.3, 0.7, 0.9, 0.9]
         labels = [0, 0, 1, 1, 0]
-        roc = roc_points(scores, labels)
-        assert roc.thresholds.size == 3 + 2
+        assert roc_points(scores, labels).shape == (3 + 2, 4)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_threshold_loop_oracle_exactly(self, seed):
@@ -157,9 +157,9 @@ class TestRocPoints:
         scores, labels = random_scores(rng, max_n=400)
         if seed % 2:
             scores = np.round(rng.random(scores.size), 2)
-        roc = roc_points(scores, labels)
+        thresholds, fpr, _, fnr = roc_points(scores, labels).T
         want = roc_loop_oracle(scores, labels)
-        for got, expected in zip((roc.thresholds, roc.fpr, roc.fnr), want):
+        for got, expected in zip((thresholds, fpr, fnr), want):
             np.testing.assert_array_equal(got, expected)
 
 

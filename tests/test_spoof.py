@@ -21,7 +21,6 @@ from qpatch.spoof import (
     BONAFIDE,
     NO_NOISE,
     SPOOF,
-    DatasetManifest,
     ManifestEntry,
     add_noise,
     build_dataset,
@@ -206,9 +205,9 @@ def small_dataset(tmp_path_factory):
 class TestBuildDataset:
     def test_counts_and_balance(self, small_dataset):
         _, manifest, _ = small_dataset
-        assert len(manifest.entries) == 20
-        train = [e for e in manifest.entries if e.split == "train"]
-        dev = [e for e in manifest.entries if e.split == "dev"]
+        assert len(manifest) == 20
+        train = [e for e in manifest if e.split == "train"]
+        dev = [e for e in manifest if e.split == "dev"]
         assert len(train) == 16 and len(dev) == 4
         for subset in (train, dev):
             n_bona = sum(1 for e in subset if e.label == BONAFIDE)
@@ -216,14 +215,14 @@ class TestBuildDataset:
 
     def test_ids_disjoint_across_splits(self, small_dataset):
         _, manifest, _ = small_dataset
-        train_ids = {e.uid for e in manifest.entries if e.split == "train"}
-        dev_ids = {e.uid for e in manifest.entries if e.split == "dev"}
+        train_ids = {e.uid for e in manifest if e.split == "train"}
+        dev_ids = {e.uid for e in manifest if e.split == "dev"}
         assert not train_ids & dev_ids
 
     def test_spoof_lineage(self, small_dataset):
         root, manifest, _ = small_dataset
-        spoofs = [e for e in manifest.entries if e.label == SPOOF]
-        bona_ids = {e.uid for e in manifest.entries if e.label == BONAFIDE}
+        spoofs = [e for e in manifest if e.label == SPOOF]
+        bona_ids = {e.uid for e in manifest if e.label == BONAFIDE}
         for e in spoofs:
             assert e.source_id in bona_ids
             assert e.uid == f"{e.source_id}_spoof"
@@ -231,8 +230,8 @@ class TestBuildDataset:
 
     def test_spoof_audio_matches_direct_synthesis(self, small_dataset):
         root, manifest, _ = small_dataset
-        spoof = next(e for e in manifest.entries if e.label == SPOOF)
-        source = next(e for e in manifest.entries if e.uid == spoof.source_id)
+        spoof = next(e for e in manifest if e.label == SPOOF)
+        source = next(e for e in manifest if e.uid == spoof.source_id)
         w = load_wav(root / source.path)
         expected = make_spoof(w, spoof.source_id, ExperimentConfig(seed=3))
         got = load_wav(root / spoof.path)
@@ -240,13 +239,13 @@ class TestBuildDataset:
 
     def test_paths_are_relative_to_the_work_dir(self, small_dataset):
         _, manifest, _ = small_dataset
-        paths = {e.uid: e.path for e in manifest.entries}
+        paths = {e.uid: e.path for e in manifest}
         assert paths["utt000"] == os.path.join("bonafide", "utt000.wav")
         assert paths["utt000_spoof"] == os.path.join("spoof", "utt000_spoof.wav")
 
     def test_recorded_hashes_are_those_of_the_files(self, small_dataset):
         root, manifest, wav_sha256 = small_dataset
-        assert set(wav_sha256) == {e.path for e in manifest.entries}
+        assert set(wav_sha256) == {e.path for e in manifest}
         for path, digest in wav_sha256.items():
             assert hashlib.sha256((root / path).read_bytes()).hexdigest() == digest
 
@@ -257,7 +256,7 @@ class TestBuildDataset:
         second.rename(tmp_path / "bona" / "a-b.wav")
         manifest, _ = build_dataset(tmp_path / "bona", tmp_path / "w",
                                     ExperimentConfig(train_per_class=1, dev_per_class=1))
-        assert [e.uid for e in manifest.entries] == ["a", "a-b", "a-b_spoof", "a_spoof"]
+        assert [e.uid for e in manifest] == ["a", "a-b", "a-b_spoof", "a_spoof"]
 
     def test_insufficient_files_error(self, tmp_path):
         generate_synthetic_corpus(tmp_path / "few", 3, seed=1, duration_s=0.2)
@@ -276,22 +275,28 @@ class TestBuildDataset:
 
 
 class TestManifestValidation:
-    def test_unbalanced_split_rejected(self):
+    def test_unbalanced_split_rejected(self, tmp_path):
         entries = (
             ManifestEntry("a", "a.wav", BONAFIDE, "train", "a"),
             ManifestEntry("b", "b.wav", BONAFIDE, "train", "b"),
             ManifestEntry("a_spoof", "as.wav", SPOOF, "train", "a"),
         )
-        with pytest.raises(ValueError, match="unbalanced"):
-            DatasetManifest(entries)
+        path = tmp_path / "manifest.csv"
+        write_manifest(entries, path)
+        with pytest.raises(ValueError, match="train split unbalanced: 2 bonafide vs 1") as err:
+            read_manifest(path)
+        assert str(path) in str(err.value)
 
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_ids_rejected(self, tmp_path):
         entries = (
             ManifestEntry("a", "a.wav", BONAFIDE, "train", "a"),
             ManifestEntry("a", "b.wav", SPOOF, "train", "a"),
         )
-        with pytest.raises(ValueError, match="duplicate"):
-            DatasetManifest(entries)
+        path = tmp_path / "manifest.csv"
+        write_manifest(entries, path)
+        with pytest.raises(ValueError, match="duplicate id 'a'") as err:
+            read_manifest(path)
+        assert f"{path}:3" in str(err.value)
 
 
 class TestManifestIO:
@@ -302,11 +307,9 @@ class TestManifestIO:
             ManifestEntry("b", "wav/b.wav", BONAFIDE, "dev", "b"),
             ManifestEntry("b_spoof", "wav/b_spoof.wav", SPOOF, "dev", "b"),
         )
-        manifest = DatasetManifest(entries)
         path = tmp_path / "manifest.csv"
-        write_manifest(manifest, path)
-        back = read_manifest(path)
-        assert back.entries == entries
+        write_manifest(entries, path)
+        assert read_manifest(path) == entries
         assert path.read_text().splitlines()[0] == "id,path,label,split,source_id"
 
     def test_bad_header_rejected(self, tmp_path):

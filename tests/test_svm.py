@@ -1,7 +1,7 @@
 """Gram construction, RBF baseline, SMO solver correctness, persistence."""
 
-import dataclasses
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -13,7 +13,6 @@ from qpatch import quantum
 from qpatch.config import ExperimentConfig
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
-    SvmModel,
     build_gram,
     check_gram,
     cross_gram,
@@ -21,15 +20,13 @@ from qpatch.svm import (
     kernel_matrix,
     kernel_params,
     load_gram,
-    load_model,
-    rbf_kernel,
     save_csv,
     save_gram,
     save_model,
     train_svm,
 )
 
-from _oracles import dense_kernel
+from _oracles import dense_kernel, rbf_kernel
 
 QUANTUM = {"kind": "quantum"}  # depth 1, s3 axis Z: kernel_matrix's defaults
 
@@ -71,8 +68,8 @@ def kkt_gap(k, y, beta, C):
 
 
 def model_beta(model):
-    beta = np.zeros(model.n_train)
-    beta[model.support_indices] = model.dual_coefs
+    beta = np.zeros(model["n_train"])
+    beta[model["support_indices"]] = model["dual_coefs"]
     return beta
 
 
@@ -395,7 +392,7 @@ class TestTrainSvmTwoPoint:
         beta = model_beta(model)
         np.testing.assert_allclose(np.abs(beta), [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(beta, [1.0, -1.0], atol=1e-12)
-        assert model.bias == pytest.approx(0.0, abs=1e-12)
+        assert model["bias"] == pytest.approx(0.0, abs=1e-12)
         scores = decision_scores(model, np.eye(2))
         assert scores[0] > 0 > scores[1]
 
@@ -412,7 +409,7 @@ class TestTrainSvmSeparable:
         # primal decision function gives the same scores
         beta = model_beta(model)
         w = beta @ x
-        primal = x @ w + model.bias
+        primal = x @ w + model["bias"]
         np.testing.assert_allclose(primal, scores, atol=1e-10)
 
 
@@ -456,7 +453,7 @@ class TestTrainSvmRandomProblems:
         assert np.linalg.eigvalsh(k)[0] < -1e-8
         with pytest.warns(UserWarning, match="PSD"):
             model = train_svm(k, [1.0, -1.0, 1.0])
-        assert model.n_train == 3
+        assert model["n_train"] == 3
 
     def test_max_iter_exhaustion_warns_and_reports_not_converged(self):
         rng = np.random.default_rng(40)
@@ -465,11 +462,11 @@ class TestTrainSvmRandomProblems:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             full = train_svm(k, y, C=2.0)
-        assert full.converged and full.n_iter > 1
+        assert full["converged"] and full["n_iter"] > 1
         with pytest.warns(UserWarning, match="max_iter=1 .* not converged"):
             model = train_svm(k, y, C=2.0, max_iter=1)
-        assert not model.converged
-        assert model.n_iter == 1 and model.kkt_gap > 1e-4
+        assert not model["converged"]
+        assert model["n_iter"] == 1 and model["kkt_gap"] > 1e-4
 
     def test_duplicated_dataset_same_scores(self):
         """Doubling every training point can split the duals but must leave
@@ -519,7 +516,7 @@ class TestDecisionScores:
         y = np.array([1.0] * 5 + [-1.0] * 5)
         model = train_svm(k, y)
         scores = decision_scores(model, np.zeros((1, 10)))
-        assert scores[0] == pytest.approx(model.bias, abs=1e-15)
+        assert scores[0] == pytest.approx(model["bias"], abs=1e-15)
 
     def test_unbounded_sv_row_sign_matches_label(self):
         rng = np.random.default_rng(41)
@@ -546,8 +543,8 @@ class TestDecisionScores:
         scores = decision_scores(model, rows)
         for r in range(3):
             expected = math.fsum(
-                model.dual_coefs[s] * rows[r, model.support_indices[s]]
-                for s in range(model.support_indices.size)) + model.bias
+                model["dual_coefs"][s] * rows[r, model["support_indices"][s]]
+                for s in range(model["support_indices"].size)) + model["bias"]
             assert scores[r] == pytest.approx(expected, abs=1e-12)
 
     def test_row_length_mismatch(self):
@@ -672,21 +669,26 @@ class TestPersistence:
         rng = np.random.default_rng(72)
         k = random_psd_kernel(rng, 8)
         y = np.array([1.0, -1.0] * 4)
-        model = train_svm(k, y, C=2.0,
-                          feature_ref="features.csv")
+        model = train_svm(k, y, C=2.0)
         path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        # every field comes back with its value and type
-        for f in dataclasses.fields(SvmModel):
-            want, got = getattr(model, f.name), getattr(back, f.name)
+        save_model({**model, "kernel_params": QUANTUM, "feature_ref": "features.csv"}, path)
+        back = json.loads(path.read_text())
+        assert set(back) == {"dual_coefs", "support_indices", "bias", "C", "n_train",
+                             "kkt_gap", "n_iter", "converged", "kernel_params", "feature_ref"}
+        assert back.pop("kernel_params") == QUANTUM
+        assert back.pop("feature_ref") == "features.csv"
+        # every value of the solution comes back with its value and type
+        back.update(dual_coefs=np.array(back["dual_coefs"]),
+                    support_indices=np.array(back["support_indices"]))
+        assert set(back) == set(model)
+        for name, want in model.items():
+            got = back[name]
             if isinstance(want, np.ndarray):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
             else:
-                assert type(got) is type(want) and got == want, f.name
-        assert back.feature_ref == "features.csv"
-        assert back.converged is True
+                assert type(got) is type(want) and got == want, name
+        assert back["converged"] is True
         rows = rng.standard_normal((2, 8))
         np.testing.assert_array_equal(decision_scores(back, rows),
                                       decision_scores(model, rows))
