@@ -235,10 +235,11 @@ def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
     # rows and columns are the manifest's train then dev entries in file order
     k = svm.kernel_matrix(np.vstack([x_train, x_dev]), **params)
     n = len(x_train)
-    with _record_made_under(p["kernel"](kind), _kernel_facts(config, params)):
+    with _record_made_under(p["kernel"](kind), _kernel_facts(config, params)) as facts:
         # the exports to read and compare: the train Gram and the dev x train cross rows
-        svm.save_gram(k, p["kernel"](kind), [(p["work"] / f"gram_{kind}.csv", k[:n, :n]),
-                                             (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
+        facts["sha256"] = svm.save_gram(k, p["kernel"](kind), [
+            (p["work"] / f"gram_{kind}.csv", k[:n, :n]),
+            (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
     log.info("wrote the kernel of %d train and %d dev rows for kind=%s", n, len(k) - n, kind)
 
 
@@ -249,9 +250,14 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     # resolved on the train features: the structure block uses the model's gamma
     params = svm.kernel_params(config, kind, x_train)
     n_train, n_dev = len(train_labels), len(dev_labels)
-    path = p["kernel"](kind)
-    _check_made_under(path, _kernel_facts(config, params), f"kernel --kind {kind}")
-    k = svm.load_gram(path, n_train + n_dev)
+    path, rerun = p["kernel"](kind), f"kernel --kind {kind}"
+    sha256 = _check_made_under(path, _kernel_facts(config, params), rerun).get("sha256")
+    if not isinstance(sha256, str):
+        raise CliInputError(f"{path.with_suffix('.json')} records no sha256; rerun {rerun}")
+    try:
+        k = svm.load_gram(path, sha256)
+    except ValueError as err:
+        raise CliInputError(f"{err}; rerun {rerun}") from None
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])

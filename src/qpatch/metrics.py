@@ -43,7 +43,8 @@ def roc_points(scores, labels) -> np.ndarray:
     counts: per class, the scores below a threshold are its searchsorted
     position in the sorted scores."""
     scores, labels = _check_binary(scores, labels)
-    thresholds = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
+    s = np.sort(scores)  # its distinct values as np.unique keeps them, without numpy.ma
+    thresholds = np.concatenate([[np.inf], s[np.r_[True, s[1:] != s[:-1]]][::-1], [-np.inf]])
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
     fpr = (neg.size - np.searchsorted(neg, thresholds)) / neg.size

@@ -10,6 +10,7 @@ most-violating-pair SMO loop that needs nothing beyond numpy.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import warnings
 
@@ -125,23 +126,11 @@ def cross_gram(test_features, train_features, kernel: dict) -> np.ndarray:
     return kernel_matrix(np.vstack([xr, xt]), **kernel)[len(xr):, :len(xr)]
 
 
-def _ensure_psd(k: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues below zero after warning; round-off guard only."""
-    eigvals = np.linalg.eigvalsh(k)
-    if eigvals[0] >= -1e-8:
-        return k
-    warnings.warn(
-        f"kernel matrix has eigenvalue {eigvals[0]:.3e} below the PSD slack; "
-        "clipping negative eigenvalues to zero")
-    vals, vecs = np.linalg.eigh(k)
-    vals = np.clip(vals, 0.0, None)
-    fixed = (vecs * vals) @ vecs.T
-    return (fixed + fixed.T) / 2.0
-
-
 def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 10000) -> dict:
     """Most-violating-pair SMO on the dual of the soft-margin SVM.
 
+    gram is a kernel matrix, so PSD, and is taken as given: the solver reads
+    its rows, which equal its columns as kernel_matrix mirrors every block.
     Tracks beta_i = alpha_i * y_i inside the box [min(0, C*y_i), max(0, C*y_i)]
     so the equality constraint is just sum(beta) = 0. Each step picks the
     pair with the largest KKT gap and moves them jointly by the clamped
@@ -163,16 +152,15 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
         raise ValueError("training needs both classes")
     if C <= 0:
         raise ValueError("C must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
-    k = _ensure_psd(k)
     lower = np.where(y > 0, 0.0, -C)
     upper = np.where(y > 0, C, 0.0)
     beta = np.zeros(n)
     v = y.copy()  # v = y - K @ beta, maintained incrementally
-    gap = np.inf
-    it = 0
     converged = True
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 1):  # at beta = 0 both classes can move: gap is set
         can_up = beta < upper - 1e-12
         can_dn = beta > lower + 1e-12
         if not can_up.any() or not can_dn.any():
@@ -187,7 +175,7 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
         lam = min(lam, upper[i] - beta[i], beta[j] - lower[j])
         beta[i] += lam
         beta[j] -= lam
-        v -= lam * (k[:, i] - k[:, j])
+        v -= lam * (k[i] - k[j])
     else:
         converged = False
         warnings.warn(f"SMO stopped at max_iter={max_iter} with KKT gap {gap:.3e} "
@@ -211,9 +199,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
             bias = 0.0
 
     support = np.flatnonzero(alpha > 1e-12)
-    final_gap = float(gap) if np.isfinite(gap) else 0.0
     return {"dual_coefs": beta[support], "support_indices": support, "bias": bias,
-            "C": C, "n_train": n, "kkt_gap": final_gap, "n_iter": it,
+            "C": C, "n_train": n, "kkt_gap": float(gap), "n_iter": it,
             "converged": converged}
 
 
@@ -253,13 +240,24 @@ def _two_product(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def save_gram(values, npy_path, csv_exports=()) -> None:
+def _sha256(fh) -> str:
+    """sha256 of an open binary file from where it stands, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    for block in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def save_gram(values, npy_path, csv_exports=()) -> str:
     """np.save a whole kernel to the .npy load_gram reads, then write each
-    (csv_path, block) of csv_exports, a slice of it, as save_csv does."""
+    (csv_path, block) of csv_exports, a slice of it, as save_csv does. Returns
+    the sha256 of the .npy, which load_gram requires."""
     with atomic_write(npy_path, "wb") as fh:
         np.save(fh, np.asarray(values, dtype=np.float64))
     for csv_path, block in csv_exports:
         save_csv(block, csv_path)
+    with open(npy_path, "rb") as fh:
+        return _sha256(fh)
 
 
 def save_csv(values, csv_path) -> None:
@@ -297,23 +295,17 @@ def save_csv(values, csv_path) -> None:
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-def load_gram(npy_path, n: int) -> np.ndarray:
-    """Read the (n x n) kernel save_gram wrote and check it whole, once, with
-    check_gram; refuse, naming the file, one that cannot be read, is not a
-    float array of that shape or fails check_gram."""
+def load_gram(npy_path, sha256: str) -> np.ndarray:
+    """The kernel save_gram wrote, refused, naming the file, unless it can be
+    read and its sha256 is the one save_gram returned for it."""
     try:
         with open(npy_path, "rb") as fh:
-            values = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError) as err:
+            if _sha256(fh) != sha256:
+                raise ValueError(f"{npy_path} has changed since it was written: sha256 mismatch")
+            fh.seek(0)
+            return np.lib.format.read_array(fh, allow_pickle=False)
+    except OSError as err:
         raise ValueError(f"cannot read kernel block {npy_path}: {err}") from None
-    try:
-        if values.dtype.kind != "f":
-            raise ValueError(f"dtype {values.dtype}, not a float")
-        if values.shape != (n, n):
-            raise ValueError(f"shape {values.shape}, not {(n, n)}")
-        return check_gram(values)
-    except ValueError as err:
-        raise ValueError(f"{npy_path}: {err}") from None
 
 
 def save_model(model: dict, path) -> None:

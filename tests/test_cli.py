@@ -5,6 +5,7 @@ argparse wiring, exit codes, and artifact layout are all exercised exactly
 as a shell user would see them.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -228,7 +229,9 @@ class TestKernel:
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         sidecar = json.loads((tmp_path / "kernel_quantum.json").read_text())
         assert sidecar["params"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
-        assert sorted(sidecar) == ["features", "manifest", "params"]
+        assert sorted(sidecar) == ["features", "manifest", "params", "sha256"]
+        npy = (tmp_path / "kernel_quantum.npy").read_bytes()
+        assert sidecar["sha256"] == hashlib.sha256(npy).hexdigest()
         kernel = np.load(tmp_path / "kernel_quantum.npy")
         assert kernel.shape == (12, 12)
         np.testing.assert_allclose(np.diag(kernel), 1.0, atol=1e-10)
@@ -329,17 +332,21 @@ class TestTrainEval:
         assert model["kernel_params"]["kind"] == "rbf"
         assert model["feature_ref"] == str(tmp_path / "features.csv")
 
-    def test_psd_repair_reaches_run_log(self, tmp_path):
-        """A stored kernel that passes check_gram but is not PSD (its sidecar
-        records no kernel digest) is clipped before SMO, and run.log says so."""
+    def test_a_hand_edited_non_psd_kernel_is_refused(self, tmp_path):
+        """A stored kernel edited to be symmetric, unit-diagonal and not PSD
+        no longer has the sha256 its sidecar records: train-eval refuses it
+        before training and writes nothing."""
         prepared(tmp_path)
         run_stage(tmp_path, "kernel", "--kind", "quantum")
         path = tmp_path / "kernel_quantum.npy"
         k = np.load(path)
         k[0, 1] = k[1, 0] = 2.0  # the train minor [[1, 2], [2, 1]] has eigenvalue -1
         np.save(path, k)
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 0
-        assert "below the PSD slack" in (tmp_path / "run.log").read_text()
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
+        last = (tmp_path / "run.log").read_text().splitlines()[-1]
+        assert str(path) in last and last.endswith("rerun kernel --kind quantum")
+        assert not (tmp_path / "model_quantum.json").exists()
+        assert not (tmp_path / "report_quantum.json").exists()
 
     def test_kernel_files_from_another_depth_are_refused(self, tmp_path):
         prepared(tmp_path)
@@ -485,6 +492,9 @@ def _keep_columns(path, columns):
                             for line in lines))
 
 
+NPY_RBF_EDITED = ("kernel_rbf.npy has changed since it was written: sha256 mismatch; "
+                  "rerun kernel --kind rbf")
+
 # (file to damage, damage, stage that reads it, what the error must name)
 MALFORMED = {
     "features_short_row": ("features.csv",
@@ -526,48 +536,50 @@ MALFORMED = {
         lambda p: p.write_text(json.dumps(
             {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
         "features", "manifest.json records no wav_sha256; rerun synth"),
+    # a kernel_rbf.json written before kernel recorded the .npy's sha256
+    "kernel_json_without_sha256": (
+        "kernel_rbf.json",
+        lambda p: p.write_text(json.dumps(
+            {k: v for k, v in json.loads(p.read_text()).items() if k != "sha256"})),
+        "train-eval --kind rbf", "kernel_rbf.json records no sha256; rerun kernel --kind rbf"),
     # a damaged kernel: train-eval reads the .npy, not the CSV exports. Its 12
     # rows and columns are the 8 train then the 4 dev entries. A damaged entry
     # names its case for the block it lands in: the train Gram, the dev x
     # train cross rows or the dev Gram behind the structure report. A damage
-    # to the whole file (0-d, truncated, wrong shape) keeps its case's name
+    # to the whole file (0-d, truncated, wrong shape) keeps its case's name.
+    # Every one changes the file's bytes, so its sha256 is not the sidecar's
     "cross_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 2), np.nan),
-                      "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
+                      "train-eval --kind rbf", NPY_RBF_EDITED),
     "gram_npy_0d": ("kernel_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
-                    "train-eval --kind rbf", "kernel_rbf.npy: shape (), not (12, 12)"),
+                    "train-eval --kind rbf", NPY_RBF_EDITED),
     "cross_npy_truncated": ("kernel_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
-                            "train-eval --kind rbf",
-                            "kernel_rbf.npy: EOF: reading array header, expected 118 bytes got 90"),
+                            "train-eval --kind rbf", NPY_RBF_EDITED),
     "gram_npy_inf": ("kernel_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
-                     "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
+                     "train-eval --kind rbf", NPY_RBF_EDITED),
     "gram_npy_asymmetric": ("kernel_rbf.npy",
                             lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
-                            "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+                            "train-eval --kind rbf", NPY_RBF_EDITED),
     "gram_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
-                                  "train-eval --kind rbf",
-                                  "kernel_rbf.npy: Gram diagonal must be 1"),
+                                  "train-eval --kind rbf", NPY_RBF_EDITED),
     "cross_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
-                              "train-eval --kind rbf",
-                              "kernel_rbf.npy: shape (12, 11), not (12, 12)"),
+                              "train-eval --kind rbf", NPY_RBF_EDITED),
     "dev_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 10), np.nan),
-                    "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix has non-finite entries"),
+                    "train-eval --kind rbf", NPY_RBF_EDITED),
     "dev_npy_asymmetric": ("kernel_rbf.npy",
                            lambda p: _set_entry(p, (8, 9), np.load(p)[8, 9] + 0.1),
-                           "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+                           "train-eval --kind rbf", NPY_RBF_EDITED),
     "dev_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (10, 10), 0.5),
-                                 "train-eval --kind rbf",
-                                 "kernel_rbf.npy: Gram diagonal must be 1"),
+                                 "train-eval --kind rbf", NPY_RBF_EDITED),
     # a cross entry and its mirror in the train x dev columns disagree
     "cross_npy_mirror": ("kernel_rbf.npy",
                          lambda p: _set_entry(p, (9, 2), np.load(p)[9, 2] + 0.1),
-                         "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+                         "train-eval --kind rbf", NPY_RBF_EDITED),
     "cross_npy_upper": ("kernel_rbf.npy",
                         lambda p: _set_entry(p, (2, 9), np.load(p)[2, 9] + 0.1),
-                        "train-eval --kind rbf", "kernel_rbf.npy: Gram matrix is not symmetric"),
+                        "train-eval --kind rbf", NPY_RBF_EDITED),
     # the kernel of a split with one dev entry fewer
     "dev_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:-1, :-1]),
-                            "train-eval --kind rbf",
-                            "kernel_rbf.npy: shape (11, 11), not (12, 12)"),
+                            "train-eval --kind rbf", NPY_RBF_EDITED),
 }
 
 
@@ -635,6 +647,29 @@ class TestRunAll:
             a = (tmp_path / "a" / "work" / name).read_bytes()
             b = (tmp_path / "b" / "work" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+    def test_stage_by_stage_writes_the_bytes_of_run_all(self, tmp_path, monkeypatch):
+        """synth, features, then kernel and train-eval per kind write what
+        run-all writes, sidecars included: every file but run.log."""
+        monkeypatch.chdir(tmp_path)
+        args = ["--work-dir", "work", "--train-per-class", "4", "--dev-per-class", "2"]
+        assert main(args + ["run-all"]) == 0
+        (tmp_path / "work").rename(tmp_path / "run_all")
+        assert main(args + ["synth", "--synthetic-audio", "6"]) == 0
+        assert main(args + ["features"]) == 0
+        for stage in ("kernel", "train-eval"):
+            for kind in cli.KINDS:
+                assert main(args + [stage, "--kind", kind]) == 0
+
+        def files(root):
+            return sorted(str(path.relative_to(root)) for path in root.rglob("*")
+                          if path.is_file() and path.name != "run.log")
+
+        names = files(tmp_path / "run_all")
+        assert len(names) == 30 and files(tmp_path / "work") == names
+        for name in names:
+            one, two = tmp_path / "run_all" / name, tmp_path / "work" / name
+            assert one.read_bytes() == two.read_bytes(), name
 
 
 def usable_cpus(monkeypatch, n):
@@ -711,6 +746,21 @@ class TestWorkers:
         assert "Traceback" not in log_text
         assert "kernel_rbf.npy was made under another" in log_text.splitlines()[-1]
         assert (tmp_path / "report_quantum.json").exists()
+
+    def test_run_all_never_imports_numpy_ma(self, tmp_path):
+        """np.unique imports numpy.ma in every process that calls it; the ROC
+        of a one-CPU run-all, which runs every stage in this process, does
+        without it."""
+        code = textwrap.dedent("""
+            import os, sys
+            os.sched_getaffinity = lambda pid: {0}
+            from qpatch import cli
+            args = ["--work-dir", "w", "--train-per-class", "4", "--dev-per-class", "2"]
+            print(cli.main(args + ["run-all"]), "numpy.ma" in sys.modules)
+        """)
+        done = run_fresh_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
