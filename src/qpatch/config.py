@@ -50,8 +50,13 @@ class ExperimentConfig:
         if self.k != 1 and (self.k < 2 or self.k % 2):
             raise ValueError(f"k must be 1 or even, got {self.k}")
         check_circuit(self.depth, self.s3_axis)
-        if not (math.isfinite(self.snr_db) or self.snr_db == NO_NOISE):
-            raise ValueError("snr_db must be finite or the no-noise sentinel")
+        try:  # add_noise divides the signal power by this ratio
+            usable = self.snr_db == NO_NOISE or 0.0 < 10.0 ** (self.snr_db / 10.0) < math.inf
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"snr_db must be finite, with 10 ** (snr_db / 10) above 0 and "
+                             f"finite, or the no-noise sentinel, got {self.snr_db}")
         if not (-1.0 < self.tilt_low <= self.tilt_high < 1.0):
             raise ValueError(
                 f"tilt range [{self.tilt_low}, {self.tilt_high}] must sit inside (-1, 1)")

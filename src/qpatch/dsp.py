@@ -3,8 +3,9 @@
 All operations are pure functions. The pipeline per utterance is: load ->
 resample to 16 kHz -> STFT (Hann window, power spectrum) -> mel filterbank
 energies -> log compression -> per-utterance standardization. Only the
-input audio is wrapped (Waveform, samples with their rate); the filterbank
-is a plain (n_mels, bins) weight array and the log-mel spectrogram a plain
+input audio is wrapped, in Waveform, an unchecked pair of samples and
+rate; load_wav, where audio enters, is its one check. The filterbank is a
+plain (n_mels, bins) weight array and the log-mel spectrogram a plain
 (frames, n_mels) float array.
 
 The runtime needs only numpy. WAV files are read and written by the small
@@ -21,8 +22,8 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,22 +35,12 @@ EPS = 1e-8
 TARGET_SAMPLE_RATE = 16000
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """Mono audio samples in nominal range [-1, 1] with their sample rate."""
+class Waveform(NamedTuple):
+    """Mono float64 audio samples in nominal range [-1, 1] with their sample
+    rate, unchecked: load_wav checks the audio that enters the program."""
 
     samples: np.ndarray
     sample_rate: int
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("waveform must be a non-empty 1-D sample array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError(f"invalid sample rate {self.sample_rate}")
 
 
 def hz_to_mel(f):
@@ -309,7 +300,8 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
 
     Integer samples are scaled to [-1, 1) as scipy.io.wavfile reads them
     (unsigned 8-bit around 128, 24-bit left-justified in int32); more than
-    one channel is averaged to mono with a warning. Anything else raises
+    one channel is averaged to mono with a warning. Anything else, and a
+    file with no samples, a rate of 0 or a NaN or inf sample, raises
     ValueError naming the path. A caller that already holds the file's
     bytes passes them as raw, and the file is not read again.
     """
@@ -318,7 +310,11 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
         if samples.ndim == 2:
             warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
             samples = samples.mean(axis=1)
-        return Waveform(samples, rate)  # raises for no samples, NaN or inf
+        if samples.size == 0 or rate == 0:
+            raise ValueError(f"no audio: {samples.size} samples at {rate} Hz")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("non-finite samples")
+        return Waveform(samples, rate)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
-from .svm import _stack_features, kernel_matrix
+from .svm import kernel_matrix
 
 SCHEMA_VERSION = 1
 POSITIVE_LABEL = "bonafide"
@@ -137,7 +137,7 @@ def kernel_structure(gram_values, labels, features=None,
     if features is not None:
         if kernel is None:
             raise ValueError("per-slot breakdown needs the kernel parameters")
-        x = _stack_features(features)
+        x = np.asarray(features, dtype=np.float64)
         ci, cj = iu[cross_mask], ju[cross_mask]
         for slot in range(x.shape[1] // 4):
             block = x[:, 4 * slot:4 * slot + 4]

@@ -842,7 +842,8 @@ class TestConfigHandling:
                                      {"gamma": "foo"}, {"gamma": -5},
                                      {"train_per_class": 0}, {"dev_per_class": -3},
                                      {"tilt_low": 2}, {"tilt_low": 0.5, "tilt_high": 0.1},
-                                     {"snr_db": float("nan")},
+                                     {"snr_db": float("nan")}, {"snr_db": 4000},
+                                     {"snr_db": -4000},
                                      {"seed": -1}, {"svm_c": 0},
                                      {"seed": "x"}, {"depth": 1.0}, {"n_mels": "64"},
                                      {"k": True}, {"fft_size": 1024.5},
@@ -852,6 +853,7 @@ class TestConfigHandling:
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
                                   "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
                                   "train0", "devneg3", "tilt2", "tiltreversed", "snrnan",
+                                  "snr4000", "snrneg4000",
                                   "seedneg", "svmc0", "seedstr", "depthfloat",
                                   "melsstr", "ktrue", "fftfloat", "inputint",
                                   "fhigh9000", "flowhigh", "mels0", "hop0", "win0"])
@@ -1001,13 +1003,21 @@ def run_fresh_python(code, cwd, **env):
 def test_benchmark_tracer_finds_every_function_it_wraps(tmp_path):
     """perfbench/tracing.py wraps qpatch functions by name (save_gram,
     load_gram, metrics.fidelity_kernel, ...); a rename must fail here, not
-    only in a traced benchmark run."""
+    only in a traced benchmark run. A 44.1 kHz clip through the installed
+    tracer must record the resample its wrapper reads the rate of."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = textwrap.dedent(f"""
         import sys
         sys.path.insert(0, {str(perfbench)!r})
+        import numpy as np
         import tracing
-        tracing.install(tracing.Tracer())
+        from qpatch import dsp
+        from qpatch.config import ExperimentConfig
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        dsp.logmel_spectrogram(dsp.Waveform(np.zeros(4410), 44100), ExperimentConfig())
+        names = [span[0] for span in tracer.spans]
+        assert "dsp.resample_to" in names, names
     """)
     done = run_fresh_python(code, tmp_path)
     assert done.returncode == 0, done.stderr

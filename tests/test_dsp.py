@@ -138,20 +138,6 @@ def _wav_cases():
 WAV_CASES = _wav_cases()
 
 
-class TestWaveform:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([]), 16000)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([0.0, np.nan]), 16000)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Waveform(np.zeros(10), 0)
-
-
 class TestStft:
     def test_zero_signal_gives_zero_stft(self):
         w = Waveform(np.zeros(16000), 16000)
@@ -508,7 +494,8 @@ class TestWavIO:
         assert np.array_equal(w.samples, expected)
 
     @pytest.mark.parametrize("case", ["not_riff", "truncated_data", "truncated_header",
-                                      "int64", "format_tag2", "header_only", "nan_f32"])
+                                      "int64", "format_tag2", "header_only", "nan_f32",
+                                      "rate_0"])
     def test_unreadable_files_raise_naming_the_path(self, tmp_path, case):
         int64 = io.BytesIO()
         wavfile.write(int64, 16000, np.arange(10, dtype=np.int64))
@@ -520,7 +507,8 @@ class TestWavIO:
                                    chunk(b"data", bytes(8))),
                "header_only": riff(fmt_chunk(1, 1, 16000, 16, 2), chunk(b"data", b"")),
                "nan_f32": riff(fmt_chunk(3, 1, 16000, 32, 4),
-                               chunk(b"data", np.array([0.5, np.nan], "<f4").tobytes()))
+                               chunk(b"data", np.array([0.5, np.nan], "<f4").tobytes())),
+               "rate_0": riff(fmt_chunk(1, 1, 0, 16, 2), chunk(b"data", bytes(8))),
                }[case]
         path = tmp_path / "bad.wav"
         path.write_bytes(raw)

@@ -15,7 +15,6 @@ from qpatch.config import ExperimentConfig
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
     build_gram,
-    check_gram,
     cross_gram,
     decision_scores,
     kernel_matrix,
@@ -131,63 +130,6 @@ class TestKernelSpec:
             kernel_matrix(x, "rbf", gamma="scale")
 
 
-class TestGramMatrix:
-    """check_gram: a kernel is refused unless square, finite, symmetric and
-    unit-diagonal."""
-
-    def test_returns_a_float64_array_of_the_values(self):
-        checked = check_gram([[1, 0], [0, 1]])
-        assert checked.dtype == np.float64
-        np.testing.assert_array_equal(checked, np.eye(2))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            check_gram(np.array([[1.0, 0.2], [0.3, 1.0]]))
-
-    def test_rejects_bad_diagonal_for_unit_kernels(self):
-        k = np.array([[2.0, 0.1], [0.1, 1.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            check_gram(k)
-
-    @pytest.mark.parametrize("values", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
-                             ids=["0d", "1d", "2x3"])
-    def test_rejects_non_square(self, values):
-        with pytest.raises(ValueError, match="square"):
-            check_gram(values)
-
-    def test_validation_peaks_at_one_temporary_the_size_of_the_block(self):
-        """Finiteness and symmetry are checked one row block at a time: the
-        peak of validating a kernel the size of scaled_hard's stays far below
-        one temporary of its size."""
-        n = 1000
-        x = np.random.default_rng(13).uniform(-1, 1, (n, 4))
-        values = build_gram(x, params("rbf", x))
-        tracemalloc.start()
-        try:
-            check_gram(values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.1 * n * n * 8
-
-    @pytest.mark.parametrize("entry, value, message", [
-        ((199, 195), 0.5, "not symmetric"),
-        ((195, 199), 0.5, "not symmetric"),
-        ((199, 3), 0.5, "not symmetric"),
-        ((199, 3), np.nan, "non-finite"),
-        ((199, 199), np.inf, "non-finite"),
-    ], ids=["asymmetric_lower", "asymmetric_upper", "asymmetric_first_columns", "nan",
-            "inf_on_diagonal"])
-    def test_the_only_bad_entry_in_the_last_row_block_is_refused(self, entry, value, message):
-        """200 rows are three 64-row blocks and a partial one of 8; a damaged
-        entry in the last row block is found, whether the last block compares
-        it with its mirror or the first block does."""
-        values = np.eye(200)
-        values[entry] = value
-        with pytest.raises(ValueError, match=message):
-            check_gram(values)
-
-
 class TestBuildGram:
     def test_single_sample(self):
         rng = np.random.default_rng(2)
@@ -216,19 +158,9 @@ class TestBuildGram:
                     expected = rbf_kernel(feats[i], feats[j], kernel["gamma"])
                 assert g[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_ragged_features_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            build_gram([np.zeros(8), np.zeros(4)], QUANTUM)
-
     def test_array_and_row_list_agree(self):
         x = np.random.default_rng(8).uniform(-2, 2, (5, 8))
         np.testing.assert_array_equal(build_gram(x, QUANTUM), build_gram(list(x), QUANTUM))
-
-    def test_empty_and_non_flat_features_rejected(self):
-        with pytest.raises(ValueError, match="empty feature list"):
-            build_gram([], QUANTUM)
-        with pytest.raises(ValueError, match="flat vector"):
-            build_gram([np.zeros((2, 4)), np.zeros((2, 4))], QUANTUM)
 
     @pytest.mark.parametrize("kind", ["quantum", "rbf"])
     def test_psd_on_random_samples(self, kind):
