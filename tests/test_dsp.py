@@ -138,6 +138,23 @@ def _wav_cases():
 WAV_CASES = _wav_cases()
 
 
+class TestWaveform:
+    """Waveform itself is unchecked; audio that would make a bad one is
+    refused by load_wav, where it enters, for the reason it is bad."""
+
+    def test_rejects_empty(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(riff(fmt_chunk(1, 1, 16000, 16, 2), chunk(b"data", b"")))
+        with pytest.raises(ValueError, match="no audio: 0 samples"):
+            load_wav(path)
+
+    def test_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, 16000, np.array([0.0, np.nan, 0.25]))
+        with pytest.raises(ValueError, match="non-finite samples"):
+            load_wav(path)
+
+
 class TestStft:
     def test_zero_signal_gives_zero_stft(self):
         w = Waveform(np.zeros(16000), 16000)
