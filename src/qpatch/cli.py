@@ -222,6 +222,9 @@ def _load_split_features(config: ExperimentConfig) -> dict:
         label, stats = feature_rows[entry.uid]
         if label != entry.label:
             raise CliInputError(f"label mismatch for {entry.uid}")
+        if len(stats) != 4 * config.k:
+            raise CliInputError(f"{p['features']} has {len(stats)} statistics per row, "
+                                f"not 4 * k = {4 * config.k}; rerun features")
         split[entry.split][0].append(label)
         split[entry.split][1].append(stats)
     return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}

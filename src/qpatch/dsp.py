@@ -34,6 +34,10 @@ EPS = 1e-8
 
 TARGET_SAMPLE_RATE = 16000
 
+# the largest sample magnitude load_wav accepts: its square, and a 1024-point
+# STFT power of such samples, stay far inside the float64 range
+MAX_SAMPLE = 1e100
+
 
 class Waveform(NamedTuple):
     """Mono float64 audio samples in nominal range [-1, 1] with their sample
@@ -90,13 +94,7 @@ def stft(w: Waveform, win_ms: float = 25.0, hop_ms: float = 10.0,
 
 def mel_energies(stft_out: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Filterbank energies E(f, tau) = sum_k |X(k, tau)|^2 H_f(k), frames x n_mels."""
-    spectrum = np.asarray(stft_out)
-    if spectrum.ndim != 2 or spectrum.shape[1] != weights.shape[1]:
-        raise ValueError(
-            f"bin count mismatch: spectrum has {spectrum.shape[-1]} bins, "
-            f"filterbank expects {weights.shape[1]}")
-    power = np.abs(spectrum) ** 2
-    return power @ weights.T
+    return np.abs(stft_out) ** 2 @ weights.T
 
 
 def log_standardize(energies: np.ndarray) -> np.ndarray:
@@ -106,9 +104,6 @@ def log_standardize(energies: np.ndarray) -> np.ndarray:
     standard deviation taken over the whole utterance. Returns the
     (frames, n_mels) matrix; energies that overflowed to inf are refused.
     """
-    energies = np.asarray(energies, dtype=np.float64)
-    if np.any(energies < 0):
-        raise ValueError("energies must be non-negative")
     logmel = np.log(energies + EPS)
     mu = logmel.mean()
     sigma = logmel.std()
@@ -301,9 +296,10 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
     Integer samples are scaled to [-1, 1) as scipy.io.wavfile reads them
     (unsigned 8-bit around 128, 24-bit left-justified in int32); more than
     one channel is averaged to mono with a warning. Anything else, and a
-    file with no samples, a rate of 0 or a NaN or inf sample, raises
-    ValueError naming the path. A caller that already holds the file's
-    bytes passes them as raw, and the file is not read again.
+    file with no samples, a rate of 0, or a NaN, inf or float sample above
+    MAX_SAMPLE (1e100) in magnitude, raises ValueError naming the path. A
+    caller that already holds the file's bytes passes them as raw, and the
+    file is not read again.
     """
     try:
         rate, samples = _decode_wav(memoryview(Path(path).read_bytes() if raw is None else raw))
@@ -312,8 +308,8 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
             samples = samples.mean(axis=1)
         if samples.size == 0 or rate == 0:
             raise ValueError(f"no audio: {samples.size} samples at {rate} Hz")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("non-finite samples")
+        if not np.all(np.abs(samples) <= MAX_SAMPLE):  # false for NaN too
+            raise ValueError(f"non-finite samples, or samples above {MAX_SAMPLE:g} in magnitude")
         return Waveform(samples, rate)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -45,7 +45,6 @@ def _tiles(values: np.ndarray, patch_size: int) -> np.ndarray:
     if t < patch_size:
         raise ValueError(
             f"spectrogram too short for one patch: {t} frames < {patch_size}")
-    check_patch_size(patch_size, f)
     p = patch_size
     rows = t // p
     return (values[:rows * p].reshape(rows, p, f // p, p)
@@ -74,8 +73,6 @@ def _statistics(tiles: np.ndarray) -> np.ndarray:
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, by descending score then ascending index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k > scores.size:
         raise ValueError(f"k={k} exceeds patch count {scores.size}")
     return np.argsort(-scores, kind="stable")[:k]
@@ -107,16 +104,11 @@ def write_features_csv(path, rows) -> None:
     "spoof". Patch corners are stored after the statistics so files are
     self-describing.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no feature rows to write")
     k = len(rows[0][3])
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_header(k))
         for uid, label, stats, corners in rows:
-            if len(corners) != k or len(stats) != 4 * k:
-                raise ValueError("inconsistent patch counts across rows")
             writer.writerow([uid, label, *(f"{x:.17g}" for x in stats),
                              *map(str, np.ravel(corners).tolist())])
 

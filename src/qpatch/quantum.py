@@ -46,10 +46,8 @@ def rotation_matrix(axis: str, theta) -> np.ndarray:
         return np.array([[c, -1j * s], [-1j * s, c]])
     if axis == "Y":
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if axis == "Z":
-        return np.array([[np.exp(-1j * theta / 2.0), 0.0 * c],
-                         [0.0 * c, np.exp(1j * theta / 2.0)]])
-    raise ValueError(f"unknown rotation axis {axis!r}")
+    return np.array([[np.exp(-1j * theta / 2.0), 0.0 * c],  # Z
+                     [0.0 * c, np.exp(1j * theta / 2.0)]])
 
 
 def _kron_rows(factors) -> np.ndarray:
@@ -91,10 +89,6 @@ def _embed_vector(values, depth: int, s3_axis: str) -> np.ndarray:
     """
     x = np.asarray(values, dtype=np.float64)
     n, length = x.shape
-    if length != 4 and (not length or length % 8):
-        raise ValueError(f"feature length {length} unsupported: need 4 (one patch) "
-                         "or a multiple of 8 (whole patch pairs)")
-    check_circuit(depth, s3_axis)
     q = min(length, 8)
     angles = x.reshape(-1, q)
     h = q // 2

@@ -79,8 +79,6 @@ def spectral_distort(w: Waveform, tilt: float) -> Waveform:
     boosts them. If the filtered signal is essentially silent the renorm
     is skipped and the raw filter output passes through with a warning.
     """
-    if not abs(tilt) < 1.0:
-        raise ValueError(f"|tilt| must be < 1, got {tilt}")
     x = w.samples
     y = np.empty_like(x)
     y[0] = x[0]
@@ -135,15 +133,13 @@ def _harmonic_voice(rng: np.random.Generator, duration_s: float,
     return Waveform(sig, sample_rate)
 
 
-def generate_synthetic_corpus(out_dir, n_files: int, seed: int,
-                              duration_s: float = 1.0,
-                              sample_rate: int = TARGET_SAMPLE_RATE) -> list[Path]:
+def generate_synthetic_corpus(out_dir, n_files: int, seed: int) -> list[Path]:
     """Write n_files seeded synthetic voices as utt000.wav, utt001.wav, ..."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"utt{i:03d}.wav" for i in range(n_files)]
     ordered_map(lambda i: save_wav(paths[i], _harmonic_voice(
-        substream(seed, "voice", i), duration_s, sample_rate)), range(n_files))
+        substream(seed, "voice", i), 1.0, TARGET_SAMPLE_RATE)), range(n_files))
     return paths
 
 
@@ -234,8 +230,8 @@ def write_manifest(manifest, path) -> None:
 
 def read_manifest(path) -> tuple:
     """Inverse of write_manifest: the tuple of ManifestEntry. A malformed row
-    raises ValueError naming its line, a split whose classes differ in size
-    one naming the file."""
+    raises ValueError naming its line, a split without rows of a class or
+    whose classes differ in size one naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -259,4 +255,6 @@ def read_manifest(path) -> tuple:
         if n_bona != n_spoof:
             raise ValueError(f"{path}: {split} split unbalanced: "
                              f"{n_bona} bonafide vs {n_spoof} spoof")
+        if not n_bona:
+            raise ValueError(f"{path}: {split} split has no rows of either class")
     return tuple(entries.values())

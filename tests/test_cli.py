@@ -109,6 +109,26 @@ class TestSynth:
             # the spoofs made before the failure are removed, not left as orphans
             assert not list((work / "spoof").glob("*.wav"))
 
+    def test_float_samples_above_max_sample_exit_2_before_any_spoof(self, tmp_path):
+        from scipy.io import wavfile
+        corpus = tmp_path / "voices"
+        corpus.mkdir()
+        # finite float64 samples whose squares overflow, at the front end's rate and
+        # at one it resamples from; then a float WAV peaking at 2.0, still accepted
+        for work, rate, peak, code in [(tmp_path / "w16", 16000, 1e300, 2),
+                                       (tmp_path / "w44", 44100, 1.7e308, 2),
+                                       (tmp_path / "hot", 16000, 2.0, 0)]:
+            for i in range(6):
+                wave = peak * np.sin(np.arange(rate // 2) * (0.05 + 0.01 * i))
+                wavfile.write(corpus / f"utt{i:03d}.wav", rate, wave)
+            assert main(base_args(work, "--input-dir", corpus) + ["synth"]) == code
+            if code:
+                last = (work / "run.log").read_text().splitlines()[-1]
+                assert (f"{corpus / 'utt000.wav'}: non-finite samples, or samples above "
+                        "1e+100 in magnitude") in last
+                assert not (work / "manifest.csv").exists()
+                assert not list((work / "spoof").glob("*.wav"))
+
     def test_a_stem_taking_another_files_spoof_id_exits_2_before_any_spoof(self, tmp_path):
         from qpatch.spoof import generate_synthetic_corpus
         corpus = tmp_path / "voices"
@@ -478,6 +498,13 @@ def _set_field(line, index, value):
     return ",".join(fields)
 
 
+def _rows_of_k_4(path):
+    """Rewrite a k = 2 features.csv with k = 4 rows: each row's statistics twice."""
+    rows = patches.read_features_csv(path)
+    patches.write_features_csv(path, [(uid, label, np.tile(stats, 2), np.zeros((4, 2), int))
+                                      for uid, label, stats in rows])
+
+
 def _set_entry(path, index, value):
     """Rewrite one entry of a .npy kernel block."""
     values = np.load(path)
@@ -524,6 +551,18 @@ MALFORMED = {
     "manifest_unbalanced": ("manifest.csv",
                             lambda p: _edit_line(p, 1, lambda s: _set_field(s, 2, "spoof")),
                             "features", "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
+    # every row of another k, beside the k = 2 sidecar: kernel and train-eval refuse it
+    "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "kernel --kind quantum",
+                             "features.csv has 16 statistics per row, not 4 * k = 8; "
+                             "rerun features"),
+    "features_rows_of_k_4_train_eval": ("features.csv", _rows_of_k_4, "train-eval --kind rbf",
+                                        "features.csv has 16 statistics per row, "
+                                        "not 4 * k = 8; rerun features"),
+    # every row moved to dev: features refuses the empty train split, which
+    # kernel --kind rbf would otherwise meet as an internal error
+    "manifest_empty_split": ("manifest.csv",
+                             lambda p: p.write_text(p.read_text().replace(",train,", ",dev,")),
+                             "features", "manifest.csv: train split has no rows"),
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
                            "kernel --kind rbf", "features.json is missing or holds no"),
     "gram_json_without_kernel_kind": (

@@ -154,6 +154,19 @@ class TestWaveform:
         with pytest.raises(ValueError, match="non-finite samples"):
             load_wav(path)
 
+    @pytest.mark.parametrize("peak", [1e300, 1.7e308])
+    def test_rejects_float_samples_above_max_sample(self, tmp_path, peak):
+        # finite, but their squares overflow in the SNR and STFT powers
+        path = tmp_path / "loud.wav"
+        wavfile.write(path, 16000, np.array([0.0, peak, -0.25]))
+        with pytest.raises(ValueError, match=f"{path}: .*above 1e\\+100 in magnitude"):
+            load_wav(path)
+
+    def test_accepts_float_samples_above_one(self, tmp_path):
+        path = tmp_path / "hot.wav"
+        wavfile.write(path, 16000, np.array([0.0, 2.0, -1.5]))
+        np.testing.assert_array_equal(load_wav(path).samples, [0.0, 2.0, -1.5])
+
 
 class TestStft:
     def test_zero_signal_gives_zero_stft(self):
@@ -360,7 +373,8 @@ class TestLogStandardize:
         assert abs(out.std() - 1.0) < 1e-6
 
     def test_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
+        # the log of a negative energy is NaN (numpy warns), refused as non-finite
+        with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
             log_standardize(np.array([[-0.1, 1.0]]))
 
 

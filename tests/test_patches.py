@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from qpatch.config import ExperimentConfig
 from qpatch.dsp import EPS
 from qpatch.patches import (
     _tiles,
     _top_k,
+    check_patch_size,
     extract_features,
     read_features_csv,
     write_features_csv,
@@ -105,8 +107,11 @@ class TestPartition:
             np.testing.assert_array_equal(tile, spec[t:t + 4, f:f + 4])
 
     def test_indivisible_mel_axis_raises(self):
+        # refused where the patch size enters, by the config; _tiles trusts it
         with pytest.raises(ValueError, match="divisible"):
-            extract_features(np.zeros((8, 64)), k=1, patch_size=5)
+            check_patch_size(5, 64)
+        with pytest.raises(ValueError, match="divisible"):
+            ExperimentConfig(patch_size=5)
 
 
 class TestSummarize:
@@ -222,14 +227,17 @@ class TestFeatureVector:
         assert found.shape == (1, 2)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            extract_features(random_spectrogram(np.random.default_rng(7)), k=0)
+        # k = 0 is refused by the config, where k enters; _top_k trusts it
+        with pytest.raises(ValueError, match="k must be 1 or even, got 0"):
+            ExperimentConfig(k=0)
 
     def test_length_invariant_enforced(self, tmp_path):
-        """Four statistics per corner, or the row is not written."""
-        with pytest.raises(ValueError, match="inconsistent"):
-            write_features_csv(tmp_path / "x.csv",
-                               [("u0", "bonafide", np.zeros(6), np.zeros((1, 2), int))])
+        """Four statistics per corner, or the row is not read back."""
+        path = tmp_path / "x.csv"
+        path.write_text("id,label,x0,x1,x2,x3,patch0_t,patch0_f\n"
+                        "u0,bonafide,0,0,0,0,0,0,0,0\n")
+        with pytest.raises(ValueError, match="x.csv:2: expected 8 fields, got 10"):
+            read_features_csv(path)
 
 
 class TestExtractFeatures:
@@ -279,8 +287,11 @@ class TestExtractFeatures:
             extract_features(np.zeros((4, 8)), k=3)
 
     def test_patch_size_one_raises(self):
+        # refused where the patch size enters, by the config; _tiles trusts it
         with pytest.raises(ValueError, match=">= 2"):
-            extract_features(np.zeros((8, 64)), k=1, patch_size=1)
+            check_patch_size(1, 64)
+        with pytest.raises(ValueError, match=">= 2"):
+            ExperimentConfig(patch_size=1)
 
 
 class TestFeatureCsv:
@@ -311,18 +322,21 @@ class TestFeatureCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_features_csv(tmp_path / "x.csv", [])
+        # the features stage writes no file without rows; an empty one is not read
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="x.csv:1: header is not"):
+            read_features_csv(path)
 
     def test_failed_rewrite_keeps_the_previous_file(self, tmp_path):
         rng = np.random.default_rng(33)
         good = (rng.standard_normal(8), np.array([[0, 0], [4, 4]]))
-        short = (rng.standard_normal(4), np.array([[8, 8]]))
+        unformattable = (["s1"] * 8, np.array([[8, 8], [0, 0]]))
         path = tmp_path / "features.csv"
         write_features_csv(path, [("u0", "bonafide", *good)])
         before = path.read_bytes()
-        # the second row fails the patch-count check after the first is written
-        with pytest.raises(ValueError, match="inconsistent"):
-            write_features_csv(path, [("u1", "spoof", *good), ("u2", "spoof", *short)])
+        # the second row fails to format after the first is written
+        with pytest.raises(ValueError, match="Unknown format code 'g'"):
+            write_features_csv(path, [("u1", "spoof", *good), ("u2", "spoof", *unformattable)])
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["features.csv"]

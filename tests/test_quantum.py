@@ -4,6 +4,7 @@ and the structural inertness of the bandwidth feature."""
 import numpy as np
 import pytest
 
+from qpatch.config import ExperimentConfig
 from qpatch.quantum import (
     _embed_vector,
     _kron_rows,
@@ -78,8 +79,11 @@ class TestRotationMatrix:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
     def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            rotation_matrix("W", 1.0)
+        # refused where the axis enters, by the config; rotation_matrix trusts it
+        with pytest.raises(ValueError, match="invalid s3 axis 'W'"):
+            check_circuit(1, "W")
+        with pytest.raises(ValueError, match="invalid s3 axis 'W'"):
+            ExperimentConfig(s3_axis="W")
 
 
 class TestApplyRotation:
@@ -198,7 +202,7 @@ class TestCircuitSpec:
             with pytest.raises(ValueError, match="depth"):
                 check_circuit(bad, "Z")
             with pytest.raises(ValueError, match="depth"):
-                embed_one(np.zeros(4), depth=bad)
+                ExperimentConfig(depth=bad)
 
     def test_invalid_s3_axis(self):
         with pytest.raises(ValueError, match="s3 axis"):
@@ -355,8 +359,10 @@ class TestFidelityKernel:
         assert got == pytest.approx(np.mean(per_pair), abs=1e-10)
 
     def test_odd_patch_count_rejected(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            fidelity_kernel(np.zeros(12), np.zeros(12))
+        # three patches (12 values) are refused where k enters, by the config,
+        # and in a features.csv by kernel and train-eval; the embedding trusts it
+        with pytest.raises(ValueError, match="k must be 1 or even, got 3"):
+            ExperimentConfig(k=3)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):

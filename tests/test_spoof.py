@@ -137,8 +137,10 @@ class TestSpectralDistort:
         np.testing.assert_allclose(out.samples[1:], 1e-7, rtol=1e-9)
 
     def test_tilt_magnitude_validated(self):
-        with pytest.raises(ValueError):
-            spectral_distort(sine_wave(), 1.0)
+        # refused where the tilt range enters, by the config; spectral_distort trusts it
+        for bounds in ({"tilt_high": 1.0}, {"tilt_low": -1.0}):
+            with pytest.raises(ValueError, match="must sit inside"):
+                ExperimentConfig(**bounds)
 
 
 class TestMakeSpoof:
@@ -196,7 +198,7 @@ class TestSyntheticCorpus:
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
-    generate_synthetic_corpus(root / "bonafide", 10, seed=3, duration_s=0.5)
+    generate_synthetic_corpus(root / "bonafide", 10, seed=3)
     config = ExperimentConfig(train_per_class=8, dev_per_class=2, seed=3)
     manifest, wav_sha256 = build_dataset(root / "bonafide", root, config)
     return root, manifest, wav_sha256
@@ -251,7 +253,7 @@ class TestBuildDataset:
 
     def test_entries_are_sorted_by_uid_within_each_label(self, tmp_path):
         # by file name "a-b.wav" sorts before "a.wav"; by uid "a" comes first
-        first, second = generate_synthetic_corpus(tmp_path / "bona", 2, seed=5, duration_s=0.2)
+        first, second = generate_synthetic_corpus(tmp_path / "bona", 2, seed=5)
         first.rename(tmp_path / "bona" / "a.wav")
         second.rename(tmp_path / "bona" / "a-b.wav")
         manifest, _ = build_dataset(tmp_path / "bona", tmp_path / "w",
@@ -259,13 +261,13 @@ class TestBuildDataset:
         assert [e.uid for e in manifest] == ["a", "a-b", "a-b_spoof", "a_spoof"]
 
     def test_insufficient_files_error(self, tmp_path):
-        generate_synthetic_corpus(tmp_path / "few", 3, seed=1, duration_s=0.2)
+        generate_synthetic_corpus(tmp_path / "few", 3, seed=1)
         with pytest.raises(ValueError, match="short 7"):
             build_dataset(tmp_path / "few", tmp_path / "sp",
                           ExperimentConfig(train_per_class=8, dev_per_class=2))
 
     def test_same_seed_identical_manifest(self, tmp_path):
-        generate_synthetic_corpus(tmp_path / "bona", 6, seed=4, duration_s=0.2)
+        generate_synthetic_corpus(tmp_path / "bona", 6, seed=4)
         config = ExperimentConfig(train_per_class=4, dev_per_class=2, seed=4)
         m1, h1 = build_dataset(tmp_path / "bona", tmp_path / "w1", config)
         m2, h2 = build_dataset(tmp_path / "bona", tmp_path / "w2", config)
@@ -284,6 +286,15 @@ class TestManifestValidation:
         path = tmp_path / "manifest.csv"
         write_manifest(entries, path)
         with pytest.raises(ValueError, match="train split unbalanced: 2 bonafide vs 1") as err:
+            read_manifest(path)
+        assert str(path) in str(err.value)
+
+    def test_split_without_rows_rejected(self, tmp_path):
+        entries = (ManifestEntry("a", "a.wav", BONAFIDE, "dev", "a"),
+                   ManifestEntry("a_spoof", "as.wav", SPOOF, "dev", "a"))
+        path = tmp_path / "manifest.csv"
+        write_manifest(entries, path)
+        with pytest.raises(ValueError, match="train split has no rows of either class") as err:
             read_manifest(path)
         assert str(path) in str(err.value)
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from qpatch import quantum
+from qpatch.cli import build_parser
 from qpatch.config import ExperimentConfig
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
+from qpatch.spoof import ManifestEntry, read_manifest, write_manifest
 from qpatch.svm import (
     build_gram,
     cross_gram,
@@ -27,6 +29,14 @@ from qpatch.svm import (
 )
 
 from _oracles import dense_kernel, rbf_kernel
+
+
+def _manifest(tmp_path, *rows):
+    """manifest.csv of (id, label, split) rows, each its own source."""
+    path = tmp_path / "manifest.csv"
+    write_manifest([ManifestEntry(uid, f"{uid}.wav", label, split, uid)
+                    for uid, label, split in rows], path)
+    return path
 
 QUANTUM = {"kind": "quantum"}  # depth 1, s3 axis Z: kernel_matrix's defaults
 
@@ -119,15 +129,13 @@ class TestKernelSpec:
         got = params("quantum", np.zeros((3, 8)), depth=2, s3_axis="Y")
         assert got == {"kind": "quantum", "depth": 2, "s3_axis": "Y"}
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kernel kind 'linear'"):
-            kernel_matrix(np.zeros((3, 8)), "linear")
-
-    def test_kernel_matrix_refuses_a_symbolic_gamma(self):
-        # "scale" is resolved on training rows by the caller, never on the rows given
-        x = np.random.default_rng(3).uniform(-1, 1, (4, 8))
-        with pytest.raises(ValueError, match="needs a resolved gamma, got 'scale'"):
-            kernel_matrix(x, "rbf", gamma="scale")
+    def test_unknown_kind(self, capsys):
+        # kernel_matrix trusts its kind: an unknown one is refused where it
+        # enters, by the --kind choices, with exit 2
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["kernel", "--kind", "linear"])
+        assert err.value.code == 2
+        assert "invalid choice: 'linear'" in capsys.readouterr().err
 
 
 class TestBuildGram:
@@ -381,13 +389,20 @@ class TestTrainSvmRandomProblems:
         assert np.all(np.sign(beta[alpha > 1e-12]) == y[alpha > 1e-12])
         assert kkt_gap(k, y, beta, C) <= 1.5e-4
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            train_svm(np.eye(3), [1, 1, 1])
+    def test_single_class_rejected(self, tmp_path):
+        # train_svm trusts its labels: a train split lacking a class is refused
+        # where the labels enter, by read_manifest
+        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "bonafide", "dev"),
+                         ("c", "spoof", "dev"))
+        with pytest.raises(ValueError, match="train split unbalanced: 1 bonafide vs 0 spoof"):
+            read_manifest(path)
 
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            train_svm(np.eye(2), [1, 0])
+    def test_bad_labels_rejected(self, tmp_path):
+        # train_svm trusts its labels: one other than bonafide or spoof is
+        # refused where the labels enter, by read_manifest
+        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "0", "train"))
+        with pytest.raises(ValueError, match="manifest.csv:3: unknown label '0'"):
+            read_manifest(path)
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -489,11 +504,6 @@ class TestDecisionScores:
                 model["dual_coefs"][s] * rows[r, model["support_indices"][s]]
                 for s in range(model["support_indices"].size)) + model["bias"]
             assert scores[r] == pytest.approx(expected, abs=1e-12)
-
-    def test_row_length_mismatch(self):
-        model = train_svm(np.eye(2), [1, -1])
-        with pytest.raises(ValueError):
-            decision_scores(model, np.zeros((1, 5)))
 
 
 def _around(x, n=40):
