@@ -136,21 +136,18 @@ def _kernel_facts(config: ExperimentConfig, params: dict) -> dict:
             "features": _digest(p["features"])}
 
 
-def cmd_synth(config: ExperimentConfig, synthetic_audio: int | None) -> None:
+def cmd_synth(config: ExperimentConfig) -> None:
     p = _paths(config)
-    input_dir = config.resolved_input_dir()
-    if synthetic_audio is None and not input_dir.is_dir():
-        raise CliInputError(
-            f"input directory {input_dir} does not exist; pass --synthetic-audio N "
-            "to generate a corpus or point --input-dir at bona fide WAVs")
     # the audio the manifest points at changes before the manifest does
     with _record_made_under(p["manifest"], _manifest_facts(config)) as facts:
-        if synthetic_audio is not None:
-            log.info("generating %d synthetic bona fide files in %s",
-                     synthetic_audio, input_dir)
-            spoof.generate_synthetic_corpus(input_dir, synthetic_audio, config.seed)
+        if config.input_dir is None:
+            n = config.train_per_class + config.dev_per_class
+            log.info("generating %d synthetic bona fide files in %s", n, p["work"] / "bonafide")
+            wavs = spoof.generate_synthetic_corpus(p["work"] / "bonafide", n, config.seed)
+        else:
+            wavs = sorted(Path(config.input_dir).glob("*.wav"))
         try:
-            manifest, wav_sha256 = spoof.build_dataset(input_dir, p["work"], config)
+            manifest, wav_sha256 = spoof.build_dataset(wavs, p["work"], config)
         except ValueError as err:
             raise CliInputError(str(err))
         spoof.write_manifest(manifest, p["manifest"])
@@ -295,7 +292,7 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
                 **{name: model[name]
                    for name in ("C", "bias", "kkt_gap", "n_iter", "converged")}},
         "kernel_structure": structure,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     }
     metrics.write_report(p["report"](kind), p["roc"](kind), report, roc)
     log.info("kind=%s dev AUROC %.4f EER %.4f -> %s",
@@ -323,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", help='RBF gamma value or "scale"')
 
     sub = parser.add_subparsers(dest="command", required=True)
-    synth = sub.add_parser("synth", help="build the spoofed dataset and manifest")
-    synth.add_argument("--synthetic-audio", type=int, metavar="N",
-                       help="generate N seeded synthetic bona fide files first")
+    sub.add_parser("synth", help="build the spoofed dataset and manifest")
     sub.add_parser("features", help="extract patch features for every utterance")
     kernel = sub.add_parser("kernel", help="compute the kernel over the train and dev rows")
     kernel.add_argument("--kind", choices=KINDS, required=True)
@@ -357,7 +352,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "synth":
-            cmd_synth(config, args.synthetic_audio)
+            cmd_synth(config)
         elif args.command == "features":
             cmd_features(config)
         elif args.command == "kernel":
@@ -365,9 +360,7 @@ def main(argv=None) -> int:
         elif args.command == "train-eval":
             cmd_train_eval(config, args.kind)
         elif args.command == "run-all":
-            n = config.train_per_class + config.dev_per_class
-            synthetic = None if config.input_dir else n
-            cmd_synth(config, synthetic)
+            cmd_synth(config)
             cmd_features(config)
             # after features the two kinds share no file
             ordered_map(lambda kind: (cmd_kernel(config, kind),

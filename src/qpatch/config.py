@@ -76,14 +76,6 @@ class ExperimentConfig:
         build_mel_filterbank(self.n_mels, self.fft_size, TARGET_SAMPLE_RATE,
                              self.f_low, self.f_high)
 
-    def resolved_input_dir(self) -> Path:
-        if self.input_dir is not None:
-            return Path(self.input_dir)
-        return Path(self.work_dir) / "bonafide"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # the Python types each name in a field annotation admits; a bool is no number

@@ -143,15 +143,6 @@ def generate_synthetic_corpus(out_dir, n_files: int, seed: int) -> list[Path]:
     return paths
 
 
-def _assign_splits(ids: list[str], train_per_class: int, rng) -> dict[str, str]:
-    order = list(ids)
-    rng.shuffle(order)
-    assignment = {}
-    for i, uid in enumerate(order):
-        assignment[uid] = "train" if i < train_per_class else "dev"
-    return assignment
-
-
 def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
     """Write the spoof of one bona fide file; return the sha256 of the bytes
     read and of the bytes written."""
@@ -164,28 +155,27 @@ def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
     return hashlib.sha256(raw).hexdigest(), save_wav(spoof_path, spoofed)
 
 
-def build_dataset(bonafide_dir, work_dir, config) -> tuple[tuple, dict]:
-    """Select bona fide files, write their spoofs under work_dir/spoof, and
-    assign splits; return the manifest as a tuple of ManifestEntry.
+def build_dataset(wavs, work_dir, config) -> tuple[tuple, dict]:
+    """Write the spoofs of the first train_per_class + dev_per_class paths of
+    the list wavs under work_dir/spoof and assign splits; return the
+    manifest as a tuple of ManifestEntry.
 
     config is the ExperimentConfig; its train_per_class and dev_per_class
-    are read, and what make_spoof reads. Files are taken in sorted name
-    order; a selected X_spoof.wav beside a selected X.wav is refused before
-    any spoof is written, since the spoof of X takes the id X_spoof. Each
-    class is shuffled into its train/dev split with an independent
-    substream so the two classes stay balanced by construction. Entry
-    paths are relative to work_dir, so the manifest moves with it. Also
-    returns the sha256 of each WAV by entry path, of the bytes read (bona
-    fide) or written (spoof). If any spoof fails, every spoof path of this
-    call is removed before the error is raised, so none is left behind.
+    are read, its input_dir to name in the count refusal, and what
+    make_spoof reads. A selected X_spoof.wav beside a selected X.wav is
+    refused before any spoof is written, since the spoof of X takes the id
+    X_spoof. Each class is shuffled into its train/dev split with an
+    independent substream so the two classes stay balanced by construction.
+    Entry paths are relative to work_dir, so the manifest moves with it.
+    Also returns the sha256 of each WAV by entry path, of the bytes read
+    (bona fide) or written (spoof). If any spoof fails, every spoof path of
+    this call is removed before the error is raised, so none is left behind.
     """
-    bonafide_dir = Path(bonafide_dir)
     spoof_dir = Path(work_dir) / "spoof"
-    wavs = sorted(bonafide_dir.glob("*.wav"))
     need = config.train_per_class + config.dev_per_class
     if len(wavs) < need:
         raise ValueError(
-            f"need {need} bona fide WAV files in {bonafide_dir}, found "
+            f"need {need} bona fide WAV files in {config.input_dir}, found "
             f"{len(wavs)} (short {need - len(wavs)})")
     wavs = wavs[:need]
     by_stem = {path.stem: path for path in wavs}
@@ -212,9 +202,11 @@ def build_dataset(bonafide_dir, work_dir, config) -> tuple[tuple, dict]:
 
     entries = []
     for label, rows in by_label.items():
-        split = _assign_splits(sorted(rows), config.train_per_class,
-                               substream(config.seed, "split", label))
-        entries += [ManifestEntry(uid, rows[uid][0], label, split[uid], rows[uid][1])
+        order = sorted(rows)
+        substream(config.seed, "split", label).shuffle(order)
+        train = set(order[:config.train_per_class])
+        entries += [ManifestEntry(uid, rows[uid][0], label,
+                                  "train" if uid in train else "dev", rows[uid][1])
                     for uid in sorted(rows)]
     return tuple(entries), wav_sha256
 

@@ -34,7 +34,7 @@ def base_args(work_dir, *extra):
 
 
 def run_synth(work_dir, *extra):
-    return main(base_args(work_dir, *extra) + ["synth", "--synthetic-audio", "6"])
+    return main(base_args(work_dir, *extra) + ["synth"])
 
 
 def run_stage(work_dir, stage, *extra):
@@ -67,19 +67,35 @@ class TestSynth:
 
     def test_seed_changes_audio_but_not_layout(self, tmp_path):
         run_synth(tmp_path / "a")
-        assert main(base_args(tmp_path / "b", "--seed", 8)
-                    + ["synth", "--synthetic-audio", "6"]) == 0
+        assert run_synth(tmp_path / "b", "--seed", 8) == 0
         a = dsp.load_wav(tmp_path / "a" / "bonafide" / "utt000.wav")
         b = dsp.load_wav(tmp_path / "b" / "bonafide" / "utt000.wav")
         assert a.samples.shape == b.samples.shape
         assert not np.allclose(a.samples, b.samples)
 
     def test_missing_input_dir_without_generation_fails(self, tmp_path):
-        assert main(base_args(tmp_path) + ["synth"]) == 2
+        missing = tmp_path / "no_such_dir"
+        assert main(base_args(tmp_path / "w", "--input-dir", missing) + ["synth"]) == 2
+        assert str(missing) in (tmp_path / "w" / "run.log").read_text()
 
     def test_too_few_files_fails(self, tmp_path):
-        code = main(base_args(tmp_path) + ["synth", "--synthetic-audio", "3"])
-        assert code == 2
+        from qpatch.spoof import generate_synthetic_corpus
+        corpus = tmp_path / "voices"
+        generate_synthetic_corpus(corpus, 3, seed=11)
+        assert main(base_args(tmp_path / "w", "--input-dir", corpus) + ["synth"]) == 2
+        last = (tmp_path / "w" / "run.log").read_text().splitlines()[-1]
+        assert f"need 6 bona fide WAV files in {corpus}, found 3 (short 3)" in last
+
+    def test_a_stray_voice_in_the_work_dir_stays_out_of_the_manifest(self, tmp_path):
+        # a WAV left in work/bonafide, say by a run under another seed, that
+        # sorts before the voices synth generates
+        from qpatch.spoof import generate_synthetic_corpus
+        (stray,) = generate_synthetic_corpus(tmp_path / "old", 1, seed=99)
+        (tmp_path / "bonafide").mkdir()
+        stray.rename(tmp_path / "bonafide" / "a.wav")
+        assert run_synth(tmp_path) == 0
+        sources = {e.source_id for e in read_manifest(tmp_path / "manifest.csv")}
+        assert sources == {f"utt{i:03d}" for i in range(6)}
 
     def test_existing_corpus_via_input_dir(self, tmp_path):
         corpus = tmp_path / "voices"
@@ -473,12 +489,16 @@ class TestMadeUnder:
         assert "manifest.json is missing" in (tmp_path / "run.log").read_text()
 
     def test_failed_synth_leaves_no_sidecar_for_the_old_manifest(self, tmp_path):
-        run_synth(tmp_path)
+        from qpatch.spoof import generate_synthetic_corpus
+        corpus = tmp_path / "voices"
+        generate_synthetic_corpus(corpus, 6, seed=11)
+        args = base_args(tmp_path, "--input-dir", corpus)
+        assert main(args + ["synth"]) == 0
         # the last file is unreadable: synth fails after rewriting some spoofs
-        last = tmp_path / "bonafide" / "utt005.wav"
+        last = corpus / "utt005.wav"
         audio = last.read_bytes()
         last.write_bytes(b"not audio")
-        assert main(base_args(tmp_path, "--seed", 8) + ["synth"]) == 2
+        assert main(args + ["--seed", "8", "synth"]) == 2
         last.write_bytes(audio)
         assert (tmp_path / "manifest.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
@@ -694,7 +714,7 @@ class TestRunAll:
         args = ["--work-dir", "work", "--train-per-class", "4", "--dev-per-class", "2"]
         assert main(args + ["run-all"]) == 0
         (tmp_path / "work").rename(tmp_path / "run_all")
-        assert main(args + ["synth", "--synthetic-audio", "6"]) == 0
+        assert main(args + ["synth"]) == 0
         assert main(args + ["features"]) == 0
         for stage in ("kernel", "train-eval"):
             for kind in cli.KINDS:
@@ -750,7 +770,7 @@ class TestWorkers:
                 return extract(entry, *args)
             cli._extract_one = dies_in_a_worker
             args = ["--work-dir", "w", "--train-per-class", "4", "--dev-per-class", "2"]
-            assert cli.main(args + ["synth", "--synthetic-audio", "6"]) == 0
+            assert cli.main(args + ["synth"]) == 0
             print(cli.main(args + ["features"]))
         """)
         done = run_fresh_python(code, tmp_path)
@@ -836,7 +856,7 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"work_dir": str(tmp_path / "w"), "k": 1,
                                    "train_per_class": 4, "dev_per_class": 2}))
-        assert main(["--config", str(cfg), "synth", "--synthetic-audio", "6"]) == 0
+        assert main(["--config", str(cfg), "synth"]) == 0
         assert main(["--config", str(cfg), "features"]) == 0
         header = (tmp_path / "w" / "features.csv").read_text().splitlines()[0]
         assert sum(1 for h in header.split(",") if h.startswith("x")) == 4
@@ -845,7 +865,7 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"work_dir": str(tmp_path / "w"), "k": 1,
                                    "train_per_class": 4, "dev_per_class": 2}))
-        main(["--config", str(cfg), "synth", "--synthetic-audio", "6"])
+        main(["--config", str(cfg), "synth"])
         assert main(["--config", str(cfg), "--k", "2", "features"]) == 0
         header = (tmp_path / "w" / "features.csv").read_text().splitlines()[0]
         assert sum(1 for h in header.split(",") if h.startswith("x")) == 8

@@ -345,11 +345,6 @@ class TestMelEnergies:
                                    mel_energy_oracle(spec, fb),
                                    rtol=0, atol=1e-12)
 
-    def test_dimension_mismatch_raises(self):
-        fb = build_mel_filterbank()
-        with pytest.raises(ValueError, match="mismatch"):
-            mel_energies(np.zeros((2, 257), dtype=complex), fb)
-
 
 class TestLogStandardize:
     def test_constant_input_gives_zeros(self):
@@ -371,11 +366,6 @@ class TestLogStandardize:
         out = log_standardize(e)
         assert abs(out.mean()) < 1e-6
         assert abs(out.std() - 1.0) < 1e-6
-
-    def test_negative_energy_rejected(self):
-        # the log of a negative energy is NaN (numpy warns), refused as non-finite
-        with pytest.raises(ValueError, match="non-finite"), pytest.warns(RuntimeWarning):
-            log_standardize(np.array([[-0.1, 1.0]]))
 
 
 class TestResample:
@@ -474,13 +464,6 @@ class TestFullFrontEnd:
         w = Waveform(rng.standard_normal(48000) * 0.1, 48000)
         spec = logmel_spectrogram(w, ExperimentConfig())
         assert spec.shape == (98, 64)
-
-    def test_overflowing_float_input_refused(self):
-        """Float WAV samples near 1e200 are finite, but their power overflows."""
-        w = Waveform(np.random.default_rng(6).standard_normal(16000) * 1e200, 16000)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                logmel_spectrogram(w, ExperimentConfig())
 
 
 class TestWavIO:

@@ -198,9 +198,9 @@ class TestSyntheticCorpus:
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
-    generate_synthetic_corpus(root / "bonafide", 10, seed=3)
+    wavs = generate_synthetic_corpus(root / "bonafide", 10, seed=3)
     config = ExperimentConfig(train_per_class=8, dev_per_class=2, seed=3)
-    manifest, wav_sha256 = build_dataset(root / "bonafide", root, config)
+    manifest, wav_sha256 = build_dataset(wavs, root, config)
     return root, manifest, wav_sha256
 
 
@@ -254,23 +254,25 @@ class TestBuildDataset:
     def test_entries_are_sorted_by_uid_within_each_label(self, tmp_path):
         # by file name "a-b.wav" sorts before "a.wav"; by uid "a" comes first
         first, second = generate_synthetic_corpus(tmp_path / "bona", 2, seed=5)
-        first.rename(tmp_path / "bona" / "a.wav")
-        second.rename(tmp_path / "bona" / "a-b.wav")
-        manifest, _ = build_dataset(tmp_path / "bona", tmp_path / "w",
+        wavs = [first.rename(tmp_path / "bona" / "a-b.wav"),
+                second.rename(tmp_path / "bona" / "a.wav")]
+        manifest, _ = build_dataset(wavs, tmp_path / "w",
                                     ExperimentConfig(train_per_class=1, dev_per_class=1))
         assert [e.uid for e in manifest] == ["a", "a-b", "a-b_spoof", "a_spoof"]
 
     def test_insufficient_files_error(self, tmp_path):
-        generate_synthetic_corpus(tmp_path / "few", 3, seed=1)
-        with pytest.raises(ValueError, match="short 7"):
-            build_dataset(tmp_path / "few", tmp_path / "sp",
-                          ExperimentConfig(train_per_class=8, dev_per_class=2))
+        few = tmp_path / "few"
+        wavs = generate_synthetic_corpus(few, 3, seed=1)
+        config = ExperimentConfig(input_dir=str(few), train_per_class=8, dev_per_class=2)
+        with pytest.raises(ValueError, match="short 7") as err:
+            build_dataset(wavs, tmp_path / "sp", config)
+        assert f"need 10 bona fide WAV files in {few}, found 3" in str(err.value)
 
     def test_same_seed_identical_manifest(self, tmp_path):
-        generate_synthetic_corpus(tmp_path / "bona", 6, seed=4)
+        wavs = generate_synthetic_corpus(tmp_path / "bona", 6, seed=4)
         config = ExperimentConfig(train_per_class=4, dev_per_class=2, seed=4)
-        m1, h1 = build_dataset(tmp_path / "bona", tmp_path / "w1", config)
-        m2, h2 = build_dataset(tmp_path / "bona", tmp_path / "w2", config)
+        m1, h1 = build_dataset(wavs, tmp_path / "w1", config)
+        m2, h2 = build_dataset(wavs, tmp_path / "w2", config)
         # work-dir-relative paths: two work dirs beside each other give one manifest
         assert m1 == m2
         assert h1 == h2

@@ -404,10 +404,6 @@ class TestTrainSvmRandomProblems:
         with pytest.raises(ValueError, match="manifest.csv:3: unknown label '0'"):
             read_manifest(path)
 
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError):
-            train_svm(np.eye(3), [1, -1])
-
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
