@@ -124,9 +124,7 @@ def _manifest_facts(config: ExperimentConfig) -> dict:
 
 
 def _features_facts(config: ExperimentConfig) -> dict:
-    front_end = _fields(config, "f_high", "f_low", "fft_size", "hop_ms", "n_mels", "win_ms")
     return {"k": config.k, "patch_size": config.patch_size,
-            "front_end": {**front_end, "sample_rate": dsp.TARGET_SAMPLE_RATE},
             "manifest": _digest(_paths(config)["manifest"])}
 
 
@@ -162,7 +160,7 @@ def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
     if hashlib.sha256(raw).hexdigest() != wav_sha256.get(entry.path):
         raise CliInputError(f"{path} is not the file synth read; rerun synth")
     w = dsp.load_wav(path, raw)
-    spec = dsp.logmel_spectrogram(w, config)
+    spec = dsp.logmel_spectrogram(w)
     return (entry.uid, entry.label,
             *patches.extract_features(spec, k=config.k, patch_size=config.patch_size))
 

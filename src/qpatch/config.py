@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import TARGET_SAMPLE_RATE, build_mel_filterbank, frame_lengths
+from .dsp import N_MELS
 from .patches import check_patch_size
 from .quantum import check_circuit
 from .spoof import NO_NOISE
@@ -18,20 +18,15 @@ from .spoof import NO_NOISE
 class ExperimentConfig:
     """All knobs of the pipeline with their defaults.
 
-    Audio front end: 16 kHz, 25 ms / 10 ms Hann frames, 1024-point FFT,
-    64 mel bins. Patches: 4x4, top-2 by mean activation. Circuit: depth 1.
+    The audio front end is fixed in qpatch.dsp (16 kHz, 25 ms / 10 ms Hann
+    frames, 1024-point FFT, 64 mel bins). Patches: 4x4, top-2 by mean
+    activation. Circuit: depth 1.
     Spoofs: 20 dB SNR noise plus a uniform spectral tilt. Split: 40/10 per
     class. Everything random derives from the single seed.
     """
 
     work_dir: str = "qpatch_work"
     input_dir: str | None = None
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    fft_size: int = 1024
-    n_mels: int = 64
-    f_low: float = 0.0
-    f_high: float = 8000.0
     patch_size: int = 4
     k: int = 2
     depth: int = 1
@@ -70,11 +65,7 @@ class ExperimentConfig:
         if self.gamma != "scale" and not (numeric and 0 < self.gamma < math.inf):
             raise ValueError(f'gamma must be a finite number > 0 or "scale", '
                              f"got {self.gamma!r}")
-        check_patch_size(self.patch_size, self.n_mels)
-        # the front end's own checks: frame lengths, then mel bins and band edges
-        frame_lengths(self.win_ms, self.hop_ms, self.fft_size)
-        build_mel_filterbank(self.n_mels, self.fft_size, TARGET_SAMPLE_RATE,
-                             self.f_low, self.f_high)
+        check_patch_size(self.patch_size, N_MELS)
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

@@ -2,11 +2,12 @@
 
 All operations are pure functions. The pipeline per utterance is: load ->
 resample to 16 kHz -> STFT (Hann window, power spectrum) -> mel filterbank
-energies -> log compression -> per-utterance standardization. Only the
-input audio is wrapped, in Waveform, an unchecked pair of samples and
-rate; load_wav, where audio enters, is its one check. The filterbank is a
-plain (n_mels, bins) weight array and the log-mel spectrogram a plain
-(frames, n_mels) float array.
+energies -> log compression -> per-utterance standardization. The front
+end is the paper's, fixed as the constants below. Only the input audio is
+wrapped, in Waveform, an unchecked pair of samples and rate; load_wav,
+where audio enters, is its one check. The filterbank is a plain
+(N_MELS, bins) weight array and the log-mel spectrogram a plain
+(frames, N_MELS) float array.
 
 The runtime needs only numpy. WAV files are read and written by the small
 RIFF chunk parser below. Inputs at another rate are resampled with the
@@ -33,6 +34,10 @@ from .atomic import atomic_write
 EPS = 1e-8
 
 TARGET_SAMPLE_RATE = 16000
+
+# the front end at TARGET_SAMPLE_RATE: 25 ms periodic Hann frames every 10 ms,
+# a 1024-point FFT, and 64 HTK mel bands over 0-8 kHz
+WIN_LEN, HOP_LEN, FFT_SIZE, N_MELS = 400, 160, 1024, 64
 
 # the largest sample magnitude load_wav accepts: its square, and a 1024-point
 # STFT power of such samples, stay far inside the float64 range
@@ -62,34 +67,20 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / length))
 
 
-def frame_lengths(win_ms: float, hop_ms: float, fft_size: int,
-                  sample_rate: int = TARGET_SAMPLE_RATE) -> tuple[int, int]:
-    """Window and hop in samples, each at least one; the window fits in fft_size."""
-    win_len, hop_len = (round(ms * sample_rate / 1000.0) if math.isfinite(ms) else 0
-                        for ms in (win_ms, hop_ms))
-    if win_len <= 0 or hop_len <= 0:
-        raise ValueError(f"window and hop must be finite and >= 1 sample: {win_ms}, {hop_ms} ms")
-    if fft_size < win_len:
-        raise ValueError(f"fft_size {fft_size} shorter than window ({win_len} samples)")
-    return win_len, hop_len
+def stft(w: Waveform) -> np.ndarray:
+    """Short-time Fourier transform of TARGET_SAMPLE_RATE audio with a
+    periodic Hann window.
 
-
-def stft(w: Waveform, win_ms: float = 25.0, hop_ms: float = 10.0,
-         fft_size: int = 1024) -> np.ndarray:
-    """Short-time Fourier transform with a periodic Hann window.
-
-    Returns a complex matrix with one row per frame and fft_size // 2 + 1
-    columns (non-negative frequency bins). Frames are hopped by hop_ms,
-    windowed, then zero-padded to fft_size; trailing samples shorter than
-    one window are dropped.
+    Returns a complex matrix with one row per frame and FFT_SIZE // 2 + 1
+    columns (non-negative frequency bins). Frames of WIN_LEN samples are
+    hopped by HOP_LEN, windowed, then zero-padded to FFT_SIZE; trailing
+    samples shorter than one window are dropped.
     """
-    win_len, hop_len = frame_lengths(win_ms, hop_ms, fft_size, w.sample_rate)
-    if w.samples.size < win_len:
+    if w.samples.size < WIN_LEN:
         raise ValueError(
-            f"signal too short: {w.samples.size} samples < one {win_len}-sample window")
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, win_len)[::hop_len]
-    windowed = frames * hann_window(win_len)
-    return np.fft.rfft(windowed, n=fft_size, axis=1)
+            f"signal too short: {w.samples.size} samples < one {WIN_LEN}-sample window")
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, WIN_LEN)[::HOP_LEN]
+    return np.fft.rfft(frames * hann_window(WIN_LEN), n=FFT_SIZE, axis=1)
 
 
 def mel_energies(stft_out: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -111,33 +102,23 @@ def log_standardize(energies: np.ndarray) -> np.ndarray:
     return (logmel - mu) / (sigma + EPS)
 
 
-@functools.lru_cache(maxsize=8)
-def build_mel_filterbank(n_mels: int = 64, fft_size: int = 1024,
-                         sample_rate: int = TARGET_SAMPLE_RATE,
-                         f_low: float = 0.0, f_high: float = 8000.0) -> np.ndarray:
-    """Triangular filters with centers uniformly spaced on the HTK mel scale.
+@functools.cache
+def build_mel_filterbank() -> np.ndarray:
+    """N_MELS triangular filters with centers uniformly spaced on the HTK mel
+    scale over 0-8 kHz.
 
-    Returns the (n_mels, fft_size // 2 + 1) weights: one row per filter,
+    Returns the (N_MELS, FFT_SIZE // 2 + 1) weights: one row per filter,
     one column per non-negative FFT bin. Triangles have unnormalized peak
-    height 1; adjacent filters cross at each other's feet. Built once per
-    set of arguments and shared, so the array is read-only.
+    height 1; adjacent filters cross at each other's feet. Built once and
+    shared, so the array is read-only.
     """
-    if not (0.0 <= f_low < f_high <= sample_rate / 2.0):
-        raise ValueError(
-            f"band edges must satisfy 0 <= f_low < f_high <= sr/2, "
-            f"got [{f_low}, {f_high}] at sr={sample_rate}")
-    if n_mels < 1:
-        raise ValueError("n_mels must be >= 1")
-    mel_pts = np.linspace(hz_to_mel(f_low), hz_to_mel(f_high), n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    n_bins = fft_size // 2 + 1
-    bin_freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / fft_size
-    weights = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        left, center, right = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        rising = (bin_freqs - left) / (center - left)
-        falling = (right - bin_freqs) / (right - center)
-        weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    hz_pts = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_SAMPLE_RATE / 2.0),
+                                   N_MELS + 2))
+    bin_freqs = np.arange(FFT_SIZE // 2 + 1, dtype=np.float64) * TARGET_SAMPLE_RATE / FFT_SIZE
+    left, center, right = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    rising = (bin_freqs - left) / (center - left)
+    falling = (right - bin_freqs) / (right - center)
+    weights = np.clip(np.minimum(rising, falling), 0.0, None)
     weights.flags.writeable = False
     return weights
 
@@ -205,19 +186,12 @@ def resample_to(w: Waveform, target_rate: int = TARGET_SAMPLE_RATE) -> Waveform:
     return Waveform(samples, target_rate)
 
 
-def logmel_spectrogram(w: Waveform, config) -> np.ndarray:
+def logmel_spectrogram(w: Waveform) -> np.ndarray:
     """Full front end: resample to 16 kHz, STFT, mel energies, log
-    compression, standardization.
-
-    config is the ExperimentConfig; its win_ms, hop_ms, fft_size, n_mels,
-    f_low and f_high are read. Returns the standardized (frames, n_mels)
+    compression, standardization. Returns the standardized (frames, N_MELS)
     log-mel matrix.
     """
-    w = resample_to(w)
-    weights = build_mel_filterbank(config.n_mels, config.fft_size, TARGET_SAMPLE_RATE,
-                                   config.f_low, config.f_high)
-    spectrum = stft(w, config.win_ms, config.hop_ms, config.fft_size)
-    return log_standardize(mel_energies(spectrum, weights))
+    return log_standardize(mel_energies(stft(resample_to(w)), build_mel_filterbank()))
 
 
 # WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT and WAVE_FORMAT_EXTENSIBLE; an

@@ -5,6 +5,7 @@ argparse wiring, exit codes, and artifact layout are all exercised exactly
 as a shell user would see them.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ import pytest
 
 import qpatch
 from qpatch.cli import main
+from qpatch.config import ExperimentConfig, load_config
 from qpatch import cli, dsp, patches
 from qpatch.metrics import auroc
 from qpatch.spoof import read_manifest
@@ -166,11 +168,12 @@ class TestFeatures:
         header = lines[0].split(",")
         assert header[:2] == ["id", "label"]
         assert sum(1 for h in header if h.startswith("x")) == 8  # k=2
+        # the front end is fixed in qpatch.dsp, so the sidecar records no front_end
         made_under = json.loads((tmp_path / "features.json").read_text())
-        assert made_under["k"] == 2 and made_under["patch_size"] == 4
-        assert made_under["front_end"] == {"f_high": 8000.0, "f_low": 0.0, "fft_size": 1024,
-                                           "hop_ms": 10.0, "n_mels": 64,
-                                           "sample_rate": 16000, "win_ms": 25.0}
+        manifest = (tmp_path / "manifest.csv").read_bytes() + (
+            tmp_path / "manifest.json").read_bytes()
+        assert made_under == {"k": 2, "patch_size": 4,
+                              "manifest": hashlib.sha256(manifest).hexdigest()}
 
     def test_k_controls_vector_length(self, tmp_path):
         run_synth(tmp_path)
@@ -480,6 +483,20 @@ class TestMadeUnder:
         assert f"{bonafide / 'utt000.wav'} is not the file synth read; rerun synth" in log_text
         rows = (tmp_path / "features.csv").read_text().splitlines()
         assert not any(row.startswith("utt000,") for row in rows)
+
+    def test_features_sidecar_with_an_old_front_end_block_is_accepted(self, tmp_path):
+        # a features.json written by an older qpatch, which recorded the front end
+        prepared(tmp_path)
+        sidecar = tmp_path / "features.json"
+        made_under = json.loads(sidecar.read_text())
+        made_under["front_end"] = {"f_high": 8000.0, "f_low": 0.0, "fft_size": 1024,
+                                   "hop_ms": 10.0, "n_mels": 64,
+                                   "sample_rate": 16000, "win_ms": 25.0}
+        sidecar.write_text(json.dumps(made_under, indent=2, sort_keys=True) + "\n")
+        for kind in ("quantum", "rbf"):
+            assert run_stage(tmp_path, "kernel", "--kind", kind) == 0
+            assert run_stage(tmp_path, "train-eval", "--kind", kind) == 0
+            assert (tmp_path / f"report_{kind}.json").exists()
 
     def test_manifest_without_its_sidecar_is_refused(self, tmp_path):
         run_synth(tmp_path)
@@ -897,26 +914,26 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},
-                                     {"patch_size": 5}, {"fft_size": 256},
+                                     {"patch_size": 5},
                                      {"gamma": "foo"}, {"gamma": -5},
                                      {"train_per_class": 0}, {"dev_per_class": -3},
                                      {"tilt_low": 2}, {"tilt_low": 0.5, "tilt_high": 0.1},
                                      {"snr_db": float("nan")}, {"snr_db": 4000},
                                      {"snr_db": -4000},
                                      {"seed": -1}, {"svm_c": 0},
-                                     {"seed": "x"}, {"depth": 1.0}, {"n_mels": "64"},
-                                     {"k": True}, {"fft_size": 1024.5},
-                                     {"input_dir": 5}, {"f_high": 9000.0},
-                                     {"f_low": 8000.0}, {"n_mels": 0}, {"hop_ms": 0},
-                                     {"win_ms": 0}],
+                                     {"seed": "x"}, {"depth": 1.0},
+                                     {"k": True}, {"input_dir": 5},
+                                     # the front end's former fields, at their old defaults
+                                     {"win_ms": 25.0}, {"hop_ms": 10.0}, {"fft_size": 1024},
+                                     {"n_mels": 64}, {"f_low": 0.0}, {"f_high": 8000.0}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
-                                  "patch1", "patch5", "fft256", "gammafoo", "gammaneg",
+                                  "patch1", "patch5", "gammafoo", "gammaneg",
                                   "train0", "devneg3", "tilt2", "tiltreversed", "snrnan",
                                   "snr4000", "snrneg4000",
                                   "seedneg", "svmc0", "seedstr", "depthfloat",
-                                  "melsstr", "ktrue", "fftfloat", "inputint",
-                                  "fhigh9000", "flowhigh", "mels0", "hop0", "win0"])
-    def test_bad_config_exits_before_any_work(self, tmp_path, bad):
+                                  "ktrue", "inputint", "win_ms", "hop_ms", "fft_size",
+                                  "n_mels", "f_low", "f_high"])
+    def test_bad_config_exits_before_any_work(self, tmp_path, bad, capsys):
         cfg = tmp_path / "cfg.json"
         # the small split sits in the file, so a bad split value can override it
         cfg.write_text(json.dumps({"train_per_class": 4, "dev_per_class": 2, **bad}))
@@ -924,6 +941,19 @@ class TestConfigHandling:
         assert code == 2
         assert not (tmp_path / "w" / "features.csv").exists()
         assert not (tmp_path / "w").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        removed = bad.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)}
+        if removed:
+            assert f"unknown config keys: {sorted(removed)}" in err
+
+    def test_readme_configuration_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "exp.json").write_text(example)
+        config = load_config(tmp_path / "exp.json")
+        assert {key: getattr(config, key) for key in json.loads(example)} == json.loads(example)
 
     @pytest.mark.parametrize("flag", [["--k", "3"], ["--depth", "4"]], ids=["k3", "depth4"])
     def test_bad_flag_exits_before_any_work(self, tmp_path, flag):
@@ -1071,10 +1101,9 @@ def test_benchmark_tracer_finds_every_function_it_wraps(tmp_path):
         import numpy as np
         import tracing
         from qpatch import dsp
-        from qpatch.config import ExperimentConfig
         tracer = tracing.Tracer()
         tracing.install(tracer)
-        dsp.logmel_spectrogram(dsp.Waveform(np.zeros(4410), 44100), ExperimentConfig())
+        dsp.logmel_spectrogram(dsp.Waveform(np.zeros(4410), 44100))
         names = [span[0] for span in tracer.spans]
         assert "dsp.resample_to" in names, names
     """)

@@ -12,7 +12,6 @@ import pytest
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
-from qpatch.config import ExperimentConfig
 from qpatch.dsp import (
     EPS,
     Waveform,
@@ -197,11 +196,6 @@ class TestStft:
         with pytest.raises(ValueError, match="too short"):
             stft(w)
 
-    def test_fft_shorter_than_window_raises(self):
-        w = Waveform(np.zeros(16000), 16000)
-        with pytest.raises(ValueError):
-            stft(w, fft_size=256)
-
     def test_sine_peak_bin_and_dft_oracle(self):
         """1 kHz sine at 16 kHz: per-frame magnitude peaks at bin
         round(1000 * 1024 / 16000) = 64, and the frame matches a direct
@@ -276,13 +270,6 @@ class TestMelFilterbank:
         nearest = np.abs(np.arange(513)[None] * 16000 / 1024 - centers[:, None]).argmin(axis=1)
         np.testing.assert_array_equal(fb.argmax(axis=1), nearest)
 
-    def test_single_filter_peaks_midband(self):
-        fb = build_mel_filterbank(n_mels=1)
-        mid_hz = mel_to_hz(hz_to_mel(8000.0) / 2.0)
-        peak_bin = np.argmax(fb[0])
-        peak_hz = peak_bin * 16000 / 1024
-        assert abs(peak_hz - mid_hz) < 16000 / 1024
-
     def test_rows_unimodal(self):
         """Each triangle rises then falls: the sign of the first difference
         changes at most once over the support."""
@@ -302,23 +289,17 @@ class TestMelFilterbank:
             assert fb[m, center_bin] == 0.0
 
     def test_triangle_values_match_scalar_oracle(self):
-        fb = build_mel_filterbank(n_mels=8)
-        mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), 10)
+        fb = build_mel_filterbank()
+        mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), 66)
         hz_pts = mel_to_hz(mel_pts)
         bin_freqs = np.arange(513) * 16000.0 / 1024.0
-        for m in range(8):
+        for m in range(64):
             left, center, right = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
             for k in range(0, 513, 7):
                 fk = bin_freqs[k]
                 expected = max(0.0, min((fk - left) / (center - left),
                                         (right - fk) / (right - center)))
                 assert fb[m, k] == pytest.approx(expected, abs=1e-12)
-
-    def test_bad_edges_raise(self):
-        with pytest.raises(ValueError):
-            build_mel_filterbank(f_low=4000, f_high=1000)
-        with pytest.raises(ValueError):
-            build_mel_filterbank(f_high=9000)
 
 
 class TestMelEnergies:
@@ -447,7 +428,7 @@ class TestFullFrontEnd:
     def test_shape_and_standardization(self):
         rng = np.random.default_rng(3)
         w = Waveform(rng.standard_normal(16000) * 0.1, 16000)
-        spec = logmel_spectrogram(w, ExperimentConfig())
+        spec = logmel_spectrogram(w)
         assert spec.shape == (98, 64)
         assert abs(spec.mean()) < 1e-6
         assert abs(spec.std() - 1.0) < 1e-6
@@ -455,14 +436,14 @@ class TestFullFrontEnd:
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(4)
         samples = rng.standard_normal(16000) * 0.1
-        a = logmel_spectrogram(Waveform(samples, 16000), ExperimentConfig())
-        b = logmel_spectrogram(Waveform(samples.copy(), 16000), ExperimentConfig())
+        a = logmel_spectrogram(Waveform(samples, 16000))
+        b = logmel_spectrogram(Waveform(samples.copy(), 16000))
         np.testing.assert_array_equal(a, b)
 
     def test_resamples_non_target_input(self):
         rng = np.random.default_rng(5)
         w = Waveform(rng.standard_normal(48000) * 0.1, 48000)
-        spec = logmel_spectrogram(w, ExperimentConfig())
+        spec = logmel_spectrogram(w)
         assert spec.shape == (98, 64)
 
 
