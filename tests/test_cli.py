@@ -923,7 +923,12 @@ class TestConfigHandling:
                                      {"seed": -1}, {"svm_c": 0},
                                      {"seed": "x"}, {"depth": 1.0},
                                      {"k": True}, {"input_dir": 5},
-                                     # the front end's former fields, at their old defaults
+                                     # the front end's former fields, at values they refused
+                                     {"fft_size": 256}, {"n_mels": "64"},
+                                     {"fft_size": 1024.5}, {"f_high": 9000.0},
+                                     {"f_low": 8000.0}, {"n_mels": 0}, {"hop_ms": 0},
+                                     {"win_ms": 0},
+                                     # and at their old defaults
                                      {"win_ms": 25.0}, {"hop_ms": 10.0}, {"fft_size": 1024},
                                      {"n_mels": 64}, {"f_low": 0.0}, {"f_high": 8000.0}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
@@ -931,7 +936,10 @@ class TestConfigHandling:
                                   "train0", "devneg3", "tilt2", "tiltreversed", "snrnan",
                                   "snr4000", "snrneg4000",
                                   "seedneg", "svmc0", "seedstr", "depthfloat",
-                                  "ktrue", "inputint", "win_ms", "hop_ms", "fft_size",
+                                  "ktrue", "inputint",
+                                  "fft256", "melsstr", "fftfloat", "fhigh9000",
+                                  "flowhigh", "mels0", "hop0", "win0",
+                                  "win_ms", "hop_ms", "fft_size",
                                   "n_mels", "f_low", "f_high"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad, capsys):
         cfg = tmp_path / "cfg.json"
