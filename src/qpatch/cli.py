@@ -1,4 +1,4 @@
-"""Command line pipeline: synth -> features -> kernel -> train-eval.
+"""Command line pipeline: synth -> features -> train-eval, one per kernel kind.
 
 Each subcommand reads only its declared inputs from the work directory and
 writes only its declared outputs, so stages can be rerun independently.
@@ -67,7 +67,6 @@ def _paths(config: ExperimentConfig) -> dict:
         "work": work,
         "manifest": work / "manifest.csv",
         "features": work / "features.csv",
-        "kernel": lambda kind: work / f"kernel_{kind}.npy",
         "model": lambda kind: work / f"model_{kind}.json",
         "report": lambda kind: work / f"report_{kind}.json",
         "roc": lambda kind: work / f"roc_{kind}.csv",
@@ -126,12 +125,6 @@ def _manifest_facts(config: ExperimentConfig) -> dict:
 def _features_facts(config: ExperimentConfig) -> dict:
     return {"k": config.k, "patch_size": config.patch_size,
             "manifest": _digest(_paths(config)["manifest"])}
-
-
-def _kernel_facts(config: ExperimentConfig, params: dict) -> dict:
-    p = _paths(config)
-    return {"params": params, "manifest": _digest(p["manifest"]),
-            "features": _digest(p["features"])}
 
 
 def cmd_synth(config: ExperimentConfig) -> None:
@@ -225,37 +218,28 @@ def _load_split_features(config: ExperimentConfig) -> dict:
     return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
 
 
-def cmd_kernel(config: ExperimentConfig, kind: str) -> None:
+def cmd_kernel(config: ExperimentConfig, kind: str):
+    """The split features, the kernel's parameters and its kernel over the
+    stacked train and dev rows, after writing the train Gram and the dev x
+    train cross rows as CSV exports to read and compare."""
     p = _paths(config)
     split = _load_split_features(config)
     (_, x_train), (_, x_dev) = split["train"], split["dev"]
+    # resolved on the train features: the structure block uses the model's gamma
     params = svm.kernel_params(config, kind, x_train)
     # rows and columns are the manifest's train then dev entries in file order
     k = svm.kernel_matrix(np.vstack([x_train, x_dev]), **params)
     n = len(x_train)
-    with _record_made_under(p["kernel"](kind), _kernel_facts(config, params)) as facts:
-        # the exports to read and compare: the train Gram and the dev x train cross rows
-        facts["sha256"] = svm.save_gram(k, p["kernel"](kind), [
-            (p["work"] / f"gram_{kind}.csv", k[:n, :n]),
-            (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
-    log.info("wrote the kernel of %d train and %d dev rows for kind=%s", n, len(k) - n, kind)
+    svm.save_gram([(p["work"] / f"gram_{kind}.csv", k[:n, :n]),
+                   (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
+    return split, params, k
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     p = _paths(config)
-    split = _load_split_features(config)
-    (train_labels, x_train), (dev_labels, x_dev) = split["train"], split["dev"]
-    # resolved on the train features: the structure block uses the model's gamma
-    params = svm.kernel_params(config, kind, x_train)
+    split, params, k = cmd_kernel(config, kind)
+    (train_labels, _), (dev_labels, x_dev) = split["train"], split["dev"]
     n_train, n_dev = len(train_labels), len(dev_labels)
-    path, rerun = p["kernel"](kind), f"kernel --kind {kind}"
-    sha256 = _check_made_under(path, _kernel_facts(config, params), rerun).get("sha256")
-    if not isinstance(sha256, str):
-        raise CliInputError(f"{path.with_suffix('.json')} records no sha256; rerun {rerun}")
-    try:
-        k = svm.load_gram(path, sha256)
-    except ValueError as err:
-        raise CliInputError(f"{err}; rerun {rerun}") from None
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
@@ -320,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="build the spoofed dataset and manifest")
     sub.add_parser("features", help="extract patch features for every utterance")
-    kernel = sub.add_parser("kernel", help="compute the kernel over the train and dev rows")
-    kernel.add_argument("--kind", choices=KINDS, required=True)
-    train_eval = sub.add_parser("train-eval",
-                                help="train the SVM and write the evaluation report")
+    train_eval = sub.add_parser(
+        "train-eval", help="compute the kernel, train the SVM and write the evaluation report")
     train_eval.add_argument("--kind", choices=KINDS, required=True)
     sub.add_parser("run-all", help="synth, features, then both kernels and reports")
     return parser
@@ -353,16 +335,13 @@ def main(argv=None) -> int:
             cmd_synth(config)
         elif args.command == "features":
             cmd_features(config)
-        elif args.command == "kernel":
-            cmd_kernel(config, args.kind)
         elif args.command == "train-eval":
             cmd_train_eval(config, args.kind)
         elif args.command == "run-all":
             cmd_synth(config)
             cmd_features(config)
             # after features the two kinds share no file
-            ordered_map(lambda kind: (cmd_kernel(config, kind),
-                                      cmd_train_eval(config, kind)), KINDS)
+            ordered_map(lambda kind: cmd_train_eval(config, kind), KINDS)
         return 0
     except (CliInputError, ValueError, OSError) as err:
         log.error("%s", err)

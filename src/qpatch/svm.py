@@ -4,7 +4,8 @@ Every kernel block is a kernel_matrix of one row matrix or a slice of one, as
 the train Gram, cross rows and dev Gram are of the stacked train and dev rows:
 quantum fidelities or an RBF baseline, computed on and right of the diagonal
 and mirrored. build_gram and cross_gram are unchecked kernel_matrix calls,
-kept by name for the acceptance gate and perfbench's tracer. Training solves
+kept by name for the acceptance gate and perfbench's tracer, as load_gram,
+the reader of a CSV export, is for the tracer. Training solves
 the standard soft-margin dual with a deterministic most-violating-pair SMO
 loop that needs nothing beyond numpy.
 """
@@ -12,7 +13,6 @@ loop that needs nothing beyond numpy.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import warnings
 
@@ -25,7 +25,7 @@ KERNEL_KINDS = ("quantum", "rbf")
 
 
 def kernel_params(config, kind: str, x_train) -> dict:
-    """The kernel's parameters as its sidecar and model record them, and as
+    """The kernel's parameters as the model and report record them, and as
     kernel_matrix takes them: kind with config's depth and s3_axis (quantum)
     or gamma (rbf). A gamma of "scale" is resolved on the training rows
     x_train as 1 / (dim * variance of all entries); a numeric one is kept."""
@@ -187,24 +187,10 @@ def _two_product(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def _sha256(fh) -> str:
-    """sha256 of an open binary file from where it stands, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    for block in iter(lambda: fh.read(1 << 20), b""):
-        digest.update(block)
-    return digest.hexdigest()
-
-
-def save_gram(values, npy_path, csv_exports=()) -> str:
-    """np.save a whole kernel to the .npy load_gram reads, then write each
-    (csv_path, block) of csv_exports, a slice of it, as save_csv does. Returns
-    the sha256 of the .npy, which load_gram requires."""
-    with atomic_write(npy_path, "wb") as fh:
-        np.save(fh, np.asarray(values, dtype=np.float64))
+def save_gram(csv_exports) -> None:
+    """Write each (csv_path, block) of csv_exports, a kernel block, as save_csv does."""
     for csv_path, block in csv_exports:
         save_csv(block, csv_path)
-    with open(npy_path, "rb") as fh:
-        return _sha256(fh)
 
 
 def save_csv(values, csv_path) -> None:
@@ -242,17 +228,10 @@ def save_csv(values, csv_path) -> None:
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-def load_gram(npy_path, sha256: str) -> np.ndarray:
-    """The kernel save_gram wrote, refused, naming the file, unless it can be
-    read and its sha256 is the one save_gram returned for it."""
-    try:
-        with open(npy_path, "rb") as fh:
-            if _sha256(fh) != sha256:
-                raise ValueError(f"{npy_path} has changed since it was written: sha256 mismatch")
-            fh.seek(0)
-            return np.lib.format.read_array(fh, allow_pickle=False)
-    except OSError as err:
-        raise ValueError(f"cannot read kernel block {npy_path}: {err}") from None
+# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes it)
+def load_gram(csv_path) -> np.ndarray:
+    """The 2-D kernel block that save_gram wrote to csv_path."""
+    return np.loadtxt(csv_path, delimiter=",", ndmin=2)
 
 
 def save_model(model: dict, path) -> None:

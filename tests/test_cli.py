@@ -25,7 +25,7 @@ from qpatch.config import ExperimentConfig, load_config
 from qpatch import cli, dsp, patches
 from qpatch.metrics import auroc
 from qpatch.spoof import read_manifest
-from qpatch.svm import decision_scores
+from qpatch.svm import decision_scores, kernel_matrix
 
 from _oracles import rbf_kernel
 
@@ -241,15 +241,14 @@ def prepared(tmp_path):
 def stored_model(work, kind):
     """model_<kind>.json as a dict, its arrays rebuilt, after checking that
     it holds exactly the solver's eight keys and the kernel's two, and that
-    its scores of the stored kernel's dev x train rows give the report's AUROC."""
+    its scores of the dev x train rows in cross_<kind>.csv give the report's AUROC."""
     model = json.loads((work / f"model_{kind}.json").read_text())
     assert set(model) == {"dual_coefs", "support_indices", "bias", "C", "n_train",
                           "kkt_gap", "n_iter", "converged", "kernel_params", "feature_ref"}
     model.update(dual_coefs=np.array(model["dual_coefs"]),
                  support_indices=np.array(model["support_indices"]))
-    n = model["n_train"]
-    # the kernel's rows are the manifest's train then dev entries in file order
-    scores = decision_scores(model, np.load(work / f"kernel_{kind}.npy")[n:, :n])
+    # the %.17g export holds the cross rows exactly, dev entries in manifest order
+    scores = decision_scores(model, np.loadtxt(work / f"cross_{kind}.csv", delimiter=","))
     dev = [int(e.label == "bonafide") for e in read_manifest(work / "manifest.csv")
            if e.split == "dev"]
     report = json.loads((work / f"report_{kind}.json").read_text())
@@ -258,27 +257,21 @@ def stored_model(work, kind):
 
 
 class TestKernel:
+    """train-eval computes its kernel and exports the train Gram and cross rows."""
+
     def test_quantum_gram_shapes_and_diagonal(self, tmp_path):
         prepared(tmp_path)
-        assert run_stage(tmp_path, "kernel", "--kind", "quantum") == 0
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 0
         gram = np.loadtxt(tmp_path / "gram_quantum.csv", delimiter=",")
         cross = np.loadtxt(tmp_path / "cross_quantum.csv", delimiter=",")
         assert gram.shape == (8, 8)
         assert cross.shape == (4, 8)
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
-        sidecar = json.loads((tmp_path / "kernel_quantum.json").read_text())
-        assert sidecar["params"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
-        assert sorted(sidecar) == ["features", "manifest", "params", "sha256"]
-        npy = (tmp_path / "kernel_quantum.npy").read_bytes()
-        assert sidecar["sha256"] == hashlib.sha256(npy).hexdigest()
-        kernel = np.load(tmp_path / "kernel_quantum.npy")
-        assert kernel.shape == (12, 12)
-        np.testing.assert_allclose(np.diag(kernel), 1.0, atol=1e-10)
 
     def test_rbf_differs_from_quantum(self, tmp_path):
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        run_stage(tmp_path, "train-eval", "--kind", "quantum")
+        run_stage(tmp_path, "train-eval", "--kind", "rbf")
         q = np.loadtxt(tmp_path / "gram_quantum.csv", delimiter=",")
         r = np.loadtxt(tmp_path / "gram_rbf.csv", delimiter=",")
         assert q.shape == r.shape
@@ -286,40 +279,39 @@ class TestKernel:
 
     def test_missing_features_fails(self, tmp_path):
         run_synth(tmp_path)
-        assert run_stage(tmp_path, "kernel", "--kind", "quantum") == 2
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
 
     @pytest.mark.parametrize("flag", [["--k", "4"], ["--patch-size", "8"]],
                              ids=["k", "patch_size"])
     def test_features_made_under_another_config_are_refused(self, tmp_path, flag):
         prepared(tmp_path)  # features at k 2, patch size 4
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
-        gram = (tmp_path / "gram_rbf.csv").read_bytes()
-        for stage in (["kernel", "--kind", "rbf"], ["train-eval", "--kind", "rbf"]):
-            assert main(base_args(tmp_path, *flag) + stage) == 2
+        run_stage(tmp_path, "train-eval", "--kind", "rbf")
+        gram, report = ((tmp_path / f"{name}_rbf.{ext}").read_bytes()
+                        for name, ext in (("gram", "csv"), ("report", "json")))
+        assert main(base_args(tmp_path, *flag) + ["train-eval", "--kind", "rbf"]) == 2
         assert (tmp_path / "gram_rbf.csv").read_bytes() == gram
-        assert not (tmp_path / "report_rbf.json").exists()
+        assert (tmp_path / "report_rbf.json").read_bytes() == report
         field = flag[0][2:].replace("-", "_")
-        assert f"features.csv was made under another {field}" in (
-            tmp_path / "run.log").read_text()
+        last = (tmp_path / "run.log").read_text().splitlines()[-1]
+        assert last.endswith(f"features.csv was made under another {field}; rerun features")
 
     def test_features_without_their_sidecar_are_refused(self, tmp_path):
         prepared(tmp_path)
         (tmp_path / "features.json").unlink()
-        assert run_stage(tmp_path, "kernel", "--kind", "quantum") == 2
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
         assert not (tmp_path / "gram_quantum.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        run_stage(tmp_path, "train-eval", "--kind", "quantum")
         first = (tmp_path / "gram_quantum.csv").read_bytes()
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
+        run_stage(tmp_path, "train-eval", "--kind", "quantum")
         assert (tmp_path / "gram_quantum.csv").read_bytes() == first
 
 
 class TestTrainEval:
     def test_report_contents(self, tmp_path):
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 0
         report = json.loads((tmp_path / "report_quantum.json").read_text())
         assert 0.0 <= report["auroc"] <= 1.0
@@ -335,23 +327,17 @@ class TestTrainEval:
         roc = (tmp_path / "roc_quantum.csv").read_text().splitlines()
         assert roc[0] == "threshold,fpr,tpr,fnr"
 
-    def test_missing_kernel_fails(self, tmp_path):
-        prepared(tmp_path)
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-
     def test_rbf_structure_uses_the_models_gamma(self, tmp_path):
         """The structure block is computed with gamma_resolved (resolved on
         the train features), not with a gamma re-resolved on the dev set."""
         from qpatch.patches import read_features_csv
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         report = json.loads((tmp_path / "report_rbf.json").read_text())
         gamma = report["kernel"]["gamma_resolved"]
-        # one dict is the kernel's identity: the sidecar's, the model's and the report's
-        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
+        # one dict is the kernel's identity: the model's and the report's
         model = stored_model(tmp_path, "rbf")
-        assert sidecar["params"] == model["kernel_params"] == {"kind": "rbf", "gamma": gamma}
+        assert model["kernel_params"] == {"kind": "rbf", "gamma": gamma}
         dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv")
                    if e.split == "dev"}
         dev = [(label, stats) for uid, label, stats
@@ -364,77 +350,21 @@ class TestTrainEval:
 
     def test_model_file_roundtrips(self, tmp_path):
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
         run_stage(tmp_path, "train-eval", "--kind", "rbf")
         model = stored_model(tmp_path, "rbf")
         assert model["n_train"] == 8
         assert model["kernel_params"]["kind"] == "rbf"
         assert model["feature_ref"] == str(tmp_path / "features.csv")
 
-    def test_a_hand_edited_non_psd_kernel_is_refused(self, tmp_path):
-        """A stored kernel edited to be symmetric, unit-diagonal and not PSD
-        no longer has the sha256 its sidecar records: train-eval refuses it
-        before training and writes nothing."""
-        prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        path = tmp_path / "kernel_quantum.npy"
-        k = np.load(path)
-        k[0, 1] = k[1, 0] = 2.0  # the train minor [[1, 2], [2, 1]] has eigenvalue -1
-        np.save(path, k)
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert str(path) in last and last.endswith("rerun kernel --kind quantum")
-        assert not (tmp_path / "model_quantum.json").exists()
-        assert not (tmp_path / "report_quantum.json").exists()
-
-    def test_kernel_files_from_another_depth_are_refused(self, tmp_path):
-        prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        code = main(base_args(tmp_path, "--depth", "2")
-                    + ["train-eval", "--kind", "quantum"])
-        assert code == 2
-        assert not (tmp_path / "report_quantum.json").exists()
-        assert "kernel_quantum.npy was made under another params" in (
-            tmp_path / "run.log").read_text()
-
     def test_features_rerun_with_another_k_are_refused(self, tmp_path):
         prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
+        run_stage(tmp_path, "train-eval", "--kind", "rbf")
+        report = (tmp_path / "report_rbf.json").read_bytes()
         assert main(base_args(tmp_path, "--k", "4") + ["features"]) == 0
-        code = main(base_args(tmp_path, "--k", "4") + ["train-eval", "--kind", "rbf"])
-        assert code == 2
-        assert not (tmp_path / "report_rbf.json").exists()
-        assert "kernel_rbf.npy was made under another features" in (
-            tmp_path / "run.log").read_text()
-
-    def test_cross_block_in_another_split_order_is_refused(self, tmp_path):
-        prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        # the same entries in reverse order: kernel rows no longer line up
-        manifest = tmp_path / "manifest.csv"
-        header, *rows = manifest.read_text().splitlines()
-        manifest.write_text("\n".join([header, *rows[::-1]]) + "\n")
-        assert run_stage(tmp_path, "features") == 0
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert "kernel_quantum.npy was made under another features, manifest" in (
-            tmp_path / "run.log").read_text()
-
-    def test_work_dir_in_the_three_block_layout_is_refused(self, tmp_path):
-        # a work dir made when kernel wrote the train Gram, cross and dev
-        # blocks as files of their own holds no kernel_<kind>.npy
-        prepared(tmp_path)
-        run_stage(tmp_path, "kernel", "--kind", "quantum")
-        kernel = tmp_path / "kernel_quantum.npy"
-        k, sidecar = np.load(kernel), kernel.with_suffix(".json").read_text()
-        for block, values in (("gram", k[:8, :8]), ("cross", k[8:, :8]), ("dev", k[8:, 8:])):
-            np.save(tmp_path / f"{block}_quantum.npy", values)
-            (tmp_path / f"{block}_quantum.json").write_text(sidecar)
-        kernel.unlink()
-        kernel.with_suffix(".json").unlink()
-        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
-        assert not (tmp_path / "report_quantum.json").exists()
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert (tmp_path / "report_rbf.json").read_bytes() == report
         last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert "kernel_quantum.npy" in last and "kernel --kind quantum" in last
+        assert last.endswith("features.csv was made under another k; rerun features")
 
 
 class TestMadeUnder:
@@ -452,10 +382,9 @@ class TestMadeUnder:
                              ids=["seed", "snr_db"])
     def test_resynth_refuses_kernel_and_train_eval(self, tmp_path, flag):
         prepared(tmp_path)  # seed 7, 20 dB
-        run_stage(tmp_path, "kernel", "--kind", "rbf")
         assert run_synth(tmp_path, *flag) == 0
-        for stage in (["kernel", "--kind", "rbf"], ["train-eval", "--kind", "rbf"]):
-            assert main(base_args(tmp_path, *flag) + stage) == 2
+        assert main(base_args(tmp_path, *flag) + ["train-eval", "--kind", "rbf"]) == 2
+        assert not (tmp_path / "gram_rbf.csv").exists()
         assert not (tmp_path / "report_rbf.json").exists()
         assert "features.csv was made under another manifest; rerun features" in (
             tmp_path / "run.log").read_text()
@@ -494,7 +423,6 @@ class TestMadeUnder:
                                    "sample_rate": 16000, "win_ms": 25.0}
         sidecar.write_text(json.dumps(made_under, indent=2, sort_keys=True) + "\n")
         for kind in ("quantum", "rbf"):
-            assert run_stage(tmp_path, "kernel", "--kind", kind) == 0
             assert run_stage(tmp_path, "train-eval", "--kind", kind) == 0
             assert (tmp_path / f"report_{kind}.json").exists()
 
@@ -542,13 +470,6 @@ def _rows_of_k_4(path):
                                       for uid, label, stats in rows])
 
 
-def _set_entry(path, index, value):
-    """Rewrite one entry of a .npy kernel block."""
-    values = np.load(path)
-    values[index] = value
-    np.save(path, values)
-
-
 def _keep_columns(path, columns):
     """Rewrite a CSV file keeping only the given columns of every line."""
     lines = path.read_text().splitlines()
@@ -556,106 +477,55 @@ def _keep_columns(path, columns):
                             for line in lines))
 
 
-NPY_RBF_EDITED = ("kernel_rbf.npy has changed since it was written: sha256 mismatch; "
-                  "rerun kernel --kind rbf")
-
 # (file to damage, damage, stage that reads it, what the error must name)
 MALFORMED = {
     "features_short_row": ("features.csv",
                            lambda p: _edit_line(p, 3, lambda s: s.rsplit(",", 1)[0]),
-                           "kernel --kind rbf", "features.csv:4: expected 14 fields"),
+                           "train-eval --kind rbf", "features.csv:4: expected 14 fields"),
     "features_non_numeric": ("features.csv",
                              lambda p: _edit_line(p, 2, lambda s: _set_field(s, 2, "abc")),
-                             "kernel --kind rbf", "features.csv:3: non-numeric"),
+                             "train-eval --kind rbf", "features.csv:3: non-numeric"),
     # a dev row (utt003): only the cross block would hold its nan
     "features_nan": ("features.csv",
                      lambda p: _edit_line(p, 4, lambda s: _set_field(s, 2, "nan")),
-                     "kernel --kind quantum", "features.csv:5: non-finite value"),
+                     "train-eval --kind quantum", "features.csv:5: non-finite value"),
     # six values and three corner columns: every row is as wide as the header
     "features_header_not_k_patches": ("features.csv",
                                       lambda p: _keep_columns(p, [*range(8), 10, 11, 12]),
-                                      "kernel --kind rbf", "features.csv:1: header is not"),
+                                      "train-eval --kind rbf", "features.csv:1: header is not"),
     "features_duplicate_id": ("features.csv",
                               lambda p: _edit_line(p, 12, lambda s: f"{s}\n{s}"),
-                              "kernel --kind rbf", "features.csv:14: duplicate id"),
+                              "train-eval --kind rbf", "features.csv:14: duplicate id"),
     "manifest_three_fields": ("manifest.csv",
                               lambda p: _edit_line(p, 1, lambda s: s.rsplit(",", 2)[0]),
                               "features", "manifest.csv:2: expected 5 fields"),
     "manifest_unknown_split": ("manifest.csv",
                                lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
-                               "kernel --kind rbf", "manifest.csv:2: unknown label"),
+                               "train-eval --kind rbf", "manifest.csv:2: unknown label"),
     # utt000 relabeled: the train split holds 3 bona fide and 5 spoofs
     "manifest_unbalanced": ("manifest.csv",
                             lambda p: _edit_line(p, 1, lambda s: _set_field(s, 2, "spoof")),
                             "features", "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
-    # every row of another k, beside the k = 2 sidecar: kernel and train-eval refuse it
-    "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "kernel --kind quantum",
+    # every row of another k, beside the k = 2 sidecar: train-eval refuses it for either kind
+    "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "train-eval --kind quantum",
                              "features.csv has 16 statistics per row, not 4 * k = 8; "
                              "rerun features"),
     "features_rows_of_k_4_train_eval": ("features.csv", _rows_of_k_4, "train-eval --kind rbf",
                                         "features.csv has 16 statistics per row, "
                                         "not 4 * k = 8; rerun features"),
     # every row moved to dev: features refuses the empty train split, which
-    # kernel --kind rbf would otherwise meet as an internal error
+    # train-eval --kind rbf would otherwise meet as an internal error
     "manifest_empty_split": ("manifest.csv",
                              lambda p: p.write_text(p.read_text().replace(",train,", ",dev,")),
                              "features", "manifest.csv: train split has no rows"),
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
-                           "kernel --kind rbf", "features.json is missing or holds no"),
-    "gram_json_without_kernel_kind": (
-        "kernel_rbf.json",
-        lambda p: p.write_text(json.dumps({"config_hash": "0", "params": {"kind": "rbf"}})),
-        "train-eval --kind rbf", "kernel_rbf.npy was made under another"),
+                           "train-eval --kind rbf", "features.json is missing or holds no"),
     # a manifest.json written before synth recorded the WAVs it read
     "manifest_json_without_wav_hashes": (
         "manifest.json",
         lambda p: p.write_text(json.dumps(
             {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
         "features", "manifest.json records no wav_sha256; rerun synth"),
-    # a kernel_rbf.json written before kernel recorded the .npy's sha256
-    "kernel_json_without_sha256": (
-        "kernel_rbf.json",
-        lambda p: p.write_text(json.dumps(
-            {k: v for k, v in json.loads(p.read_text()).items() if k != "sha256"})),
-        "train-eval --kind rbf", "kernel_rbf.json records no sha256; rerun kernel --kind rbf"),
-    # a damaged kernel: train-eval reads the .npy, not the CSV exports. Its 12
-    # rows and columns are the 8 train then the 4 dev entries. A damaged entry
-    # names its case for the block it lands in: the train Gram, the dev x
-    # train cross rows or the dev Gram behind the structure report. A damage
-    # to the whole file (0-d, truncated, wrong shape) keeps its case's name.
-    # Every one changes the file's bytes, so its sha256 is not the sidecar's
-    "cross_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 2), np.nan),
-                      "train-eval --kind rbf", NPY_RBF_EDITED),
-    "gram_npy_0d": ("kernel_rbf.npy", lambda p: np.save(p, np.float64(1.0)),
-                    "train-eval --kind rbf", NPY_RBF_EDITED),
-    "cross_npy_truncated": ("kernel_rbf.npy", lambda p: p.write_bytes(p.read_bytes()[:100]),
-                            "train-eval --kind rbf", NPY_RBF_EDITED),
-    "gram_npy_inf": ("kernel_rbf.npy", lambda p: _set_entry(p, (0, 1), np.inf),
-                     "train-eval --kind rbf", NPY_RBF_EDITED),
-    "gram_npy_asymmetric": ("kernel_rbf.npy",
-                            lambda p: _set_entry(p, (0, 1), np.load(p)[0, 1] + 0.1),
-                            "train-eval --kind rbf", NPY_RBF_EDITED),
-    "gram_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (2, 2), 0.5),
-                                  "train-eval --kind rbf", NPY_RBF_EDITED),
-    "cross_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:, :-1]),
-                              "train-eval --kind rbf", NPY_RBF_EDITED),
-    "dev_npy_nan": ("kernel_rbf.npy", lambda p: _set_entry(p, (9, 10), np.nan),
-                    "train-eval --kind rbf", NPY_RBF_EDITED),
-    "dev_npy_asymmetric": ("kernel_rbf.npy",
-                           lambda p: _set_entry(p, (8, 9), np.load(p)[8, 9] + 0.1),
-                           "train-eval --kind rbf", NPY_RBF_EDITED),
-    "dev_npy_diagonal_not_one": ("kernel_rbf.npy", lambda p: _set_entry(p, (10, 10), 0.5),
-                                 "train-eval --kind rbf", NPY_RBF_EDITED),
-    # a cross entry and its mirror in the train x dev columns disagree
-    "cross_npy_mirror": ("kernel_rbf.npy",
-                         lambda p: _set_entry(p, (9, 2), np.load(p)[9, 2] + 0.1),
-                         "train-eval --kind rbf", NPY_RBF_EDITED),
-    "cross_npy_upper": ("kernel_rbf.npy",
-                        lambda p: _set_entry(p, (2, 9), np.load(p)[2, 9] + 0.1),
-                        "train-eval --kind rbf", NPY_RBF_EDITED),
-    # the kernel of a split with one dev entry fewer
-    "dev_npy_wrong_shape": ("kernel_rbf.npy", lambda p: np.save(p, np.load(p)[:-1, :-1]),
-                            "train-eval --kind rbf", NPY_RBF_EDITED),
 }
 
 
@@ -663,7 +533,6 @@ MALFORMED = {
 def test_malformed_stage_input_exits_2_naming_the_file(tmp_path, case):
     name, damage, stage, expected = MALFORMED[case]
     prepared(tmp_path)
-    assert run_stage(tmp_path, "kernel", "--kind", "rbf") == 0
     damage(tmp_path / name)
     assert run_stage(tmp_path, stage) == 2
     log_text = (tmp_path / "run.log").read_text()
@@ -690,15 +559,20 @@ class TestRunAll:
         assert q["kernel"]["gamma_resolved"] is None
         assert r["kernel"]["gamma_resolved"] > 0
         assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
-        # per kind, one kernel and its sidecar, and two CSV exports holding
-        # the bytes np.savetxt writes for its train Gram and cross rows
+        # per kind, two CSV exports holding the bytes np.savetxt writes for the
+        # train Gram and cross rows of the kernel of the stacked train and dev rows
         kernel_files = {path.name for path in tmp_path.iterdir()
                         if path.name.startswith(("kernel_", "gram_", "cross_", "dev_"))}
-        assert kernel_files == {f"{name}_{kind}.{ext}" for kind in cli.KINDS
-                                for name, ext in (("kernel", "npy"), ("kernel", "json"),
-                                                  ("gram", "csv"), ("cross", "csv"))}
+        assert kernel_files == {f"{name}_{kind}.csv" for kind in cli.KINDS
+                                for name in ("gram", "cross")}
+        rows = {uid: stats for uid, _, stats in
+                patches.read_features_csv(tmp_path / "features.csv")}
+        manifest = read_manifest(tmp_path / "manifest.csv")
+        x = np.array([rows[e.uid] for split in ("train", "dev")
+                      for e in manifest if e.split == split])
         for kind in cli.KINDS:
-            k = np.load(tmp_path / f"kernel_{kind}.npy")
+            params = json.loads((tmp_path / f"model_{kind}.json").read_text())["kernel_params"]
+            k = kernel_matrix(x, **params)
             for name, block in (("gram", k[:8, :8]), ("cross", k[8:, :8])):
                 expected = io.BytesIO()
                 np.savetxt(expected, block, delimiter=",", fmt="%.17g")
@@ -725,27 +599,50 @@ class TestRunAll:
             assert a == b, f"{name} differs between identical runs"
 
     def test_stage_by_stage_writes_the_bytes_of_run_all(self, tmp_path, monkeypatch):
-        """synth, features, then kernel and train-eval per kind write what
-        run-all writes, sidecars included: every file but run.log."""
+        """synth, features, then train-eval per kind write what run-all
+        writes, sidecars included: every file but run.log. Per kind that is
+        the model, report, ROC and the gram_ and cross_ exports, and no
+        stored kernel."""
         monkeypatch.chdir(tmp_path)
         args = ["--work-dir", "work", "--train-per-class", "4", "--dev-per-class", "2"]
         assert main(args + ["run-all"]) == 0
         (tmp_path / "work").rename(tmp_path / "run_all")
         assert main(args + ["synth"]) == 0
         assert main(args + ["features"]) == 0
-        for stage in ("kernel", "train-eval"):
-            for kind in cli.KINDS:
-                assert main(args + [stage, "--kind", kind]) == 0
+        for kind in cli.KINDS:
+            assert main(args + ["train-eval", "--kind", kind]) == 0
 
         def files(root):
             return sorted(str(path.relative_to(root)) for path in root.rglob("*")
                           if path.is_file() and path.name != "run.log")
 
         names = files(tmp_path / "run_all")
-        assert len(names) == 30 and files(tmp_path / "work") == names
+        assert len(names) == 26 and files(tmp_path / "work") == names
+        assert {f"{name}_{kind}.{ext}" for kind in cli.KINDS
+                for name, ext in (("model", "json"), ("report", "json"), ("roc", "csv"),
+                                  ("gram", "csv"), ("cross", "csv"))} <= set(names)
+        assert not [name for name in names if name.startswith("kernel_")]
         for name in names:
             one, two = tmp_path / "run_all" / name, tmp_path / "work" / name
             assert one.read_bytes() == two.read_bytes(), name
+
+    def test_train_eval_is_the_one_stage_per_kind(self, tmp_path, capsys):
+        """The kernel subcommand is gone: argparse refuses it. The
+        kernel_<kind>.npy and .json an older qpatch left are never read."""
+        prepared(tmp_path)
+        with pytest.raises(SystemExit) as done:
+            run_stage(tmp_path, "kernel", "--kind", "rbf")
+        assert done.value.code == 2
+        assert "invalid choice: 'kernel'" in capsys.readouterr().err
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
+        written = {path.name: path.read_bytes() for path in tmp_path.glob("*_rbf.*")}
+        assert sorted(written) == ["cross_rbf.csv", "gram_rbf.csv", "model_rbf.json",
+                                   "report_rbf.json", "roc_rbf.csv"]
+        for name in ("kernel_rbf.npy", "kernel_rbf.json"):
+            (tmp_path / name).write_bytes(b"left by an older qpatch")
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
+        for name, data in written.items():
+            assert (tmp_path / name).read_bytes() == data, name
 
 
 def usable_cpus(monkeypatch, n):
@@ -811,17 +708,18 @@ class TestWorkers:
         usable_cpus(monkeypatch, 2)
         kernel = cli.cmd_kernel
 
-        def stale_rbf_sidecar(config, kind):
-            kernel(config, kind)
+        def refuses_rbf(config, kind):
             if kind == "rbf":
-                (tmp_path / "kernel_rbf.json").write_text(json.dumps({"params": {}}))
+                raise cli.CliInputError("rbf input refused")
+            return kernel(config, kind)
 
-        monkeypatch.setattr(cli, "cmd_kernel", stale_rbf_sidecar)
+        monkeypatch.setattr(cli, "cmd_kernel", refuses_rbf)
         assert main(base_args(tmp_path) + ["run-all"]) == 2
         log_text = (tmp_path / "run.log").read_text()
         assert "Traceback" not in log_text
-        assert "kernel_rbf.npy was made under another" in log_text.splitlines()[-1]
+        assert log_text.splitlines()[-1].endswith("rbf input refused")
         assert (tmp_path / "report_quantum.json").exists()
+        assert not (tmp_path / "report_rbf.json").exists()
 
     def test_run_all_never_imports_numpy_ma(self, tmp_path):
         """np.unique imports numpy.ma in every process that calls it; the ROC
@@ -900,17 +798,17 @@ class TestConfigHandling:
     def test_numeric_gamma_flag(self, tmp_path):
         prepared(tmp_path)
         assert main(base_args(tmp_path, "--gamma", "0.25")
-                    + ["kernel", "--kind", "rbf"]) == 0
-        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
-        assert sidecar["params"]["gamma"] == 0.25
+                    + ["train-eval", "--kind", "rbf"]) == 0
+        model = json.loads((tmp_path / "model_rbf.json").read_text())
+        assert model["kernel_params"]["gamma"] == 0.25
         # a config file's integer gamma is recorded as that integer
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"gamma": 2}))
         assert main(base_args(tmp_path, "--config", config)
-                    + ["kernel", "--kind", "rbf"]) == 0
-        sidecar = json.loads((tmp_path / "kernel_rbf.json").read_text())
-        assert sidecar["params"] == {"kind": "rbf", "gamma": 2}
-        assert type(sidecar["params"]["gamma"]) is int
+                    + ["train-eval", "--kind", "rbf"]) == 0
+        model = json.loads((tmp_path / "model_rbf.json").read_text())
+        assert model["kernel_params"] == {"kind": "rbf", "gamma": 2}
+        assert type(model["kernel_params"]["gamma"]) is int
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},
@@ -1070,9 +968,10 @@ def test_default_run_all_agrees_on_other_cpu_code_paths(tmp_path, native_default
     np.testing.assert_allclose([row[2] for row in rows[1]], [row[2] for row in rows[0]],
                                rtol=0, atol=CPU_PATH_ATOL)
     for kind in cli.KINDS:
-        np.testing.assert_allclose(np.load(other / f"kernel_{kind}.npy"),
-                                   np.load(native / f"kernel_{kind}.npy"),
-                                   rtol=0, atol=CPU_PATH_ATOL)
+        for name in (f"gram_{kind}.csv", f"cross_{kind}.csv"):
+            np.testing.assert_allclose(np.loadtxt(other / name, delimiter=","),
+                                       np.loadtxt(native / name, delimiter=","),
+                                       rtol=0, atol=CPU_PATH_ATOL)
         reports = [json.loads((run / f"report_{kind}.json").read_text())
                    for run in (native, other)]
         for name in ("auroc", "eer"):
