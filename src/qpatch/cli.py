@@ -1,9 +1,11 @@
-"""Command line pipeline: synth -> features -> train-eval, one per kernel kind.
+"""Command line pipeline: synth, then train-eval, one per kernel kind.
 
 Each subcommand reads only its declared inputs from the work directory and
 writes only its declared outputs, so stages can be rerun independently.
-Exit codes: 0 success, 1 internal error, 2 bad input or config. Timestamps
-appear only in run.log so data artifacts stay byte-reproducible.
+synth is the one stage that reads audio: it writes the spoofs, the manifest
+and the features. Exit codes: 0 success, 1 internal error, 2 bad input or
+config. Timestamps appear only in run.log so data artifacts stay
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import dsp, metrics, patches, spoof, svm  # noqa: E402
+from . import metrics, patches, spoof, svm  # noqa: E402
 from .atomic import atomic_write  # noqa: E402
 from .config import ExperimentConfig, load_config  # noqa: E402
 from .parallel import ordered_map  # noqa: E402
@@ -130,7 +132,7 @@ def _features_facts(config: ExperimentConfig) -> dict:
 def cmd_synth(config: ExperimentConfig) -> None:
     p = _paths(config)
     # the audio the manifest points at changes before the manifest does
-    with _record_made_under(p["manifest"], _manifest_facts(config)) as facts:
+    with _record_made_under(p["manifest"], _manifest_facts(config)):
         if config.input_dir is None:
             n = config.train_per_class + config.dev_per_class
             log.info("generating %d synthetic bona fide files in %s", n, p["work"] / "bonafide")
@@ -138,81 +140,40 @@ def cmd_synth(config: ExperimentConfig) -> None:
         else:
             wavs = sorted(Path(config.input_dir).glob("*.wav"))
         try:
-            manifest, wav_sha256 = spoof.build_dataset(wavs, p["work"], config)
+            manifest, rows = spoof.build_dataset(wavs, p["work"], config)
         except ValueError as err:
             raise CliInputError(str(err))
         spoof.write_manifest(manifest, p["manifest"])
-        # features refuses a WAV edited after its spoof was made from it
-        facts["wav_sha256"] = wav_sha256
     log.info("wrote manifest with %d entries to %s", len(manifest), p["manifest"])
+    cmd_features(config, rows)
 
 
-def _extract_one(entry, work: Path, config: ExperimentConfig, wav_sha256: dict):
-    path = work / entry.path
-    raw = path.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != wav_sha256.get(entry.path):
-        raise CliInputError(f"{path} is not the file synth read; rerun synth")
-    w = dsp.load_wav(path, raw)
-    spec = dsp.logmel_spectrogram(w)
-    return (entry.uid, entry.label,
-            *patches.extract_features(spec, k=config.k, patch_size=config.patch_size))
-
-
-def _read_manifest(config: ExperimentConfig):
-    """The checked manifest and the sha256 of each WAV it lists, by path."""
-    path = _paths(config)["manifest"]
-    wav_sha256 = _check_made_under(path, _manifest_facts(config), "synth").get("wav_sha256")
-    if not isinstance(wav_sha256, dict):
-        raise CliInputError(f"{path.with_suffix('.json')} records no wav_sha256; rerun synth")
-    return spoof.read_manifest(path), wav_sha256
-
-
-def cmd_features(config: ExperimentConfig) -> None:
+def cmd_features(config: ExperimentConfig, rows) -> None:
+    """Write synth's feature rows, in manifest order, as features.csv."""
     p = _paths(config)
-    manifest, wav_sha256 = _read_manifest(config)
-
-    def extract(entry):
-        try:
-            return _extract_one(entry, p["work"], config, wav_sha256)
-        except (CliInputError, ValueError, OSError) as err:  # what a bad WAV raises
-            return str(err)
-
-    rows = []
-    skipped = []
-    for entry, row in zip(manifest, ordered_map(extract, manifest)):
-        if isinstance(row, str):
-            log.error("skipping %s: %s", entry.uid, row)
-            skipped.append(entry.uid)
-        else:
-            rows.append(row)
-    if not rows:
-        raise CliInputError("no feature rows could be extracted")
     with _record_made_under(p["features"], _features_facts(config)):
         patches.write_features_csv(p["features"], rows)
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
-    if skipped:
-        raise CliInputError(
-            f"{len(skipped)} of {len(manifest)} files were skipped: "
-            + ", ".join(skipped))
 
 
 def _load_split_features(config: ExperimentConfig) -> dict:
     """Per split, the labels and the (n, 4k) feature matrix, in manifest order."""
     p = _paths(config)
-    manifest, _ = _read_manifest(config)
-    _check_made_under(p["features"], _features_facts(config), "features")
+    _check_made_under(p["manifest"], _manifest_facts(config), "synth")
+    manifest = spoof.read_manifest(p["manifest"])
+    _check_made_under(p["features"], _features_facts(config), "synth")
     feature_rows = {uid: (label, stats)
                     for uid, label, stats in patches.read_features_csv(p["features"])}
     split = {"train": ([], []), "dev": ([], [])}
     for entry in manifest:
         if entry.uid not in feature_rows:
-            raise CliInputError(f"feature row missing for {entry.uid}; rerun features")
+            raise CliInputError(f"feature row missing for {entry.uid}; rerun synth")
         label, stats = feature_rows[entry.uid]
         if label != entry.label:
             raise CliInputError(f"label mismatch for {entry.uid}")
         if len(stats) != 4 * config.k:
             raise CliInputError(f"{p['features']} has {len(stats)} statistics per row, "
-                                f"not 4 * k = {4 * config.k}; rerun features")
+                                f"not 4 * k = {4 * config.k}; rerun synth")
         split[entry.split][0].append(label)
         split[entry.split][1].append(stats)
     return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
@@ -302,12 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", help='RBF gamma value or "scale"')
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth", help="build the spoofed dataset and manifest")
-    sub.add_parser("features", help="extract patch features for every utterance")
+    sub.add_parser("synth", help="build the spoofed dataset, its manifest and features")
     train_eval = sub.add_parser(
         "train-eval", help="compute the kernel, train the SVM and write the evaluation report")
     train_eval.add_argument("--kind", choices=KINDS, required=True)
-    sub.add_parser("run-all", help="synth, features, then both kernels and reports")
+    sub.add_parser("run-all", help="synth, then both kernels and reports")
     return parser
 
 
@@ -333,14 +293,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             cmd_synth(config)
-        elif args.command == "features":
-            cmd_features(config)
         elif args.command == "train-eval":
             cmd_train_eval(config, args.kind)
         elif args.command == "run-all":
             cmd_synth(config)
-            cmd_features(config)
-            # after features the two kinds share no file
+            # after synth the two kinds share no file
             ordered_map(lambda kind: cmd_train_eval(config, kind), KINDS)
         return 0
     except (CliInputError, ValueError, OSError) as err:

@@ -19,7 +19,6 @@ filter would exceed 320,001 taps is refused.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import struct
 import warnings
@@ -262,19 +261,17 @@ def _decode_wav(raw: memoryview) -> tuple[int, np.ndarray]:
     return rate, samples.reshape(-1, channels) if channels > 1 else samples
 
 
-def load_wav(path, raw: bytes | None = None) -> Waveform:
+def load_wav(path) -> Waveform:
     """Read a PCM (8/16/24/32-bit) or IEEE float (32/64-bit) WAV file.
 
     Integer samples are scaled to [-1, 1) as scipy.io.wavfile reads them
     (unsigned 8-bit around 128, 24-bit left-justified in int32); more than
     one channel is averaged to mono with a warning. Anything else, and a
     file with no samples, a rate of 0, or a NaN, inf or float sample above
-    MAX_SAMPLE (1e100) in magnitude, raises ValueError naming the path. A
-    caller that already holds the file's bytes passes them as raw, and the
-    file is not read again.
+    MAX_SAMPLE (1e100) in magnitude, raises ValueError naming the path.
     """
     try:
-        rate, samples = _decode_wav(memoryview(Path(path).read_bytes() if raw is None else raw))
+        rate, samples = _decode_wav(memoryview(Path(path).read_bytes()))
         if samples.ndim == 2:
             warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
             samples = samples.mean(axis=1)
@@ -287,8 +284,9 @@ def load_wav(path, raw: bytes | None = None) -> Waveform:
         raise ValueError(f"{path}: {err}") from None
 
 
-def save_wav(path, w: Waveform) -> str:
-    """Write 16-bit PCM mono and return the sha256 of the file's bytes.
+def save_wav(path, w: Waveform) -> Waveform:
+    """Write 16-bit PCM mono and return what load_wav reads back from the
+    file, sample for sample, without reading it.
 
     Values outside [-1, 1] are clipped with a warning.
     """
@@ -304,6 +302,4 @@ def save_wav(path, w: Waveform) -> str:
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(pcm.tobytes())
-    digest = hashlib.sha256(header)
-    digest.update(pcm)
-    return digest.hexdigest()
+    return Waveform(pcm.astype(np.float64) / 32768.0, w.sample_rate)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dsp, patches
 from .atomic import atomic_write
 from .dsp import TARGET_SAMPLE_RATE, Waveform, load_wav, resample_to, save_wav
 from .parallel import ordered_map
@@ -138,37 +139,48 @@ def generate_synthetic_corpus(out_dir, n_files: int, seed: int) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"utt{i:03d}.wav" for i in range(n_files)]
-    ordered_map(lambda i: save_wav(paths[i], _harmonic_voice(
-        substream(seed, "voice", i), 1.0, TARGET_SAMPLE_RATE)), range(n_files))
+
+    def write(i) -> None:  # the samples save_wav returns stay in the worker
+        save_wav(paths[i], _harmonic_voice(substream(seed, "voice", i), 1.0, TARGET_SAMPLE_RATE))
+
+    ordered_map(write, range(n_files))
     return paths
 
 
-def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[str, str]:
-    """Write the spoof of one bona fide file; return the sha256 of the bytes
-    read and of the bytes written."""
-    raw = path.read_bytes()
-    w = load_wav(path, raw)
+def _features(w: Waveform, config) -> tuple:
+    # looked up on their modules, so wrappers installed there (perfbench's tracer) see the calls
+    return patches.extract_features(dsp.logmel_spectrogram(w), k=config.k,
+                                    patch_size=config.patch_size)
+
+
+def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[tuple, tuple]:
+    """Write the spoof of one bona fide file, read once; return the feature
+    rows of the file and of its spoof as (stats, corners) pairs."""
+    w = load_wav(path)
     try:
-        spoofed = make_spoof(resample_to(w), path.stem, config)
+        w = resample_to(w)
+        spoofed = save_wav(spoof_path, make_spoof(w, path.stem, config))
+        return _features(w, config), _features(spoofed, config)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    return hashlib.sha256(raw).hexdigest(), save_wav(spoof_path, spoofed)
 
 
-def build_dataset(wavs, work_dir, config) -> tuple[tuple, dict]:
+def build_dataset(wavs, work_dir, config) -> tuple[tuple, list]:
     """Write the spoofs of the first train_per_class + dev_per_class paths of
     the list wavs under work_dir/spoof and assign splits; return the
-    manifest as a tuple of ManifestEntry.
+    manifest as a tuple of ManifestEntry and its feature rows.
 
     config is the ExperimentConfig; its train_per_class and dev_per_class
-    are read, its input_dir to name in the count refusal, and what
-    make_spoof reads. A selected X_spoof.wav beside a selected X.wav is
-    refused before any spoof is written, since the spoof of X takes the id
-    X_spoof. Each class is shuffled into its train/dev split with an
+    are read, its input_dir to name in the count refusal, k and patch_size,
+    and what make_spoof reads. A selected X_spoof.wav beside a selected X.wav
+    is refused before any spoof is written, since the spoof of X takes the
+    id X_spoof. Each class is shuffled into its train/dev split with an
     independent substream so the two classes stay balanced by construction.
     Entry paths are relative to work_dir, so the manifest moves with it.
-    Also returns the sha256 of each WAV by entry path, of the bytes read
-    (bona fide) or written (spoof). If any spoof fails, every spoof path of
+    Each bona fide file is read and resampled once: its feature row comes
+    from that waveform, its spoof's from the samples save_wav wrote. The
+    rows, one (id, label, stats, corners) per entry in manifest order, are
+    what write_features_csv takes. If any file fails, every spoof path of
     this call is removed before the error is raised, so none is left behind.
     """
     spoof_dir = Path(work_dir) / "spoof"
@@ -187,28 +199,27 @@ def build_dataset(wavs, work_dir, config) -> tuple[tuple, dict]:
 
     spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
     try:
-        digests = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
+        row_pairs = ordered_map(lambda pair: _spoof_one(*pair, config), zip(wavs, spoof_paths))
     except BaseException:
         for path in spoof_paths:
             path.unlink(missing_ok=True)
         raise
-    wav_sha256 = {}
-    by_label = {BONAFIDE: {}, SPOOF: {}}  # uid -> (path, source id)
-    for source, spoof_path, both in zip(wavs, spoof_paths, digests):
-        for label, wav, digest in zip((BONAFIDE, SPOOF), (source, spoof_path), both):
-            path = os.path.relpath(wav, work_dir)
-            by_label[label][wav.stem] = (path, source.stem)
-            wav_sha256[path] = digest
+    by_label = {BONAFIDE: {}, SPOOF: {}}  # uid -> (path, source id, (stats, corners))
+    for source, spoof_path, both in zip(wavs, spoof_paths, row_pairs):
+        for label, wav, row in zip((BONAFIDE, SPOOF), (source, spoof_path), both):
+            by_label[label][wav.stem] = (os.path.relpath(wav, work_dir), source.stem, row)
 
-    entries = []
-    for label, rows in by_label.items():
-        order = sorted(rows)
+    entries, rows = [], []
+    for label, by_uid in by_label.items():
+        order = sorted(by_uid)
         substream(config.seed, "split", label).shuffle(order)
         train = set(order[:config.train_per_class])
-        entries += [ManifestEntry(uid, rows[uid][0], label,
-                                  "train" if uid in train else "dev", rows[uid][1])
-                    for uid in sorted(rows)]
-    return tuple(entries), wav_sha256
+        for uid in sorted(by_uid):
+            path, source_id, row = by_uid[uid]
+            entries.append(ManifestEntry(uid, path, label,
+                                         "train" if uid in train else "dev", source_id))
+            rows.append((uid, label, *row))
+    return tuple(entries), rows
 
 
 def write_manifest(manifest, path) -> None:

@@ -127,6 +127,25 @@ class TestSynth:
             # the spoofs made before the failure are removed, not left as orphans
             assert not list((work / "spoof").glob("*.wav"))
 
+    @pytest.mark.parametrize("n, message", [
+        (399, "signal too short: 399 samples < one 400-sample window"),
+        (879, "spectrogram too short for one patch: 3 frames < 4")],
+        ids=["window", "patch_row"])
+    def test_a_clip_too_short_to_featurize_exits_2_naming_the_file(self, tmp_path, n, message):
+        from qpatch.spoof import generate_synthetic_corpus
+        corpus = tmp_path / "voices"
+        generate_synthetic_corpus(corpus, 6, seed=11)
+        short = corpus / "utt003.wav"
+        dsp.save_wav(short, dsp.Waveform(0.1 * np.sin(0.05 * np.arange(n)), 16000))
+        work = tmp_path / "w"
+        assert main(base_args(work, "--input-dir", corpus) + ["synth"]) == 2
+        log_text = (work / "run.log").read_text()
+        assert f"{short}: {message}" in log_text.splitlines()[-1]
+        assert "Traceback" not in log_text
+        assert not list((work / "spoof").glob("*.wav"))
+        for name in ("manifest.json", "features.csv", "features.json"):
+            assert not (work / name).exists(), name
+
     def test_float_samples_above_max_sample_exit_2_before_any_spoof(self, tmp_path):
         from scipy.io import wavfile
         corpus = tmp_path / "voices"
@@ -160,9 +179,10 @@ class TestSynth:
         assert not (tmp_path / "w" / "manifest.csv").exists()
 
 class TestFeatures:
+    """synth writes features.csv from the audio it reads once."""
+
     def test_writes_one_row_per_utterance(self, tmp_path):
-        run_synth(tmp_path)
-        assert run_stage(tmp_path, "features") == 0
+        assert run_synth(tmp_path) == 0
         lines = (tmp_path / "features.csv").read_text().splitlines()
         assert len(lines) == 1 + 12
         header = lines[0].split(",")
@@ -176,65 +196,41 @@ class TestFeatures:
                               "manifest": hashlib.sha256(manifest).hexdigest()}
 
     def test_k_controls_vector_length(self, tmp_path):
-        run_synth(tmp_path)
-        assert main(base_args(tmp_path, "--k", 1) + ["features"]) == 0
+        assert run_synth(tmp_path, "--k", 1) == 0
         header = (tmp_path / "features.csv").read_text().splitlines()[0]
         assert sum(1 for h in header.split(",") if h.startswith("x")) == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_synth(tmp_path)
-        run_stage(tmp_path, "features")
-        first = (tmp_path / "features.csv").read_bytes()
-        run_stage(tmp_path, "features")
-        assert (tmp_path / "features.csv").read_bytes() == first
+        first = [(tmp_path / name).read_bytes() for name in ("features.csv", "features.json")]
+        run_synth(tmp_path)
+        assert [(tmp_path / name).read_bytes()
+                for name in ("features.csv", "features.json")] == first
 
     def test_missing_manifest_fails(self, tmp_path):
-        assert run_stage(tmp_path, "features") == 2
-
-    def test_unreadable_wav_is_skipped_with_error_exit(self, tmp_path):
-        run_synth(tmp_path)
-        (tmp_path / "bonafide" / "utt002.wav").write_bytes(b"not audio")
-        assert run_stage(tmp_path, "features") == 2
-        lines = (tmp_path / "features.csv").read_text().splitlines()
-        assert len(lines) == 1 + 11  # the bad file is missing, the rest survive
-        assert not any(line.startswith("utt002,") for line in lines)
-
-    def test_a_rate_needing_a_huge_resampling_filter_is_skipped(self, tmp_path):
-        """A WAV that synth read and that needs a filter above the bound (here
-        swapped in behind synth's back) is skipped with the reason."""
-        run_synth(tmp_path)
-        wav = tmp_path / "bonafide" / "utt002.wav"
-        sidecar = tmp_path / "manifest.json"
-        facts = json.loads(sidecar.read_text())
-        facts["wav_sha256"]["bonafide/utt002.wav"] = dsp.save_wav(
-            wav, dsp.Waveform(np.zeros(4410), 44101))
-        sidecar.write_text(json.dumps(facts))
-        assert run_stage(tmp_path, "features") == 2
-        log_text = (tmp_path / "run.log").read_text()
-        assert "skipping utt002: sample rate 44101 Hz" in log_text
-        assert "Traceback" not in log_text
-        lines = (tmp_path / "features.csv").read_text().splitlines()
-        assert len(lines) == 1 + 11 and not any(line.startswith("utt002,") for line in lines)
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
+            f"missing {tmp_path / 'manifest.csv'}; run synth first")
 
     def test_an_internal_error_exits_1_and_skips_no_file(self, tmp_path, monkeypatch):
-        """Only what a bad WAV raises skips its file: a bug in the code fails
-        the stage as an internal error, with its traceback in run.log."""
-        run_synth(tmp_path)
+        """Only what a bad WAV raises is refused as input: a bug in the code
+        fails synth as an internal error, with its traceback in run.log."""
 
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a bad file")
 
         monkeypatch.setattr(patches, "extract_features", broken)
-        assert run_stage(tmp_path, "features") == 1
+        assert run_synth(tmp_path) == 1
         log_text = (tmp_path / "run.log").read_text()
         assert "internal error" in log_text and "Traceback" in log_text
-        assert "a bug, not a bad file" in log_text and "skipping" not in log_text
+        assert "a bug, not a bad file" in log_text
         assert not (tmp_path / "features.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        assert not list((tmp_path / "spoof").glob("*.wav"))
 
 
 def prepared(tmp_path):
     run_synth(tmp_path)
-    run_stage(tmp_path, "features")
     return tmp_path
 
 
@@ -279,6 +275,7 @@ class TestKernel:
 
     def test_missing_features_fails(self, tmp_path):
         run_synth(tmp_path)
+        (tmp_path / "features.csv").unlink()
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
 
     @pytest.mark.parametrize("flag", [["--k", "4"], ["--patch-size", "8"]],
@@ -293,7 +290,7 @@ class TestKernel:
         assert (tmp_path / "report_rbf.json").read_bytes() == report
         field = flag[0][2:].replace("-", "_")
         last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert last.endswith(f"features.csv was made under another {field}; rerun features")
+        assert last.endswith(f"features.csv was made under another {field}; rerun synth")
 
     def test_features_without_their_sidecar_are_refused(self, tmp_path):
         prepared(tmp_path)
@@ -360,11 +357,11 @@ class TestTrainEval:
         prepared(tmp_path)
         run_stage(tmp_path, "train-eval", "--kind", "rbf")
         report = (tmp_path / "report_rbf.json").read_bytes()
-        assert main(base_args(tmp_path, "--k", "4") + ["features"]) == 0
+        assert run_synth(tmp_path, "--k", "4") == 0
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
         assert (tmp_path / "report_rbf.json").read_bytes() == report
         last = (tmp_path / "run.log").read_text().splitlines()[-1]
-        assert last.endswith("features.csv was made under another k; rerun features")
+        assert last.endswith("features.csv was made under another k; rerun synth")
 
 
 class TestMadeUnder:
@@ -377,41 +374,51 @@ class TestMadeUnder:
         assert made_under["spoof_config"] == {"seed": 8, "snr_db": 20.0,
                                               "tilt_high": 0.6, "tilt_low": -0.6}
         assert made_under["split_counts"] == {"train_per_class": 4, "dev_per_class": 2}
+        # synth reads each WAV once, so no later stage needs the WAVs' hashes
+        assert set(made_under) == {"spoof_config", "split_counts"}
 
     @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
                              ids=["seed", "snr_db"])
     def test_resynth_refuses_kernel_and_train_eval(self, tmp_path, flag):
         prepared(tmp_path)  # seed 7, 20 dB
         assert run_synth(tmp_path, *flag) == 0
-        assert main(base_args(tmp_path, *flag) + ["train-eval", "--kind", "rbf"]) == 2
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
         assert not (tmp_path / "gram_rbf.csv").exists()
         assert not (tmp_path / "report_rbf.json").exists()
-        assert "features.csv was made under another manifest; rerun features" in (
-            tmp_path / "run.log").read_text()
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
+            "manifest.csv was made under another spoof_config; rerun synth")
 
     @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
                              ids=["seed", "snr_db"])
     def test_features_under_another_config_than_synth_are_refused(self, tmp_path, flag):
-        run_synth(tmp_path)
-        assert main(base_args(tmp_path, *flag) + ["features"]) == 2
-        assert not (tmp_path / "features.csv").exists()
-        assert "manifest.csv was made under another spoof_config; rerun synth" in (
-            tmp_path / "run.log").read_text()
+        # features.csv and its sidecar copied in from a synth under another config
+        prepared(tmp_path / "work")
+        run_synth(tmp_path / "other", *flag)
+        for name in ("features.csv", "features.json"):
+            (tmp_path / "work" / name).write_bytes((tmp_path / "other" / name).read_bytes())
+        assert run_stage(tmp_path / "work", "train-eval", "--kind", "rbf") == 2
+        assert not (tmp_path / "work" / "gram_rbf.csv").exists()
+        assert (tmp_path / "work" / "run.log").read_text().splitlines()[-1].endswith(
+            "features.csv was made under another manifest; rerun synth")
 
-    def test_wav_edited_after_synth_is_refused_by_features(self, tmp_path):
+    def test_manifest_sidecar_with_old_wav_hashes_is_accepted(self, tmp_path):
+        # a manifest.json written by an older qpatch, which recorded each WAV's
+        # sha256, and the features.json that recorded that manifest's hash
         prepared(tmp_path)
-        made_under = json.loads((tmp_path / "manifest.json").read_text())
-        manifest = (tmp_path / "manifest.csv").read_text().splitlines()[1:]
-        assert sorted(made_under["wav_sha256"]) == sorted(
-            line.split(",")[1] for line in manifest)
-        # the spoof of utt000 was made from the old audio
-        bonafide = tmp_path / "bonafide"
-        (bonafide / "utt000.wav").write_bytes((bonafide / "utt001.wav").read_bytes())
-        assert run_stage(tmp_path, "features") == 2
-        log_text = (tmp_path / "run.log").read_text()
-        assert f"{bonafide / 'utt000.wav'} is not the file synth read; rerun synth" in log_text
-        rows = (tmp_path / "features.csv").read_text().splitlines()
-        assert not any(row.startswith("utt000,") for row in rows)
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
+        report = (tmp_path / "report_rbf.json").read_bytes()
+        sidecar = tmp_path / "manifest.json"
+        made_under = json.loads(sidecar.read_text())
+        made_under["wav_sha256"] = {e.path: hashlib.sha256((tmp_path / e.path).read_bytes())
+                                    .hexdigest() for e in read_manifest(tmp_path / "manifest.csv")}
+        sidecar.write_text(json.dumps(made_under, indent=2, sort_keys=True) + "\n")
+        features = tmp_path / "features.json"
+        facts = json.loads(features.read_text())
+        facts["manifest"] = hashlib.sha256((tmp_path / "manifest.csv").read_bytes()
+                                           + sidecar.read_bytes()).hexdigest()
+        features.write_text(json.dumps(facts, indent=2, sort_keys=True) + "\n")
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
+        assert (tmp_path / "report_rbf.json").read_bytes() == report
 
     def test_features_sidecar_with_an_old_front_end_block_is_accepted(self, tmp_path):
         # a features.json written by an older qpatch, which recorded the front end
@@ -429,8 +436,8 @@ class TestMadeUnder:
     def test_manifest_without_its_sidecar_is_refused(self, tmp_path):
         run_synth(tmp_path)
         (tmp_path / "manifest.json").unlink()
-        assert run_stage(tmp_path, "features") == 2
-        assert not (tmp_path / "features.csv").exists()
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert not (tmp_path / "gram_rbf.csv").exists()
         assert "manifest.json is missing" in (tmp_path / "run.log").read_text()
 
     def test_failed_synth_leaves_no_sidecar_for_the_old_manifest(self, tmp_path):
@@ -447,7 +454,7 @@ class TestMadeUnder:
         last.write_bytes(audio)
         assert (tmp_path / "manifest.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
-        assert run_stage(tmp_path, "features") == 2
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
 
 
 def _edit_line(path, line, edit):
@@ -498,34 +505,29 @@ MALFORMED = {
                               "train-eval --kind rbf", "features.csv:14: duplicate id"),
     "manifest_three_fields": ("manifest.csv",
                               lambda p: _edit_line(p, 1, lambda s: s.rsplit(",", 2)[0]),
-                              "features", "manifest.csv:2: expected 5 fields"),
+                              "train-eval --kind rbf", "manifest.csv:2: expected 5 fields"),
     "manifest_unknown_split": ("manifest.csv",
                                lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
                                "train-eval --kind rbf", "manifest.csv:2: unknown label"),
     # utt000 relabeled: the train split holds 3 bona fide and 5 spoofs
     "manifest_unbalanced": ("manifest.csv",
                             lambda p: _edit_line(p, 1, lambda s: _set_field(s, 2, "spoof")),
-                            "features", "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
+                            "train-eval --kind rbf",
+                            "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
     # every row of another k, beside the k = 2 sidecar: train-eval refuses it for either kind
     "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "train-eval --kind quantum",
                              "features.csv has 16 statistics per row, not 4 * k = 8; "
-                             "rerun features"),
+                             "rerun synth"),
     "features_rows_of_k_4_train_eval": ("features.csv", _rows_of_k_4, "train-eval --kind rbf",
                                         "features.csv has 16 statistics per row, "
-                                        "not 4 * k = 8; rerun features"),
-    # every row moved to dev: features refuses the empty train split, which
-    # train-eval --kind rbf would otherwise meet as an internal error
+                                        "not 4 * k = 8; rerun synth"),
+    # every row moved to dev: read_manifest refuses the empty train split, which
+    # the RBF gamma would otherwise meet as an internal error
     "manifest_empty_split": ("manifest.csv",
                              lambda p: p.write_text(p.read_text().replace(",train,", ",dev,")),
-                             "features", "manifest.csv: train split has no rows"),
+                             "train-eval --kind rbf", "manifest.csv: train split has no rows"),
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
                            "train-eval --kind rbf", "features.json is missing or holds no"),
-    # a manifest.json written before synth recorded the WAVs it read
-    "manifest_json_without_wav_hashes": (
-        "manifest.json",
-        lambda p: p.write_text(json.dumps(
-            {k: v for k, v in json.loads(p.read_text()).items() if k != "wav_sha256"})),
-        "features", "manifest.json records no wav_sha256; rerun synth"),
 }
 
 
@@ -599,7 +601,7 @@ class TestRunAll:
             assert a == b, f"{name} differs between identical runs"
 
     def test_stage_by_stage_writes_the_bytes_of_run_all(self, tmp_path, monkeypatch):
-        """synth, features, then train-eval per kind write what run-all
+        """synth, then train-eval per kind write what run-all
         writes, sidecars included: every file but run.log. Per kind that is
         the model, report, ROC and the gram_ and cross_ exports, and no
         stored kernel."""
@@ -608,7 +610,6 @@ class TestRunAll:
         assert main(args + ["run-all"]) == 0
         (tmp_path / "work").rename(tmp_path / "run_all")
         assert main(args + ["synth"]) == 0
-        assert main(args + ["features"]) == 0
         for kind in cli.KINDS:
             assert main(args + ["train-eval", "--kind", kind]) == 0
 
@@ -644,6 +645,14 @@ class TestRunAll:
         for name, data in written.items():
             assert (tmp_path / name).read_bytes() == data, name
 
+    def test_the_features_stage_is_gone(self, tmp_path, capsys):
+        """synth writes features.csv; argparse refuses the former features stage."""
+        with pytest.raises(SystemExit) as done:
+            run_stage(tmp_path, "features")
+        assert done.value.code == 2
+        assert "invalid choice: 'features'" in capsys.readouterr().err
+        assert not (tmp_path / "run.log").exists()
+
 
 def usable_cpus(monkeypatch, n):
     """Make the worker pool see n usable CPUs, whatever the machine has."""
@@ -675,34 +684,25 @@ class TestWorkers:
         # a fresh interpreter under a timeout: a map that hung would fail here
         code = textwrap.dedent("""
             import os
-            from qpatch import cli
+            from qpatch import cli, spoof
             os.sched_getaffinity = lambda pid: {0, 1}
-            parent, extract = os.getpid(), cli._extract_one
-            def dies_in_a_worker(entry, *args):
-                if os.getpid() != parent and entry.uid == "utt002":
+            parent, spoof_one = os.getpid(), spoof._spoof_one
+            def dies_in_a_worker(path, *args):
+                if os.getpid() != parent and path.stem == "utt002":
                     os._exit(3)
-                return extract(entry, *args)
-            cli._extract_one = dies_in_a_worker
+                return spoof_one(path, *args)
+            spoof._spoof_one = dies_in_a_worker
             args = ["--work-dir", "w", "--train-per-class", "4", "--dev-per-class", "2"]
-            assert cli.main(args + ["synth"]) == 0
-            print(cli.main(args + ["features"]))
+            print(cli.main(args + ["synth"]))
         """)
         done = run_fresh_python(code, tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1"]
         assert "exited with code 3 before sending its results" in (
             tmp_path / "w" / "run.log").read_text()
-        assert not (tmp_path / "w" / "features.csv").exists()
-
-    def test_the_parent_logs_a_skipped_wav(self, tmp_path, monkeypatch, caplog):
-        run_synth(tmp_path)
-        (tmp_path / "bonafide" / "utt002.wav").write_bytes(b"not audio")
-        usable_cpus(monkeypatch, 2)
-        assert run_stage(tmp_path, "features") == 2
-        # records that a worker logs never reach this process's caplog
-        skipped = [r for r in caplog.records if r.getMessage().startswith("skipping utt002")]
-        assert [r.process for r in skipped] == [os.getpid()]
-        assert len((tmp_path / "features.csv").read_text().splitlines()) == 1 + 11
+        assert not list((tmp_path / "w" / "spoof").glob("*.wav"))
+        for name in ("manifest.json", "features.csv"):
+            assert not (tmp_path / "w" / name).exists(), name
 
     def test_an_input_error_in_a_kind_chain_exits_2(self, tmp_path, monkeypatch):
         usable_cpus(monkeypatch, 2)
@@ -772,7 +772,6 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"work_dir": str(tmp_path / "w"), "k": 1,
                                    "train_per_class": 4, "dev_per_class": 2}))
         assert main(["--config", str(cfg), "synth"]) == 0
-        assert main(["--config", str(cfg), "features"]) == 0
         header = (tmp_path / "w" / "features.csv").read_text().splitlines()[0]
         assert sum(1 for h in header.split(",") if h.startswith("x")) == 4
 
@@ -780,8 +779,7 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"work_dir": str(tmp_path / "w"), "k": 1,
                                    "train_per_class": 4, "dev_per_class": 2}))
-        main(["--config", str(cfg), "synth"])
-        assert main(["--config", str(cfg), "--k", "2", "features"]) == 0
+        assert main(["--config", str(cfg), "--k", "2", "synth"]) == 0
         header = (tmp_path / "w" / "features.csv").read_text().splitlines()[0]
         assert sum(1 for h in header.split(",") if h.startswith("x")) == 8
 

@@ -458,6 +458,22 @@ class TestWavIO:
         # write scales by 32767, read divides by 32768, plus half-step rounding
         np.testing.assert_allclose(back.samples, w.samples, atol=1.5 / 32768)
 
+    @pytest.mark.parametrize("samples", [
+        np.array([0.0, 1.5, -2.0, 0.5, -1.0000001]),
+        np.zeros(1600),
+        np.random.default_rng(7).uniform(-0.9, 0.9, 1001),
+        np.array([1.0, -1.0, 1.0, 0.0, -1.0])],
+        ids=["clipped", "silence", "odd_length", "full_scale"])
+    def test_save_returns_what_load_reads_back(self, tmp_path, samples):
+        path = tmp_path / "a.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clipping
+            written = save_wav(path, Waveform(samples, 44100))
+        back = load_wav(path)
+        assert written.sample_rate == back.sample_rate == 44100
+        assert written.samples.dtype == back.samples.dtype == np.float64
+        assert written.samples.tobytes() == back.samples.tobytes()
+
     def test_save_clips_out_of_range_with_warning(self, tmp_path):
         w = Waveform(np.array([0.0, 1.5, -2.0, 0.5]), 16000)
         path = tmp_path / "clip.wav"

@@ -1,6 +1,5 @@
 """Noise injection at exact SNR, spectral tilt, corpus generation, dataset build."""
 
-import hashlib
 import math
 import os
 
@@ -13,10 +12,12 @@ from qpatch.dsp import (
     build_mel_filterbank,
     hz_to_mel,
     load_wav,
+    logmel_spectrogram,
     mel_energies,
     mel_to_hz,
     stft,
 )
+from qpatch.patches import extract_features
 from qpatch.spoof import (
     BONAFIDE,
     NO_NOISE,
@@ -200,8 +201,8 @@ def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ds")
     wavs = generate_synthetic_corpus(root / "bonafide", 10, seed=3)
     config = ExperimentConfig(train_per_class=8, dev_per_class=2, seed=3)
-    manifest, wav_sha256 = build_dataset(wavs, root, config)
-    return root, manifest, wav_sha256
+    manifest, rows = build_dataset(wavs, root, config)
+    return root, manifest, rows
 
 
 class TestBuildDataset:
@@ -245,11 +246,15 @@ class TestBuildDataset:
         assert paths["utt000"] == os.path.join("bonafide", "utt000.wav")
         assert paths["utt000_spoof"] == os.path.join("spoof", "utt000_spoof.wav")
 
-    def test_recorded_hashes_are_those_of_the_files(self, small_dataset):
-        root, manifest, wav_sha256 = small_dataset
-        assert set(wav_sha256) == {e.path for e in manifest}
-        for path, digest in wav_sha256.items():
-            assert hashlib.sha256((root / path).read_bytes()).hexdigest() == digest
+    def test_feature_rows_are_those_of_the_files(self, small_dataset):
+        """One row per entry, in manifest order, holding the features of the
+        file it names, read back from the work dir."""
+        root, manifest, rows = small_dataset
+        assert [row[:2] for row in rows] == [(e.uid, e.label) for e in manifest]
+        for entry, (_, _, stats, corners) in zip(manifest, rows):
+            expected = extract_features(logmel_spectrogram(load_wav(root / entry.path)))
+            assert stats.tobytes() == expected[0].tobytes(), entry.uid
+            np.testing.assert_array_equal(corners, expected[1])
 
     def test_entries_are_sorted_by_uid_within_each_label(self, tmp_path):
         # by file name "a-b.wav" sorts before "a.wav"; by uid "a" comes first
@@ -271,11 +276,12 @@ class TestBuildDataset:
     def test_same_seed_identical_manifest(self, tmp_path):
         wavs = generate_synthetic_corpus(tmp_path / "bona", 6, seed=4)
         config = ExperimentConfig(train_per_class=4, dev_per_class=2, seed=4)
-        m1, h1 = build_dataset(wavs, tmp_path / "w1", config)
-        m2, h2 = build_dataset(wavs, tmp_path / "w2", config)
+        m1, r1 = build_dataset(wavs, tmp_path / "w1", config)
+        m2, r2 = build_dataset(wavs, tmp_path / "w2", config)
         # work-dir-relative paths: two work dirs beside each other give one manifest
         assert m1 == m2
-        assert h1 == h2
+        assert [row[:2] for row in r1] == [row[:2] for row in r2]
+        assert np.array_equal([row[2] for row in r1], [row[2] for row in r2])
 
 
 class TestManifestValidation:
