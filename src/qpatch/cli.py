@@ -3,9 +3,10 @@
 Each subcommand reads only its declared inputs from the work directory and
 writes only its declared outputs, so stages can be rerun independently.
 synth is the one stage that reads audio: it writes the spoofs, the manifest
-and the features. Exit codes: 0 success, 1 internal error, 2 bad input or
-config. Timestamps appear only in run.log so data artifacts stay
-byte-reproducible.
+and the features, and features.json, the one record of the config and the
+manifest they were made under, which train-eval checks. Exit codes: 0
+success, 1 internal error, 2 bad input or config. Timestamps appear only in
+run.log so data artifacts stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ def _record_made_under(artifact: Path, facts: dict):
         fh.write(json.dumps(facts, indent=2, sort_keys=True) + "\n")
 
 
-def _check_made_under(artifact: Path, facts: dict, rerun: str) -> dict:
-    """Refuse an artifact whose sidecar does not record exactly these facts;
-    return everything the sidecar records."""
+def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
+    """Refuse an artifact whose sidecar does not record exactly these facts."""
     if not artifact.exists():
         raise CliInputError(f"missing {artifact}; run {rerun} first")
     sidecar = artifact.with_suffix(".json")
@@ -106,33 +106,28 @@ def _check_made_under(artifact: Path, facts: dict, rerun: str) -> dict:
     if stale:
         raise CliInputError(f"{artifact.name} was made under another "
                             f"{', '.join(stale)}; rerun {rerun}")
-    return stored
-
-
-def _digest(artifact: Path) -> str:
-    """sha256 of an artifact followed by its sidecar, as a later stage records it."""
-    sidecar = artifact.with_suffix(".json")
-    return hashlib.sha256(artifact.read_bytes() + sidecar.read_bytes()).hexdigest()
 
 
 def _fields(config: ExperimentConfig, *names: str) -> dict:
     return {name: getattr(config, name) for name in names}
 
 
-def _manifest_facts(config: ExperimentConfig) -> dict:
+def _synth_facts(config: ExperimentConfig) -> dict:
     return {"spoof_config": _fields(config, "seed", "snr_db", "tilt_high", "tilt_low"),
-            "split_counts": _fields(config, "dev_per_class", "train_per_class")}
+            "split_counts": _fields(config, "dev_per_class", "train_per_class"),
+            "k": config.k}
 
 
-def _features_facts(config: ExperimentConfig) -> dict:
-    return {"k": config.k, "patch_size": config.patch_size,
-            "manifest": _digest(_paths(config)["manifest"])}
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def cmd_synth(config: ExperimentConfig) -> None:
+    """Write the spoofs, manifest.csv and features.csv under one record,
+    features.json, which also holds the manifest's sha256."""
     p = _paths(config)
-    # the audio the manifest points at changes before the manifest does
-    with _record_made_under(p["manifest"], _manifest_facts(config)):
+    # the audio and the manifest change before the record vouches for them
+    with _record_made_under(p["features"], _synth_facts(config)) as facts:
         if config.input_dir is None:
             n = config.train_per_class + config.dev_per_class
             log.info("generating %d synthetic bona fide files in %s", n, p["work"] / "bonafide")
@@ -144,24 +139,26 @@ def cmd_synth(config: ExperimentConfig) -> None:
         except ValueError as err:
             raise CliInputError(str(err))
         spoof.write_manifest(manifest, p["manifest"])
-    log.info("wrote manifest with %d entries to %s", len(manifest), p["manifest"])
-    cmd_features(config, rows)
+        log.info("wrote manifest with %d entries to %s", len(manifest), p["manifest"])
+        facts["manifest"] = _sha256(p["manifest"])
+        cmd_features(config, rows)
 
 
 def cmd_features(config: ExperimentConfig, rows) -> None:
     """Write synth's feature rows, in manifest order, as features.csv."""
     p = _paths(config)
-    with _record_made_under(p["features"], _features_facts(config)):
-        patches.write_features_csv(p["features"], rows)
+    patches.write_features_csv(p["features"], rows)
     log.info("wrote %d feature rows to %s", len(rows), p["features"])
 
 
 def _load_split_features(config: ExperimentConfig) -> dict:
     """Per split, the labels and the (n, 4k) feature matrix, in manifest order."""
     p = _paths(config)
-    _check_made_under(p["manifest"], _manifest_facts(config), "synth")
+    if not p["manifest"].exists():
+        raise CliInputError(f"missing {p['manifest']}; run synth first")
     manifest = spoof.read_manifest(p["manifest"])
-    _check_made_under(p["features"], _features_facts(config), "synth")
+    _check_made_under(p["features"], {**_synth_facts(config),
+                                      "manifest": _sha256(p["manifest"])}, "synth")
     feature_rows = {uid: (label, stats)
                     for uid, label, stats in patches.read_features_csv(p["features"])}
     split = {"train": ([], []), "dev": ([], [])}
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input-dir", dest="input_dir")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--k", type=int, help="patches kept per utterance")
-    parser.add_argument("--patch-size", dest="patch_size", type=int)
     parser.add_argument("--depth", type=int, help="embedding layers (1..3)")
     parser.add_argument("--s3-axis", dest="s3_axis", choices=["X", "Y", "Z"])
     parser.add_argument("--snr-db", dest="snr_db", type=float)

@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsp import N_MELS
-from .patches import check_patch_size
 from .quantum import check_circuit
 from .spoof import NO_NOISE
 
@@ -19,15 +17,14 @@ class ExperimentConfig:
     """All knobs of the pipeline with their defaults.
 
     The audio front end is fixed in qpatch.dsp (16 kHz, 25 ms / 10 ms Hann
-    frames, 1024-point FFT, 64 mel bins). Patches: 4x4, top-2 by mean
-    activation. Circuit: depth 1.
+    frames, 1024-point FFT, 64 mel bins) and the patch side in
+    qpatch.patches (4x4). Patches: top-2 by mean activation. Circuit: depth 1.
     Spoofs: 20 dB SNR noise plus a uniform spectral tilt. Split: 40/10 per
     class. Everything random derives from the single seed.
     """
 
     work_dir: str = "qpatch_work"
     input_dir: str | None = None
-    patch_size: int = 4
     k: int = 2
     depth: int = 1
     s3_axis: str = "Z"
@@ -65,7 +62,6 @@ class ExperimentConfig:
         if self.gamma != "scale" and not (numeric and 0 < self.gamma < math.inf):
             raise ValueError(f'gamma must be a finite number > 0 or "scale", '
                              f"got {self.gamma!r}")
-        check_patch_size(self.patch_size, N_MELS)
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

@@ -1,7 +1,7 @@
 """Patch summary features over standardized log-mel spectrograms.
 
-The spectrogram is cut into non-overlapping square patches (default 4x4,
-time by mel), numbered in time-major order. Each patch is reduced to four
+The spectrogram is cut into non-overlapping 4x4 patches (time by mel),
+numbered in time-major order. Each patch is reduced to four
 statistics:
 
   s1  mean activation (also the patch ranking score)
@@ -10,7 +10,7 @@ statistics:
   s4  inter-frame coherence (mean adjacent-frame cosine similarity)
 
 `extract_features` works on whole arrays: it views the spectrogram as an
-(n_patches, p, p) stack, computes s1 for every patch, keeps the top k by
+(n_patches, 4, 4) stack, computes s1 for every patch, keeps the top k by
 s1 (ties to the earlier patch), and computes s2-s4 for those k patches
 only, in one pass. It returns plain arrays: the concatenated statistics
 of the selected patches, a (4k,) float vector, and their (time, mel)
@@ -26,26 +26,20 @@ import numpy as np
 from .atomic import atomic_write
 from .dsp import EPS
 
-
-def check_patch_size(patch_size: int, n_mels: int) -> None:
-    """Reject a patch size that cannot tile n_mels bins or give a coherence."""
-    if patch_size < 2:
-        raise ValueError(
-            f"patch size must be >= 2 (coherence needs two frames), got {patch_size}")
-    if n_mels % patch_size != 0:
-        raise ValueError(f"{n_mels} mel bins not divisible by patch size {patch_size}")
+# patch side in frames and mel bins: at least 2, since s4 needs two frames,
+# and a divisor of dsp.N_MELS
+PATCH_SIZE = 4
 
 
-def _tiles(values: np.ndarray, patch_size: int) -> np.ndarray:
+def _tiles(values: np.ndarray) -> np.ndarray:
     """The (n_patches, p, p) stack of patches, time-major order.
 
     Trailing frames that do not fill a whole patch row are dropped.
     """
     t, f = values.shape
-    if t < patch_size:
-        raise ValueError(
-            f"spectrogram too short for one patch: {t} frames < {patch_size}")
-    p = patch_size
+    p = PATCH_SIZE
+    if t < p:
+        raise ValueError(f"spectrogram too short for one patch: {t} frames < {p}")
     rows = t // p
     return (values[:rows * p].reshape(rows, p, f // p, p)
             .transpose(0, 2, 1, 3).reshape(-1, p, p))
@@ -78,14 +72,13 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def extract_features(values: np.ndarray, k: int = 2,
-                     patch_size: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Rank every patch of a (frames, n_mels) spectrogram by s1, then
+def extract_features(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every 4x4 patch of a (frames, n_mels) spectrogram by s1, then
     summarize the top k: their (4k,) statistics and (k, 2) corners."""
     values = np.asarray(values, dtype=np.float64)
-    tiles = _tiles(values, patch_size)
+    tiles = _tiles(values)
     top = _top_k(tiles.mean(axis=(1, 2)), k)
-    corners = np.stack(np.divmod(top, values.shape[1] // patch_size), axis=1) * patch_size
+    corners = np.stack(np.divmod(top, values.shape[1] // PATCH_SIZE), axis=1) * PATCH_SIZE
     return _statistics(tiles[top]).ravel(), corners
 
 

@@ -149,8 +149,7 @@ def generate_synthetic_corpus(out_dir, n_files: int, seed: int) -> list[Path]:
 
 def _features(w: Waveform, config) -> tuple:
     # looked up on their modules, so wrappers installed there (perfbench's tracer) see the calls
-    return patches.extract_features(dsp.logmel_spectrogram(w), k=config.k,
-                                    patch_size=config.patch_size)
+    return patches.extract_features(dsp.logmel_spectrogram(w), config.k)
 
 
 def _spoof_one(path: Path, spoof_path: Path, config) -> tuple[tuple, tuple]:
@@ -171,8 +170,8 @@ def build_dataset(wavs, work_dir, config) -> tuple[tuple, list]:
     manifest as a tuple of ManifestEntry and its feature rows.
 
     config is the ExperimentConfig; its train_per_class and dev_per_class
-    are read, its input_dir to name in the count refusal, k and patch_size,
-    and what make_spoof reads. A selected X_spoof.wav beside a selected X.wav
+    are read, its input_dir to name in the count refusal, k, and what
+    make_spoof reads. A selected X_spoof.wav beside a selected X.wav
     is refused before any spoof is written, since the spoof of X takes the
     id X_spoof. Each class is shuffled into its train/dev split with an
     independent substream so the two classes stay balanced by construction.

@@ -143,7 +143,7 @@ class TestSynth:
         assert f"{short}: {message}" in log_text.splitlines()[-1]
         assert "Traceback" not in log_text
         assert not list((work / "spoof").glob("*.wav"))
-        for name in ("manifest.json", "features.csv", "features.json"):
+        for name in ("manifest.csv", "features.csv", "features.json"):
             assert not (work / name).exists(), name
 
     def test_float_samples_above_max_sample_exit_2_before_any_spoof(self, tmp_path):
@@ -188,12 +188,14 @@ class TestFeatures:
         header = lines[0].split(",")
         assert header[:2] == ["id", "label"]
         assert sum(1 for h in header if h.startswith("x")) == 8  # k=2
-        # the front end is fixed in qpatch.dsp, so the sidecar records no front_end
+        # the one record of synth; the front end and the patch side are fixed, so
+        # it records neither
         made_under = json.loads((tmp_path / "features.json").read_text())
-        manifest = (tmp_path / "manifest.csv").read_bytes() + (
-            tmp_path / "manifest.json").read_bytes()
-        assert made_under == {"k": 2, "patch_size": 4,
-                              "manifest": hashlib.sha256(manifest).hexdigest()}
+        manifest = (tmp_path / "manifest.csv").read_bytes()
+        assert made_under == {"spoof_config": {"seed": 7, "snr_db": 20.0,
+                                               "tilt_high": 0.6, "tilt_low": -0.6},
+                              "split_counts": {"train_per_class": 4, "dev_per_class": 2},
+                              "k": 2, "manifest": hashlib.sha256(manifest).hexdigest()}
 
     def test_k_controls_vector_length(self, tmp_path):
         assert run_synth(tmp_path, "--k", 1) == 0
@@ -225,7 +227,7 @@ class TestFeatures:
         assert "internal error" in log_text and "Traceback" in log_text
         assert "a bug, not a bad file" in log_text
         assert not (tmp_path / "features.csv").exists()
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "features.json").exists()
         assert not list((tmp_path / "spoof").glob("*.wav"))
 
 
@@ -278,10 +280,9 @@ class TestKernel:
         (tmp_path / "features.csv").unlink()
         assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
 
-    @pytest.mark.parametrize("flag", [["--k", "4"], ["--patch-size", "8"]],
-                             ids=["k", "patch_size"])
+    @pytest.mark.parametrize("flag", [["--k", "4"]], ids=["k"])
     def test_features_made_under_another_config_are_refused(self, tmp_path, flag):
-        prepared(tmp_path)  # features at k 2, patch size 4
+        prepared(tmp_path)  # features at k 2
         run_stage(tmp_path, "train-eval", "--kind", "rbf")
         gram, report = ((tmp_path / f"{name}_rbf.{ext}").read_bytes()
                         for name, ext in (("gram", "csv"), ("report", "json")))
@@ -365,17 +366,21 @@ class TestTrainEval:
 
 
 class TestMadeUnder:
-    """Each artifact's .json sidecar records the config fields its stage read
-    and the hashes of its input files; a later stage refuses a mismatch."""
+    """features.json, synth's one record, holds the config fields synth read
+    and the sha256 of manifest.csv; train-eval refuses a mismatch."""
 
     def test_manifest_sidecar_records_the_spoof_config_and_split(self, tmp_path):
         run_synth(tmp_path, "--seed", 8)
-        made_under = json.loads((tmp_path / "manifest.json").read_text())
+        made_under = json.loads((tmp_path / "features.json").read_text())
         assert made_under["spoof_config"] == {"seed": 8, "snr_db": 20.0,
                                               "tilt_high": 0.6, "tilt_low": -0.6}
         assert made_under["split_counts"] == {"train_per_class": 4, "dev_per_class": 2}
         # synth reads each WAV once, so no later stage needs the WAVs' hashes
-        assert set(made_under) == {"spoof_config", "split_counts"}
+        assert set(made_under) == {"spoof_config", "split_counts", "k", "manifest"}
+
+    def test_synth_writes_no_manifest_sidecar(self, tmp_path):
+        assert run_synth(tmp_path) == 0
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == ["features.json"]
 
     @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
                              ids=["seed", "snr_db"])
@@ -386,12 +391,15 @@ class TestMadeUnder:
         assert not (tmp_path / "gram_rbf.csv").exists()
         assert not (tmp_path / "report_rbf.json").exists()
         assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
-            "manifest.csv was made under another spoof_config; rerun synth")
+            "features.csv was made under another spoof_config; rerun synth")
 
-    @pytest.mark.parametrize("flag", [["--seed", "8"], ["--snr-db", "10"]],
+    @pytest.mark.parametrize("flag, stale", [(["--seed", "8"], "manifest, spoof_config"),
+                                             (["--snr-db", "10"], "spoof_config")],
                              ids=["seed", "snr_db"])
-    def test_features_under_another_config_than_synth_are_refused(self, tmp_path, flag):
-        # features.csv and its sidecar copied in from a synth under another config
+    def test_features_under_another_config_than_synth_are_refused(self, tmp_path, flag,
+                                                                   stale):
+        # features.csv and its record copied in from a synth under another config;
+        # the seed also reshuffles the splits, so the manifest differs too
         prepared(tmp_path / "work")
         run_synth(tmp_path / "other", *flag)
         for name in ("features.csv", "features.json"):
@@ -399,26 +407,35 @@ class TestMadeUnder:
         assert run_stage(tmp_path / "work", "train-eval", "--kind", "rbf") == 2
         assert not (tmp_path / "work" / "gram_rbf.csv").exists()
         assert (tmp_path / "work" / "run.log").read_text().splitlines()[-1].endswith(
+            f"features.csv was made under another {stale}; rerun synth")
+
+    def test_a_hand_edited_manifest_is_refused(self, tmp_path):
+        # two bona fide rows swap splits: the file stays well formed and balanced
+        prepared(tmp_path)
+        path = tmp_path / "manifest.csv"
+        lines = path.read_text().splitlines()
+        bona = [i for i, line in enumerate(lines) if ",bonafide," in line]
+        first = next(i for i in bona if ",train," in lines[i])
+        second = next(i for i in bona if ",dev," in lines[i])
+        lines[first], lines[second] = (lines[first].replace(",train,", ",dev,"),
+                                       lines[second].replace(",dev,", ",train,"))
+        path.write_text("\n".join(lines) + "\n")
+        read_manifest(path)  # still a manifest read_manifest accepts
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert not (tmp_path / "gram_rbf.csv").exists()
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
             "features.csv was made under another manifest; rerun synth")
 
-    def test_manifest_sidecar_with_old_wav_hashes_is_accepted(self, tmp_path):
-        # a manifest.json written by an older qpatch, which recorded each WAV's
-        # sha256, and the features.json that recorded that manifest's hash
+    @pytest.mark.parametrize("content", [b"{}\n", b"\x00 not json"], ids=["object", "garbage"])
+    def test_a_manifest_sidecar_left_by_an_older_qpatch_is_never_read(self, tmp_path,
+                                                                      content):
         prepared(tmp_path)
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         report = (tmp_path / "report_rbf.json").read_bytes()
-        sidecar = tmp_path / "manifest.json"
-        made_under = json.loads(sidecar.read_text())
-        made_under["wav_sha256"] = {e.path: hashlib.sha256((tmp_path / e.path).read_bytes())
-                                    .hexdigest() for e in read_manifest(tmp_path / "manifest.csv")}
-        sidecar.write_text(json.dumps(made_under, indent=2, sort_keys=True) + "\n")
-        features = tmp_path / "features.json"
-        facts = json.loads(features.read_text())
-        facts["manifest"] = hashlib.sha256((tmp_path / "manifest.csv").read_bytes()
-                                           + sidecar.read_bytes()).hexdigest()
-        features.write_text(json.dumps(facts, indent=2, sort_keys=True) + "\n")
+        (tmp_path / "manifest.json").write_bytes(content)
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         assert (tmp_path / "report_rbf.json").read_bytes() == report
+        assert (tmp_path / "manifest.json").read_bytes() == content
 
     def test_features_sidecar_with_an_old_front_end_block_is_accepted(self, tmp_path):
         # a features.json written by an older qpatch, which recorded the front end
@@ -433,12 +450,16 @@ class TestMadeUnder:
             assert run_stage(tmp_path, "train-eval", "--kind", kind) == 0
             assert (tmp_path / f"report_{kind}.json").exists()
 
-    def test_manifest_without_its_sidecar_is_refused(self, tmp_path):
-        run_synth(tmp_path)
-        (tmp_path / "manifest.json").unlink()
+    def test_a_features_record_of_an_older_qpatch_is_refused(self, tmp_path):
+        # it recorded k, patch_size and a digest of manifest.csv and manifest.json
+        prepared(tmp_path)
+        (tmp_path / "features.json").write_text(json.dumps(
+            {"k": 2, "manifest": "0" * 64, "patch_size": 4}, indent=2, sort_keys=True) + "\n")
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
         assert not (tmp_path / "gram_rbf.csv").exists()
-        assert "manifest.json is missing" in (tmp_path / "run.log").read_text()
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
+            "features.csv was made under another manifest, split_counts, spoof_config; "
+            "rerun synth")
 
     def test_failed_synth_leaves_no_sidecar_for_the_old_manifest(self, tmp_path):
         from qpatch.spoof import generate_synthetic_corpus
@@ -453,7 +474,7 @@ class TestMadeUnder:
         assert main(args + ["--seed", "8", "synth"]) == 2
         last.write_bytes(audio)
         assert (tmp_path / "manifest.csv").exists()
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "features.json").exists()
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
 
 
@@ -618,7 +639,7 @@ class TestRunAll:
                           if path.is_file() and path.name != "run.log")
 
         names = files(tmp_path / "run_all")
-        assert len(names) == 26 and files(tmp_path / "work") == names
+        assert len(names) == 25 and files(tmp_path / "work") == names
         assert {f"{name}_{kind}.{ext}" for kind in cli.KINDS
                 for name, ext in (("model", "json"), ("report", "json"), ("roc", "csv"),
                                   ("gram", "csv"), ("cross", "csv"))} <= set(names)
@@ -659,7 +680,7 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-BYTE_IDENTICAL = ["manifest.csv", "manifest.json", "features.csv",
+BYTE_IDENTICAL = ["manifest.csv", "features.json", "features.csv",
                   *(f"{name}_{kind}.{ext}" for kind in cli.KINDS
                     for name, ext in (("gram", "csv"), ("cross", "csv"),
                                       ("report", "json"), ("roc", "csv")))]
@@ -701,7 +722,7 @@ class TestWorkers:
         assert "exited with code 3 before sending its results" in (
             tmp_path / "w" / "run.log").read_text()
         assert not list((tmp_path / "w" / "spoof").glob("*.wav"))
-        for name in ("manifest.json", "features.csv"):
+        for name in ("features.json", "features.csv"):
             assert not (tmp_path / "w" / name).exists(), name
 
     def test_an_input_error_in_a_kind_chain_exits_2(self, tmp_path, monkeypatch):
@@ -826,7 +847,9 @@ class TestConfigHandling:
                                      {"win_ms": 0},
                                      # and at their old defaults
                                      {"win_ms": 25.0}, {"hop_ms": 10.0}, {"fft_size": 1024},
-                                     {"n_mels": 64}, {"f_low": 0.0}, {"f_high": 8000.0}],
+                                     {"n_mels": 64}, {"f_low": 0.0}, {"f_high": 8000.0},
+                                     # the patch side's former field, at its old default
+                                     {"patch_size": 4}],
                              ids=["k3", "k0", "depth4", "depth0", "axisW",
                                   "patch1", "patch5", "gammafoo", "gammaneg",
                                   "train0", "devneg3", "tilt2", "tiltreversed", "snrnan",
@@ -836,7 +859,7 @@ class TestConfigHandling:
                                   "fft256", "melsstr", "fftfloat", "fhigh9000",
                                   "flowhigh", "mels0", "hop0", "win0",
                                   "win_ms", "hop_ms", "fft_size",
-                                  "n_mels", "f_low", "f_high"])
+                                  "n_mels", "f_low", "f_high", "patch_size"])
     def test_bad_config_exits_before_any_work(self, tmp_path, bad, capsys):
         cfg = tmp_path / "cfg.json"
         # the small split sits in the file, so a bad split value can override it
@@ -863,6 +886,16 @@ class TestConfigHandling:
     def test_bad_flag_exits_before_any_work(self, tmp_path, flag):
         assert main(base_args(tmp_path, *flag) + ["run-all"]) == 2
         assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--patch-size", "4"], "invalid choice: '4'"),
+        (["--patch-size=4"], "unrecognized arguments: --patch-size=4")], ids=["spaced", "joined"])
+    def test_the_patch_size_flag_is_gone(self, tmp_path, capsys, flag, message):
+        with pytest.raises(SystemExit) as done:
+            main(base_args(tmp_path, *flag) + ["run-all"])
+        assert done.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.log").exists()
 
     def test_an_unusable_work_dir_exits_2_naming_it(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -954,8 +987,7 @@ def test_default_run_all_agrees_on_other_cpu_code_paths(tmp_path, native_default
     ignores the setting, and the test compares identical builds."""
     native = native_default_run
     other = run_default_run_all(tmp_path, **OTHER_CPU_PATHS[setting])
-    for name in ("manifest.csv", "manifest.json"):
-        assert (other / name).read_bytes() == (native / name).read_bytes(), name
+    assert (other / "manifest.csv").read_bytes() == (native / "manifest.csv").read_bytes()
     wavs = sorted(path.relative_to(native) for path in native.rglob("*.wav"))
     assert len(wavs) == 100
     assert sorted(path.relative_to(other) for path in other.rglob("*.wav")) == wavs

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from qpatch import patches
 from qpatch.config import ExperimentConfig
 from qpatch.dsp import EPS
 from qpatch.patches import (
     _tiles,
     _top_k,
-    check_patch_size,
     extract_features,
     read_features_csv,
     write_features_csv,
@@ -60,16 +60,16 @@ def random_spectrogram(rng, n_frames=16):
 def summarize(values):
     """(s1, s2, s3, s4) of one square patch: a one-patch spectrogram at k = 1."""
     values = np.asarray(values, dtype=np.float64)
-    stats, _ = extract_features(values, k=1, patch_size=values.shape[0])
+    stats, _ = extract_features(values, k=1)
     return tuple(stats)
 
 
-def corners(spec, patch_size=4):
+def corners(spec):
     """Every patch corner in time-major order: a constant spectrogram ties
     every s1, so selecting all patches keeps the index order."""
     flat = np.zeros_like(spec)
-    n = _tiles(flat, patch_size).shape[0]
-    _, found = extract_features(flat, k=n, patch_size=patch_size)
+    n = _tiles(flat).shape[0]
+    _, found = extract_features(flat, k=n)
     return [tuple(c) for c in found.tolist()]
 
 
@@ -102,16 +102,9 @@ class TestPartition:
     def test_patch_contents_match_slices(self):
         rng = np.random.default_rng(0)
         spec = random_spectrogram(rng, n_frames=12)
-        tiles = _tiles(spec, 4)
+        tiles = _tiles(spec)
         for tile, (t, f) in zip(tiles, corners(spec), strict=True):
             np.testing.assert_array_equal(tile, spec[t:t + 4, f:f + 4])
-
-    def test_indivisible_mel_axis_raises(self):
-        # refused where the patch size enters, by the config; _tiles trusts it
-        with pytest.raises(ValueError, match="divisible"):
-            check_patch_size(5, 64)
-        with pytest.raises(ValueError, match="divisible"):
-            ExperimentConfig(patch_size=5)
 
 
 class TestSummarize:
@@ -244,35 +237,37 @@ class TestExtractFeatures:
     def test_end_to_end_deterministic(self):
         rng = np.random.default_rng(21)
         spec = random_spectrogram(rng, n_frames=20)
-        a = extract_features(spec)
-        b = extract_features(spec.copy())
+        a = extract_features(spec, k=2)
+        b = extract_features(spec.copy(), k=2)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_default_length_eight(self):
         spec = random_spectrogram(np.random.default_rng(22))
-        stats, found = extract_features(spec)
+        stats, found = extract_features(spec, ExperimentConfig().k)
         assert stats.shape == (8,)
         assert found.shape == (2, 2)
 
     def test_selected_patches_have_top_means(self):
         spec = random_spectrogram(np.random.default_rng(23))
         stats, _ = extract_features(spec, k=3)
-        all_means = sorted(_tiles(spec, 4).mean(axis=(1, 2)), reverse=True)
+        all_means = sorted(_tiles(spec).mean(axis=(1, 2)), reverse=True)
         picked = stats[::4]
         np.testing.assert_allclose(picked, all_means[:3], atol=1e-12)
 
     @pytest.mark.parametrize("patch_size", [2, 4, 8])
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_scalar_and_sort_oracles(self, seed, k, patch_size):
+    def test_matches_scalar_and_sort_oracles(self, seed, k, patch_size, monkeypatch):
+        # PATCH_SIZE is the one place the side is fixed: the array path holds at any side
+        monkeypatch.setattr(patches, "PATCH_SIZE", patch_size)
         rng = np.random.default_rng(100 + seed)
         # strictly between 3p and 4p frames: a trailing partial row is dropped
         n_frames = 3 * patch_size + 1 + seed % (patch_size - 1)
         vals = random_spectrogram(rng, n_frames)
         if seed % 2:
             vals = np.round(vals)  # integer values: exact s1 ties between patches
-        got_stats, got_corners = extract_features(vals, k=k, patch_size=patch_size)
+        got_stats, got_corners = extract_features(vals, k=k)
         stats, corners = selection_oracle(vals, k, patch_size)
         assert [tuple(c) for c in got_corners.tolist()] == corners
         np.testing.assert_allclose(got_stats, np.concatenate(stats), rtol=0, atol=1e-12)
@@ -285,13 +280,6 @@ class TestExtractFeatures:
     def test_k_above_patch_count_raises(self):
         with pytest.raises(ValueError, match="exceeds patch count 2"):
             extract_features(np.zeros((4, 8)), k=3)
-
-    def test_patch_size_one_raises(self):
-        # refused where the patch size enters, by the config; _tiles trusts it
-        with pytest.raises(ValueError, match=">= 2"):
-            check_patch_size(1, 64)
-        with pytest.raises(ValueError, match=">= 2"):
-            ExperimentConfig(patch_size=1)
 
 
 class TestFeatureCsv:
