@@ -3,10 +3,11 @@
 Each subcommand reads only its declared inputs from the work directory and
 writes only its declared outputs, so stages can be rerun independently.
 synth is the one stage that reads audio: it writes the spoofs, the manifest
-and the features, and features.json, the one record of the config and the
-manifest they were made under, which train-eval checks. Exit codes: 0
-success, 1 internal error, 2 bad input or config. Timestamps appear only in
-run.log so data artifacts stay byte-reproducible.
+and the features, and features.json, the one record of the config they were
+made under and of the sha256 of manifest.csv and features.csv. train-eval
+checks that record and then trusts both files as synth wrote them. Exit
+codes: 0 success, 1 internal error, 2 bad input or config. Timestamps
+appear only in run.log so data artifacts stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -79,18 +80,21 @@ def _paths(config: ExperimentConfig) -> dict:
 @contextlib.contextmanager
 def _record_made_under(artifact: Path, facts: dict):
     """Around the code that (re)makes artifact: its sidecar is dropped on
-    entry and, if the body succeeds, rewritten to record facts, so a stage
-    that dies partway leaves no sidecar vouching for a changed file. The
-    body may add the facts it learns to the dict it is given."""
+    entry and, if the body succeeds, rewritten to record facts and the
+    artifact's sha256, so a stage that dies partway leaves no sidecar
+    vouching for a changed file. The body may add the facts it learns to
+    the dict it is given."""
     sidecar = artifact.with_suffix(".json")
     sidecar.unlink(missing_ok=True)
     yield facts
+    facts["sha256"] = _sha256(artifact)
     with atomic_write(sidecar) as fh:
         fh.write(json.dumps(facts, indent=2, sort_keys=True) + "\n")
 
 
 def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
-    """Refuse an artifact whose sidecar does not record exactly these facts."""
+    """Refuse an artifact whose sidecar does not record exactly these facts
+    and the artifact's own sha256."""
     if not artifact.exists():
         raise CliInputError(f"missing {artifact}; run {rerun} first")
     sidecar = artifact.with_suffix(".json")
@@ -106,6 +110,9 @@ def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
     if stale:
         raise CliInputError(f"{artifact.name} was made under another "
                             f"{', '.join(stale)}; rerun {rerun}")
+    if stored.get("sha256") != _sha256(artifact):
+        raise CliInputError(f"{artifact.name} does not match the sha256 in "
+                            f"{sidecar.name}; rerun {rerun}")
 
 
 def _fields(config: ExperimentConfig, *names: str) -> dict:
@@ -124,7 +131,7 @@ def _sha256(path: Path) -> str:
 
 def cmd_synth(config: ExperimentConfig) -> None:
     """Write the spoofs, manifest.csv and features.csv under one record,
-    features.json, which also holds the manifest's sha256."""
+    features.json, which also holds the sha256 of both files."""
     p = _paths(config)
     # the audio and the manifest change before the record vouches for them
     with _record_made_under(p["features"], _synth_facts(config)) as facts:
@@ -152,26 +159,20 @@ def cmd_features(config: ExperimentConfig, rows) -> None:
 
 
 def _load_split_features(config: ExperimentConfig) -> dict:
-    """Per split, the labels and the (n, 4k) feature matrix, in manifest order."""
+    """Per split, the labels and the (n, 4k) feature matrix, in manifest order.
+
+    features.json vouches for manifest.csv and features.csv by their sha256,
+    so the feature rows are taken as synth wrote them: one per manifest
+    entry, in the same order."""
     p = _paths(config)
     if not p["manifest"].exists():
         raise CliInputError(f"missing {p['manifest']}; run synth first")
     manifest = spoof.read_manifest(p["manifest"])
     _check_made_under(p["features"], {**_synth_facts(config),
                                       "manifest": _sha256(p["manifest"])}, "synth")
-    feature_rows = {uid: (label, stats)
-                    for uid, label, stats in patches.read_features_csv(p["features"])}
     split = {"train": ([], []), "dev": ([], [])}
-    for entry in manifest:
-        if entry.uid not in feature_rows:
-            raise CliInputError(f"feature row missing for {entry.uid}; rerun synth")
-        label, stats = feature_rows[entry.uid]
-        if label != entry.label:
-            raise CliInputError(f"label mismatch for {entry.uid}")
-        if len(stats) != 4 * config.k:
-            raise CliInputError(f"{p['features']} has {len(stats)} statistics per row, "
-                                f"not 4 * k = {4 * config.k}; rerun synth")
-        split[entry.split][0].append(label)
+    for entry, (_, _, stats) in zip(manifest, patches.read_features_csv(p["features"])):
+        split[entry.split][0].append(entry.label)
         split[entry.split][1].append(stats)
     return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
 

@@ -23,10 +23,12 @@ POSITIVE_LABEL = "bonafide"
 
 def _finite_scores(scores, labels):
     """Scores and labels as arrays; the release gate passes scores of its own."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return scores, np.asarray(labels)
+    if not ((labels == 1).any() and (labels == 0).any()):
+        raise ValueError("labels must hold both classes, 1 and 0")
+    return scores, labels
 
 
 def roc_points(scores, labels) -> np.ndarray:

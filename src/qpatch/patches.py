@@ -82,13 +82,6 @@ def extract_features(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return _statistics(tiles[top]).ravel(), corners
 
 
-def _header(k: int) -> list[str]:
-    header = ["id", "label"] + [f"x{i}" for i in range(4 * k)]
-    for j in range(k):
-        header += [f"patch{j}_t", f"patch{j}_f"]
-    return header
-
-
 def write_features_csv(path, rows) -> None:
     """Persist features: one row per utterance.
 
@@ -100,7 +93,8 @@ def write_features_csv(path, rows) -> None:
     k = len(rows[0][3])
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_header(k))
+        writer.writerow(["id", "label", *(f"x{i}" for i in range(4 * k)),
+                         *(f"patch{j}_{axis}" for j in range(k) for axis in "tf")])
         for uid, label, stats, corners in rows:
             writer.writerow([uid, label, *(f"{x:.17g}" for x in stats),
                              *map(str, np.ravel(corners).tolist())])
@@ -109,32 +103,11 @@ def write_features_csv(path, rows) -> None:
 def read_features_csv(path):
     """Inverse of write_features_csv, without the corners: list of (id, label, stats).
 
-    A header other than write_features_csv's for some k, a row of the wrong
-    length, a non-finite or non-numeric value, or a repeated id raises
-    ValueError naming the path and line.
+    The file is read as write_features_csv wrote it; train-eval reads it only
+    once features.json vouches for it by its sha256.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        k = (len(header) - 2) // 6  # id, label, 4 values and (t, f) per patch
-        if k < 1 or header != _header(k):
-            raise ValueError(f"{path}:1: header is not id,label,x0..x{{4k-1}},"
-                             "patch{j}_t,patch{j}_f for k >= 1 patches")
-        rows = {}
-        for record in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(record) != len(header):
-                raise ValueError(f"{where}: expected {len(header)} fields, got {len(record)}")
-            uid, label = record[0], record[1]
-            if uid in rows:
-                raise ValueError(f"{where}: duplicate id {uid!r}")
-            try:
-                stats = np.array([float(x) for x in record[2:2 + 4 * k]])
-                for x in record[2 + 4 * k:]:
-                    int(x)  # a corner must be an integer
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric value") from None
-            if not np.all(np.isfinite(stats)):
-                raise ValueError(f"{where}: non-finite value")
-            rows[uid] = (uid, label, stats)
-    return list(rows.values())
+        n_stats = sum(name.startswith("x") for name in next(reader, []))
+        return [(uid, label, np.array(values[:n_stats], dtype=np.float64))
+                for uid, label, *values in reader]

@@ -105,6 +105,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
     n = k.shape[0]
     if max_iter < 1:  # the loop must run once to set gap and n_iter
         raise ValueError("max_iter must be at least 1")
+    if not ((y > 0).any() and (y < 0).any()):  # at beta = 0 one pair must move
+        raise ValueError("labels must hold both classes, +1 and -1")
     lower = np.where(y > 0, 0.0, -C)
     upper = np.where(y > 0, C, 0.0)
     beta = np.zeros(n)

@@ -191,11 +191,13 @@ class TestFeatures:
         # the one record of synth; the front end and the patch side are fixed, so
         # it records neither
         made_under = json.loads((tmp_path / "features.json").read_text())
-        manifest = (tmp_path / "manifest.csv").read_bytes()
+        manifest, features = ((tmp_path / name).read_bytes()
+                              for name in ("manifest.csv", "features.csv"))
         assert made_under == {"spoof_config": {"seed": 7, "snr_db": 20.0,
                                                "tilt_high": 0.6, "tilt_low": -0.6},
                               "split_counts": {"train_per_class": 4, "dev_per_class": 2},
-                              "k": 2, "manifest": hashlib.sha256(manifest).hexdigest()}
+                              "k": 2, "manifest": hashlib.sha256(manifest).hexdigest(),
+                              "sha256": hashlib.sha256(features).hexdigest()}
 
     def test_k_controls_vector_length(self, tmp_path):
         assert run_synth(tmp_path, "--k", 1) == 0
@@ -367,7 +369,8 @@ class TestTrainEval:
 
 class TestMadeUnder:
     """features.json, synth's one record, holds the config fields synth read
-    and the sha256 of manifest.csv; train-eval refuses a mismatch."""
+    and the sha256 of manifest.csv and of features.csv; train-eval refuses a
+    mismatch."""
 
     def test_manifest_sidecar_records_the_spoof_config_and_split(self, tmp_path):
         run_synth(tmp_path, "--seed", 8)
@@ -376,7 +379,7 @@ class TestMadeUnder:
                                               "tilt_high": 0.6, "tilt_low": -0.6}
         assert made_under["split_counts"] == {"train_per_class": 4, "dev_per_class": 2}
         # synth reads each WAV once, so no later stage needs the WAVs' hashes
-        assert set(made_under) == {"spoof_config", "split_counts", "k", "manifest"}
+        assert set(made_under) == {"spoof_config", "split_counts", "k", "manifest", "sha256"}
 
     def test_synth_writes_no_manifest_sidecar(self, tmp_path):
         assert run_synth(tmp_path) == 0
@@ -425,6 +428,39 @@ class TestMadeUnder:
         assert not (tmp_path / "gram_rbf.csv").exists()
         assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
             "features.csv was made under another manifest; rerun synth")
+
+    def test_a_hand_edited_feature_value_is_refused(self, tmp_path):
+        # one statistic of a train row changes: the file stays well formed
+        prepared(tmp_path)
+        path = tmp_path / "features.csv"
+        _edit_line(path, 1, lambda s: _set_field(s, 2, repr(float(s.split(",")[2]) + 0.5)))
+        assert len(patches.read_features_csv(path)) == 12
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert not (tmp_path / "gram_rbf.csv").exists()
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(DIGEST_REFUSAL)
+
+    def test_swapped_feature_rows_are_refused(self, tmp_path):
+        # a train row and a dev row trade places: every row is still as synth wrote it
+        prepared(tmp_path)
+        path = tmp_path / "features.csv"
+        lines = path.read_text().splitlines()
+        lines[1], lines[5] = lines[5], lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert run_stage(tmp_path, "train-eval", "--kind", "quantum") == 2
+        assert not (tmp_path / "gram_quantum.csv").exists()
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(DIGEST_REFUSAL)
+
+    def test_a_record_without_the_features_digest_is_refused(self, tmp_path):
+        # an older qpatch recorded k, the manifest's sha256, the spoof config and
+        # the split counts, but no sha256 of features.csv
+        prepared(tmp_path)
+        sidecar = tmp_path / "features.json"
+        made_under = json.loads(sidecar.read_text())
+        del made_under["sha256"]
+        sidecar.write_text(json.dumps(made_under, indent=2, sort_keys=True) + "\n")
+        assert sorted(made_under) == ["k", "manifest", "split_counts", "spoof_config"]
+        assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
+        assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(DIGEST_REFUSAL)
 
     @pytest.mark.parametrize("content", [b"{}\n", b"\x00 not json"], ids=["object", "garbage"])
     def test_a_manifest_sidecar_left_by_an_older_qpatch_is_never_read(self, tmp_path,
@@ -478,6 +514,9 @@ class TestMadeUnder:
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
 
 
+DIGEST_REFUSAL = "features.csv does not match the sha256 in features.json; rerun synth"
+
+
 def _edit_line(path, line, edit):
     """Replace line `line` (0 is the header) of a text file with edit(line)."""
     lines = path.read_text().splitlines()
@@ -505,25 +544,26 @@ def _keep_columns(path, columns):
                             for line in lines))
 
 
-# (file to damage, damage, stage that reads it, what the error must name)
+# (file to damage, damage, stage that reads it, what the error must name); every
+# change to features.csv is refused by the sha256 that features.json holds
 MALFORMED = {
     "features_short_row": ("features.csv",
                            lambda p: _edit_line(p, 3, lambda s: s.rsplit(",", 1)[0]),
-                           "train-eval --kind rbf", "features.csv:4: expected 14 fields"),
+                           "train-eval --kind rbf", DIGEST_REFUSAL),
     "features_non_numeric": ("features.csv",
                              lambda p: _edit_line(p, 2, lambda s: _set_field(s, 2, "abc")),
-                             "train-eval --kind rbf", "features.csv:3: non-numeric"),
+                             "train-eval --kind rbf", DIGEST_REFUSAL),
     # a dev row (utt003): only the cross block would hold its nan
     "features_nan": ("features.csv",
                      lambda p: _edit_line(p, 4, lambda s: _set_field(s, 2, "nan")),
-                     "train-eval --kind quantum", "features.csv:5: non-finite value"),
+                     "train-eval --kind quantum", DIGEST_REFUSAL),
     # six values and three corner columns: every row is as wide as the header
     "features_header_not_k_patches": ("features.csv",
                                       lambda p: _keep_columns(p, [*range(8), 10, 11, 12]),
-                                      "train-eval --kind rbf", "features.csv:1: header is not"),
+                                      "train-eval --kind rbf", DIGEST_REFUSAL),
     "features_duplicate_id": ("features.csv",
                               lambda p: _edit_line(p, 12, lambda s: f"{s}\n{s}"),
-                              "train-eval --kind rbf", "features.csv:14: duplicate id"),
+                              "train-eval --kind rbf", DIGEST_REFUSAL),
     "manifest_three_fields": ("manifest.csv",
                               lambda p: _edit_line(p, 1, lambda s: s.rsplit(",", 2)[0]),
                               "train-eval --kind rbf", "manifest.csv:2: expected 5 fields"),
@@ -537,11 +577,9 @@ MALFORMED = {
                             "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
     # every row of another k, beside the k = 2 sidecar: train-eval refuses it for either kind
     "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "train-eval --kind quantum",
-                             "features.csv has 16 statistics per row, not 4 * k = 8; "
-                             "rerun synth"),
+                             DIGEST_REFUSAL),
     "features_rows_of_k_4_train_eval": ("features.csv", _rows_of_k_4, "train-eval --kind rbf",
-                                        "features.csv has 16 statistics per row, "
-                                        "not 4 * k = 8; rerun synth"),
+                                        DIGEST_REFUSAL),
     # every row moved to dev: read_manifest refuses the empty train split, which
     # the RBF gamma would otherwise meet as an internal error
     "manifest_empty_split": ("manifest.csv",

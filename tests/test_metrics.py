@@ -132,8 +132,8 @@ class TestAuroc:
         assert auroc(np.exp(scores), labels) == base
 
     def test_single_class_rejected(self, tmp_path):
-        # auroc trusts its labels: a dev split lacking a class is refused
-        # where the labels enter, by read_manifest
+        # a dev split lacking a class is refused where the labels enter, by
+        # read_manifest, before the metrics' own check
         path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "spoof", "train"),
                          ("c", "bonafide", "dev"))
         with pytest.raises(ValueError, match="dev split unbalanced: 1 bonafide vs 0 spoof"):
@@ -185,6 +185,14 @@ def test_non_finite_scores_rejected(fn, bad):
     # with the nan, a per-threshold loop gave an fpr stopping at 2/3 and AUROC 0.417
     with pytest.raises(ValueError, match="scores must be finite"):
         fn([0.3, bad, 0.7, 0.1, 0.7], [1, 0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("fn", [roc_points, auroc, eer])
+@pytest.mark.parametrize("labels", [[1, 1, 1], [0, 0, 0], []], ids=["positive", "negative", "none"])
+def test_labels_of_one_class_rejected(fn, labels):
+    # auroc would divide by zero pairs and the ROC rates by an empty class
+    with pytest.raises(ValueError, match="labels must hold both classes, 1 and 0"):
+        fn([0.1, 0.2, 0.3][:len(labels)], labels)
 
 
 class TestEer:

@@ -389,8 +389,8 @@ class TestTrainSvmRandomProblems:
         assert kkt_gap(k, y, beta, C) <= 1.5e-4
 
     def test_single_class_rejected(self, tmp_path):
-        # train_svm trusts its labels: a train split lacking a class is refused
-        # where the labels enter, by read_manifest
+        # a train split lacking a class is refused where the labels enter, by
+        # read_manifest, before train_svm's own check below
         path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "bonafide", "dev"),
                          ("c", "spoof", "dev"))
         with pytest.raises(ValueError, match="train split unbalanced: 1 bonafide vs 0 spoof"):
@@ -402,6 +402,12 @@ class TestTrainSvmRandomProblems:
         path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "0", "train"))
         with pytest.raises(ValueError, match="manifest.csv:3: unknown label '0'"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("labels", [[1.0, 1.0], [-1.0, -1.0]], ids=["positive", "negative"])
+    def test_labels_of_one_class_rejected(self, labels):
+        # no pair of the dual can move, so the solver would have no KKT gap to report
+        with pytest.raises(ValueError, match="labels must hold both classes"):
+            train_svm(np.eye(2), labels)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, max_iter):
