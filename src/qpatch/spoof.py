@@ -173,8 +173,8 @@ def build_dataset(wavs, work_dir, config) -> tuple[tuple, list]:
     are read, its input_dir to name in the count refusal, k, and what
     make_spoof reads. A selected X_spoof.wav beside a selected X.wav
     is refused before any spoof is written, since the spoof of X takes the
-    id X_spoof. Each class is shuffled into its train/dev split with an
-    independent substream so the two classes stay balanced by construction.
+    id X_spoof. The split is drawn once over sources: the first train_per_class
+    shuffled stems put their file and its spoof in train, the rest in dev.
     Entry paths are relative to work_dir, so the manifest moves with it.
     Each bona fide file is read and resampled once: its feature row comes
     from that waveform, its spoof's from the samples save_wav wrote. The
@@ -194,6 +194,9 @@ def build_dataset(wavs, work_dir, config) -> tuple[tuple, list]:
         source = by_stem.get(path.stem.removesuffix("_spoof"))
         if source is not None and source != path:
             raise ValueError(f"{path} has the id of the spoof of {source}; rename one")
+    order = sorted(by_stem)
+    substream(config.seed, "split").shuffle(order)
+    train = set(order[:config.train_per_class])
     spoof_dir.mkdir(parents=True, exist_ok=True)
 
     spoof_paths = [spoof_dir / f"{path.stem}_spoof.wav" for path in wavs]
@@ -210,13 +213,10 @@ def build_dataset(wavs, work_dir, config) -> tuple[tuple, list]:
 
     entries, rows = [], []
     for label, by_uid in by_label.items():
-        order = sorted(by_uid)
-        substream(config.seed, "split", label).shuffle(order)
-        train = set(order[:config.train_per_class])
         for uid in sorted(by_uid):
             path, source_id, row = by_uid[uid]
             entries.append(ManifestEntry(uid, path, label,
-                                         "train" if uid in train else "dev", source_id))
+                                         "train" if source_id in train else "dev", source_id))
             rows.append((uid, label, *row))
     return tuple(entries), rows
 

@@ -28,6 +28,7 @@ from qpatch.spoof import read_manifest
 from qpatch.svm import decision_scores, kernel_matrix
 
 from _oracles import rbf_kernel
+from test_spoof import assert_split_by_source
 
 
 def base_args(work_dir, *extra):
@@ -537,6 +538,12 @@ def _rows_of_k_4(path):
                                       for uid, label, stats in rows])
 
 
+def _relabel_first_train_bonafide(path):
+    line = next(i for i, s in enumerate(path.read_text().splitlines())
+                if s.split(",")[2:4] == ["bonafide", "train"])
+    _edit_line(path, line, lambda s: _set_field(s, 2, "spoof"))
+
+
 def _keep_columns(path, columns):
     """Rewrite a CSV file keeping only the given columns of every line."""
     lines = path.read_text().splitlines()
@@ -553,7 +560,7 @@ MALFORMED = {
     "features_non_numeric": ("features.csv",
                              lambda p: _edit_line(p, 2, lambda s: _set_field(s, 2, "abc")),
                              "train-eval --kind rbf", DIGEST_REFUSAL),
-    # a dev row (utt003): only the cross block would hold its nan
+    # utt003, a train row at the default seed
     "features_nan": ("features.csv",
                      lambda p: _edit_line(p, 4, lambda s: _set_field(s, 2, "nan")),
                      "train-eval --kind quantum", DIGEST_REFUSAL),
@@ -570,9 +577,8 @@ MALFORMED = {
     "manifest_unknown_split": ("manifest.csv",
                                lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
                                "train-eval --kind rbf", "manifest.csv:2: unknown label"),
-    # utt000 relabeled: the train split holds 3 bona fide and 5 spoofs
-    "manifest_unbalanced": ("manifest.csv",
-                            lambda p: _edit_line(p, 1, lambda s: _set_field(s, 2, "spoof")),
+    # the first train bona fide row relabeled: the train split holds 3 bona fide and 5 spoofs
+    "manifest_unbalanced": ("manifest.csv", _relabel_first_train_bonafide,
                             "train-eval --kind rbf",
                             "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
     # every row of another k, beside the k = 2 sidecar: train-eval refuses it for either kind
@@ -639,6 +645,20 @@ class TestRunAll:
                 np.savetxt(expected, block, delimiter=",", fmt="%.17g")
                 csv = tmp_path / f"{name}_{kind}.csv"
                 assert csv.read_bytes() == expected.getvalue(), csv.name
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("corpus", ["built_in", "input_dir"])
+    def test_each_source_lies_in_one_split(self, tmp_path, corpus, seed):
+        """run-all's manifest, of the built-in voices or of seven speaker-named
+        files given by --input-dir, keeps each source in one split."""
+        extra = []
+        if corpus == "input_dir":
+            from qpatch.spoof import generate_synthetic_corpus
+            for i, path in enumerate(generate_synthetic_corpus(tmp_path / "made", 7, seed=11)):
+                path.rename(path.with_name(f"spk{i % 3}-take{i // 3}.wav"))
+            extra = ["--input-dir", tmp_path / "made"]
+        assert main(base_args(tmp_path / "w", "--seed", seed, *extra) + ["run-all"]) == 0
+        assert_split_by_source(read_manifest(tmp_path / "w" / "manifest.csv"), 4, 2)
 
     def test_two_runs_same_config_are_byte_identical(self, tmp_path, monkeypatch):
         # same work dir *name* from two different parents, so every stored

@@ -1,5 +1,6 @@
 """Noise injection at exact SNR, spectral tilt, corpus generation, dataset build."""
 
+import dataclasses
 import math
 import os
 
@@ -282,6 +283,50 @@ class TestBuildDataset:
         assert m1 == m2
         assert [row[:2] for row in r1] == [row[:2] for row in r2]
         assert np.array_equal([row[2] for row in r1], [row[2] for row in r2])
+
+
+def assert_split_by_source(manifest, train_per_class, dev_per_class):
+    """Each source's bona fide and spoof rows share a split, no source_id is
+    in both splits, and each split holds its count of rows per class."""
+    split = {(e.source_id, e.label): e.split for e in manifest}
+    for source in {e.source_id for e in manifest}:
+        assert split[source, BONAFIDE] == split[source, SPOOF], source
+    train, dev = ({e.source_id for e in manifest if e.split == name}
+                  for name in ("train", "dev"))
+    assert not train & dev
+    for name, count in (("train", train_per_class), ("dev", dev_per_class)):
+        for label in (BONAFIDE, SPOOF):
+            assert sum(e.split == name and e.label == label for e in manifest) == count
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """The bona fide WAVs synth generates, and those of an --input-dir corpus
+    listed as synth lists it: named by speaker and take, so that sorted order
+    is not the order they were made in, and with two files more than the
+    splits take. Each with the split sizes to build it at."""
+    root = tmp_path_factory.mktemp("corpora")
+    given = root / "given"
+    given.mkdir()
+    for i, path in enumerate(generate_synthetic_corpus(root / "made", 10, seed=8)):
+        path.rename(given / f"spk{i % 3}-take{i // 3}.wav")
+    return {"built_in": (generate_synthetic_corpus(root / "bonafide", 8, seed=7),
+                         ExperimentConfig(train_per_class=5, dev_per_class=3)),
+            "input_dir": (sorted(given.glob("*.wav")),
+                          ExperimentConfig(input_dir=str(given), train_per_class=5,
+                                           dev_per_class=3))}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 301])
+@pytest.mark.parametrize("corpus", ["built_in", "input_dir"])
+def test_the_split_is_drawn_over_sources(corpora, tmp_path, corpus, seed):
+    """A file and its spoof share a split, so no source is in both, and each
+    split is balanced by construction."""
+    wavs, config = corpora[corpus]
+    manifest, _ = build_dataset(wavs, tmp_path, dataclasses.replace(config, seed=seed))
+    need = config.train_per_class + config.dev_per_class
+    assert {e.source_id for e in manifest} == {path.stem for path in wavs[:need]}
+    assert_split_by_source(manifest, config.train_per_class, config.dev_per_class)
 
 
 class TestManifestValidation:
