@@ -13,7 +13,6 @@ appear only in run.log so data artifacts stay byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -65,56 +64,6 @@ def _setup_logging(work_dir: Path) -> None:
         logger.addHandler(stream)
 
 
-def _paths(config: ExperimentConfig) -> dict:
-    work = Path(config.work_dir)
-    return {
-        "work": work,
-        "manifest": work / "manifest.csv",
-        "features": work / "features.csv",
-        "model": lambda kind: work / f"model_{kind}.json",
-        "report": lambda kind: work / f"report_{kind}.json",
-        "roc": lambda kind: work / f"roc_{kind}.csv",
-    }
-
-
-@contextlib.contextmanager
-def _record_made_under(artifact: Path, facts: dict):
-    """Around the code that (re)makes artifact: its sidecar is dropped on
-    entry and, if the body succeeds, rewritten to record facts and the
-    artifact's sha256, so a stage that dies partway leaves no sidecar
-    vouching for a changed file. The body may add the facts it learns to
-    the dict it is given."""
-    sidecar = artifact.with_suffix(".json")
-    sidecar.unlink(missing_ok=True)
-    yield facts
-    facts["sha256"] = _sha256(artifact)
-    with atomic_write(sidecar) as fh:
-        fh.write(json.dumps(facts, indent=2, sort_keys=True) + "\n")
-
-
-def _check_made_under(artifact: Path, facts: dict, rerun: str) -> None:
-    """Refuse an artifact whose sidecar does not record exactly these facts
-    and the artifact's own sha256."""
-    if not artifact.exists():
-        raise CliInputError(f"missing {artifact}; run {rerun} first")
-    sidecar = artifact.with_suffix(".json")
-    try:
-        stored = json.loads(sidecar.read_text())
-    except (OSError, ValueError):
-        stored = None
-    if not isinstance(stored, dict):
-        raise CliInputError(f"{sidecar} is missing or holds no JSON object; "
-                            f"rerun {rerun}")
-    now = json.loads(json.dumps(facts))  # as the sidecar stores them
-    stale = [key for key in sorted(now) if stored.get(key) != now[key]]
-    if stale:
-        raise CliInputError(f"{artifact.name} was made under another "
-                            f"{', '.join(stale)}; rerun {rerun}")
-    if stored.get("sha256") != _sha256(artifact):
-        raise CliInputError(f"{artifact.name} does not match the sha256 in "
-                            f"{sidecar.name}; rerun {rerun}")
-
-
 def _fields(config: ExperimentConfig, *names: str) -> dict:
     return {name: getattr(config, name) for name in names}
 
@@ -132,46 +81,66 @@ def _sha256(path: Path) -> str:
 def cmd_synth(config: ExperimentConfig) -> None:
     """Write the spoofs, manifest.csv and features.csv under one record,
     features.json, which also holds the sha256 of both files."""
-    p = _paths(config)
-    # the audio and the manifest change before the record vouches for them
-    with _record_made_under(p["features"], _synth_facts(config)) as facts:
-        if config.input_dir is None:
-            n = config.train_per_class + config.dev_per_class
-            log.info("generating %d synthetic bona fide files in %s", n, p["work"] / "bonafide")
-            wavs = spoof.generate_synthetic_corpus(p["work"] / "bonafide", n, config.seed)
-        else:
-            wavs = sorted(Path(config.input_dir).glob("*.wav"))
-        try:
-            manifest, rows = spoof.build_dataset(wavs, p["work"], config)
-        except ValueError as err:
-            raise CliInputError(str(err))
-        spoof.write_manifest(manifest, p["manifest"])
-        log.info("wrote manifest with %d entries to %s", len(manifest), p["manifest"])
-        facts["manifest"] = _sha256(p["manifest"])
-        cmd_features(config, rows)
+    work = Path(config.work_dir)
+    # the audio and the manifest change before the record vouches for them,
+    # so a synth that fails partway leaves no record
+    (work / "features.json").unlink(missing_ok=True)
+    if config.input_dir is None:
+        n = config.train_per_class + config.dev_per_class
+        log.info("generating %d synthetic bona fide files in %s", n, work / "bonafide")
+        wavs = spoof.generate_synthetic_corpus(work / "bonafide", n, config.seed)
+    else:
+        wavs = sorted(Path(config.input_dir).glob("*.wav"))
+    try:
+        manifest, rows = spoof.build_dataset(wavs, work, config)
+    except ValueError as err:
+        raise CliInputError(str(err))
+    spoof.write_manifest(manifest, work / "manifest.csv")
+    log.info("wrote manifest with %d entries to %s", len(manifest), work / "manifest.csv")
+    cmd_features(config, rows)
+    record = {**_synth_facts(config), "manifest": _sha256(work / "manifest.csv"),
+              "sha256": _sha256(work / "features.csv")}
+    with atomic_write(work / "features.json") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_features(config: ExperimentConfig, rows) -> None:
     """Write synth's feature rows, in manifest order, as features.csv."""
-    p = _paths(config)
-    patches.write_features_csv(p["features"], rows)
-    log.info("wrote %d feature rows to %s", len(rows), p["features"])
+    path = Path(config.work_dir) / "features.csv"
+    patches.write_features_csv(path, rows)
+    log.info("wrote %d feature rows to %s", len(rows), path)
 
 
 def _load_split_features(config: ExperimentConfig) -> dict:
     """Per split, the labels and the (n, 4k) feature matrix, in manifest order.
 
-    features.json vouches for manifest.csv and features.csv by their sha256,
-    so the feature rows are taken as synth wrote them: one per manifest
-    entry, in the same order."""
-    p = _paths(config)
-    if not p["manifest"].exists():
-        raise CliInputError(f"missing {p['manifest']}; run synth first")
-    manifest = spoof.read_manifest(p["manifest"])
-    _check_made_under(p["features"], {**_synth_facts(config),
-                                      "manifest": _sha256(p["manifest"])}, "synth")
+    Neither file is read before features.json vouches for both: it must
+    record this config's facts and the sha256 of manifest.csv and of
+    features.csv. The files are then taken as synth wrote them: one feature
+    row per manifest entry, in the same order."""
+    work = Path(config.work_dir)
+    manifest_csv, features_csv = work / "manifest.csv", work / "features.csv"
+    for path in (manifest_csv, features_csv):
+        if not path.exists():
+            raise CliInputError(f"missing {path}; run synth first")
+    try:
+        record = json.loads((work / "features.json").read_text())
+    except (OSError, ValueError):
+        record = None
+    if not isinstance(record, dict):
+        raise CliInputError(f"{work / 'features.json'} is missing or holds no JSON "
+                            "object; rerun synth")
+    facts = {**_synth_facts(config), "manifest": _sha256(manifest_csv)}
+    stale = [key for key in sorted(facts) if record.get(key) != facts[key]]
+    if stale:
+        raise CliInputError(f"features.csv was made under another {', '.join(stale)}; "
+                            "rerun synth")
+    if record.get("sha256") != _sha256(features_csv):
+        raise CliInputError("features.csv does not match the sha256 in features.json; "
+                            "rerun synth")
     split = {"train": ([], []), "dev": ([], [])}
-    for entry, (_, _, stats) in zip(manifest, patches.read_features_csv(p["features"])):
+    for entry, (_, _, stats) in zip(spoof.read_manifest(manifest_csv),
+                                    patches.read_features_csv(features_csv)):
         split[entry.split][0].append(entry.label)
         split[entry.split][1].append(stats)
     return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
@@ -181,7 +150,7 @@ def cmd_kernel(config: ExperimentConfig, kind: str):
     """The split features, the kernel's parameters and its kernel over the
     stacked train and dev rows, after writing the train Gram and the dev x
     train cross rows as CSV exports to read and compare."""
-    p = _paths(config)
+    work = Path(config.work_dir)
     split = _load_split_features(config)
     (_, x_train), (_, x_dev) = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
@@ -189,13 +158,13 @@ def cmd_kernel(config: ExperimentConfig, kind: str):
     # rows and columns are the manifest's train then dev entries in file order
     k = svm.kernel_matrix(np.vstack([x_train, x_dev]), **params)
     n = len(x_train)
-    svm.save_gram([(p["work"] / f"gram_{kind}.csv", k[:n, :n]),
-                   (p["work"] / f"cross_{kind}.csv", k[n:, :n])])
+    svm.save_gram([(work / f"gram_{kind}.csv", k[:n, :n]),
+                   (work / f"cross_{kind}.csv", k[n:, :n])])
     return split, params, k
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
-    p = _paths(config)
+    work = Path(config.work_dir)
     split, params, k = cmd_kernel(config, kind)
     (train_labels, _), (dev_labels, x_dev) = split["train"], split["dev"]
     n_train, n_dev = len(train_labels), len(dev_labels)
@@ -203,8 +172,8 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
     model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c)
-    svm.save_model({**model, "kernel_params": params, "feature_ref": str(p["features"])},
-                   p["model"](kind))
+    svm.save_model({**model, "kernel_params": params,
+                    "feature_ref": str(work / "features.csv")}, work / f"model_{kind}.json")
 
     dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
     y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
@@ -235,9 +204,9 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
         "kernel_structure": structure,
         "config": dataclasses.asdict(config),
     }
-    metrics.write_report(p["report"](kind), p["roc"](kind), report, roc)
+    metrics.write_report(work / f"report_{kind}.json", work / f"roc_{kind}.csv", report, roc)
     log.info("kind=%s dev AUROC %.4f EER %.4f -> %s",
-             kind, auroc_value, eer_value, p["report"](kind))
+             kind, auroc_value, eer_value, work / f"report_{kind}.json")
 
 
 def build_parser() -> argparse.ArgumentParser:

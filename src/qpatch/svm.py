@@ -76,7 +76,7 @@ def build_gram(features, kernel: dict) -> np.ndarray:
     return kernel_matrix(np.asarray(features, dtype=np.float64), **kernel)
 
 
-# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes both)
+# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 23 deletes both)
 def cross_gram(test_features, train_features, kernel: dict) -> np.ndarray:
     """The (n_test x n_train) slice of one kernel_matrix over the stacked
     [train; test] rows under the kernel_params dict kernel."""
@@ -230,7 +230,7 @@ def save_csv(values, csv_path) -> None:
             fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 8 deletes it)
+# no caller in qpatch: perfbench/tracing.py wraps it by name (ROADMAP item 23 deletes it)
 def load_gram(csv_path) -> np.ndarray:
     """The 2-D kernel block that save_gram wrote to csv_path."""
     return np.loadtxt(csv_path, delimiter=",", ndmin=2)

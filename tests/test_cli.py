@@ -424,7 +424,6 @@ class TestMadeUnder:
         lines[first], lines[second] = (lines[first].replace(",train,", ",dev,"),
                                        lines[second].replace(",dev,", ",train,"))
         path.write_text("\n".join(lines) + "\n")
-        read_manifest(path)  # still a manifest read_manifest accepts
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 2
         assert not (tmp_path / "gram_rbf.csv").exists()
         assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(
@@ -516,6 +515,7 @@ class TestMadeUnder:
 
 
 DIGEST_REFUSAL = "features.csv does not match the sha256 in features.json; rerun synth"
+MANIFEST_REFUSAL = "features.csv was made under another manifest; rerun synth"
 
 
 def _edit_line(path, line, edit):
@@ -552,7 +552,8 @@ def _keep_columns(path, columns):
 
 
 # (file to damage, damage, stage that reads it, what the error must name); every
-# change to features.csv is refused by the sha256 that features.json holds
+# change to manifest.csv or features.csv is refused by the sha256 that
+# features.json holds for it
 MALFORMED = {
     "features_short_row": ("features.csv",
                            lambda p: _edit_line(p, 3, lambda s: s.rsplit(",", 1)[0]),
@@ -573,24 +574,23 @@ MALFORMED = {
                               "train-eval --kind rbf", DIGEST_REFUSAL),
     "manifest_three_fields": ("manifest.csv",
                               lambda p: _edit_line(p, 1, lambda s: s.rsplit(",", 2)[0]),
-                              "train-eval --kind rbf", "manifest.csv:2: expected 5 fields"),
+                              "train-eval --kind rbf", MANIFEST_REFUSAL),
     "manifest_unknown_split": ("manifest.csv",
                                lambda p: _edit_line(p, 1, lambda s: _set_field(s, 3, "test")),
-                               "train-eval --kind rbf", "manifest.csv:2: unknown label"),
+                               "train-eval --kind rbf", MANIFEST_REFUSAL),
     # the first train bona fide row relabeled: the train split holds 3 bona fide and 5 spoofs
     "manifest_unbalanced": ("manifest.csv", _relabel_first_train_bonafide,
-                            "train-eval --kind rbf",
-                            "manifest.csv: train split unbalanced: 3 bonafide vs 5"),
+                            "train-eval --kind rbf", MANIFEST_REFUSAL),
     # every row of another k, beside the k = 2 sidecar: train-eval refuses it for either kind
     "features_rows_of_k_4": ("features.csv", _rows_of_k_4, "train-eval --kind quantum",
                              DIGEST_REFUSAL),
     "features_rows_of_k_4_train_eval": ("features.csv", _rows_of_k_4, "train-eval --kind rbf",
                                         DIGEST_REFUSAL),
-    # every row moved to dev: read_manifest refuses the empty train split, which
-    # the RBF gamma would otherwise meet as an internal error
+    # every row moved to dev: the empty train split, which the RBF gamma would
+    # otherwise meet as an internal error, is refused by the manifest's sha256
     "manifest_empty_split": ("manifest.csv",
                              lambda p: p.write_text(p.read_text().replace(",train,", ",dev,")),
-                             "train-eval --kind rbf", "manifest.csv: train split has no rows"),
+                             "train-eval --kind rbf", MANIFEST_REFUSAL),
     "features_json_list": ("features.json", lambda p: p.write_text("[1]\n"),
                            "train-eval --kind rbf", "features.json is missing or holds no"),
 }
@@ -605,6 +605,23 @@ def test_malformed_stage_input_exits_2_naming_the_file(tmp_path, case):
     log_text = (tmp_path / "run.log").read_text()
     assert "Traceback" not in log_text
     assert expected in log_text.splitlines()[-1]
+    assert not list(tmp_path.glob("gram_*.csv"))
+
+
+@pytest.mark.parametrize("case", [case for case in MALFORMED if case.startswith("manifest_")])
+def test_a_damaged_manifest_is_refused_before_either_file_is_parsed(tmp_path, monkeypatch,
+                                                                     case):
+    name, damage, stage, expected = MALFORMED[case]
+    prepared(tmp_path)
+    damage(tmp_path / name)
+
+    parsed = []  # the path of each file a reader is asked to parse
+    monkeypatch.setattr(qpatch.spoof, "read_manifest", parsed.append)
+    monkeypatch.setattr(patches, "read_features_csv", parsed.append)
+    assert run_stage(tmp_path, stage) == 2
+    assert parsed == []
+    assert (tmp_path / "run.log").read_text().splitlines()[-1].endswith(expected)
+    assert not list(tmp_path.glob("gram_*.csv"))
 
 
 def key_paths(obj, prefix=""):

@@ -14,19 +14,10 @@ from qpatch.metrics import (
     write_report,
 )
 from qpatch.config import ExperimentConfig
-from qpatch.spoof import ManifestEntry, read_manifest, write_manifest
 from qpatch.svm import build_gram, kernel_params
 from qpatch.quantum import fidelity_kernel
 
 from _oracles import rbf_kernel
-
-
-def _manifest(tmp_path, *rows):
-    """manifest.csv of (id, label, split) rows, each its own source."""
-    path = tmp_path / "manifest.csv"
-    write_manifest([ManifestEntry(uid, f"{uid}.wav", label, split, uid)
-                    for uid, label, split in rows], path)
-    return path
 
 
 def auroc_oracle(scores, labels):
@@ -130,21 +121,6 @@ class TestAuroc:
         base = auroc(scores, labels)
         assert auroc(2.0 * scores + 3.0, labels) == base
         assert auroc(np.exp(scores), labels) == base
-
-    def test_single_class_rejected(self, tmp_path):
-        # a dev split lacking a class is refused where the labels enter, by
-        # read_manifest, before the metrics' own check
-        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "spoof", "train"),
-                         ("c", "bonafide", "dev"))
-        with pytest.raises(ValueError, match="dev split unbalanced: 1 bonafide vs 0 spoof"):
-            read_manifest(path)
-
-    def test_bad_labels_rejected(self, tmp_path):
-        # auroc trusts its labels: one other than bonafide or spoof is refused
-        # where the labels enter, by read_manifest
-        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "2", "train"))
-        with pytest.raises(ValueError, match="manifest.csv:3: unknown label '2'"):
-            read_manifest(path)
 
 
 class TestRocPoints:

@@ -13,7 +13,6 @@ from qpatch import quantum
 from qpatch.cli import build_parser
 from qpatch.config import ExperimentConfig
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
-from qpatch.spoof import ManifestEntry, read_manifest, write_manifest
 from qpatch.svm import (
     build_gram,
     cross_gram,
@@ -29,13 +28,6 @@ from qpatch.svm import (
 
 from _oracles import dense_kernel, rbf_kernel
 
-
-def _manifest(tmp_path, *rows):
-    """manifest.csv of (id, label, split) rows, each its own source."""
-    path = tmp_path / "manifest.csv"
-    write_manifest([ManifestEntry(uid, f"{uid}.wav", label, split, uid)
-                    for uid, label, split in rows], path)
-    return path
 
 QUANTUM = {"kind": "quantum"}  # depth 1, s3 axis Z: kernel_matrix's defaults
 
@@ -387,21 +379,6 @@ class TestTrainSvmRandomProblems:
         assert abs(beta.sum()) < 1e-8
         assert np.all(np.sign(beta[alpha > 1e-12]) == y[alpha > 1e-12])
         assert kkt_gap(k, y, beta, C) <= 1.5e-4
-
-    def test_single_class_rejected(self, tmp_path):
-        # a train split lacking a class is refused where the labels enter, by
-        # read_manifest, before train_svm's own check below
-        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "bonafide", "dev"),
-                         ("c", "spoof", "dev"))
-        with pytest.raises(ValueError, match="train split unbalanced: 1 bonafide vs 0 spoof"):
-            read_manifest(path)
-
-    def test_bad_labels_rejected(self, tmp_path):
-        # train_svm trusts its labels: one other than bonafide or spoof is
-        # refused where the labels enter, by read_manifest
-        path = _manifest(tmp_path, ("a", "bonafide", "train"), ("b", "0", "train"))
-        with pytest.raises(ValueError, match="manifest.csv:3: unknown label '0'"):
-            read_manifest(path)
 
     @pytest.mark.parametrize("labels", [[1.0, 1.0], [-1.0, -1.0]], ids=["positive", "negative"])
     def test_labels_of_one_class_rejected(self, labels):
