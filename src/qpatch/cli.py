@@ -111,8 +111,9 @@ def cmd_features(config: ExperimentConfig, rows) -> None:
     log.info("wrote %d feature rows to %s", len(rows), path)
 
 
-def _load_split_features(config: ExperimentConfig) -> dict:
-    """Per split, the labels and the (n, 4k) feature matrix, in manifest order.
+def _load_split_features(config: ExperimentConfig):
+    """The sha256 of features.csv, and per split the labels and the (n, 4k)
+    feature matrix, in manifest order.
 
     Neither file is read before features.json vouches for both: it must
     record this config's facts and the sha256 of manifest.csv and of
@@ -143,15 +144,17 @@ def _load_split_features(config: ExperimentConfig) -> dict:
                                     patches.read_features_csv(features_csv)):
         split[entry.split][0].append(entry.label)
         split[entry.split][1].append(stats)
-    return {name: (labels, np.array(rows)) for name, (labels, rows) in split.items()}
+    return record["sha256"], {name: (labels, np.array(rows))
+                              for name, (labels, rows) in split.items()}
 
 
 def cmd_kernel(config: ExperimentConfig, kind: str):
-    """The split features, the kernel's parameters and its kernel over the
-    stacked train and dev rows, after writing the train Gram and the dev x
-    train cross rows as CSV exports to read and compare."""
+    """The sha256 of features.csv, the split features, the kernel's parameters
+    and its kernel over the stacked train and dev rows, after writing the
+    train Gram and the dev x train cross rows as CSV exports to read and
+    compare."""
     work = Path(config.work_dir)
-    split = _load_split_features(config)
+    digest, split = _load_split_features(config)
     (_, x_train), (_, x_dev) = split["train"], split["dev"]
     # resolved on the train features: the structure block uses the model's gamma
     params = svm.kernel_params(config, kind, x_train)
@@ -160,20 +163,18 @@ def cmd_kernel(config: ExperimentConfig, kind: str):
     n = len(x_train)
     svm.save_gram([(work / f"gram_{kind}.csv", k[:n, :n]),
                    (work / f"cross_{kind}.csv", k[n:, :n])])
-    return split, params, k
+    return digest, split, params, k
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     work = Path(config.work_dir)
-    split, params, k = cmd_kernel(config, kind)
+    digest, split, params, k = cmd_kernel(config, kind)
     (train_labels, _), (dev_labels, x_dev) = split["train"], split["dev"]
     n_train, n_dev = len(train_labels), len(dev_labels)
 
     y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
                         for label in train_labels])
     model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c)
-    svm.save_model({**model, "kernel_params": params,
-                    "feature_ref": str(work / "features.csv")}, work / f"model_{kind}.json")
 
     dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
     y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
@@ -183,26 +184,19 @@ def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
 
     structure = metrics.kernel_structure(k[n_train:, n_train:], dev_labels,
                                          features=x_dev, kernel=params)
-    # every value below is already a plain int, float, bool, str or dict
+    # each value once and no path, so a run-all's files do not depend on its work dir
     report = {
-        "kind": kind,
         "auroc": auroc_value,
         "eer": eer_value,
         "eer_threshold": eer_tau,
         "n_train": n_train,
         "n_dev": n_dev,
-        "kernel": {
-            "kind": kind,
-            "depth": config.depth,
-            "s3_axis": config.s3_axis,
-            "gamma_policy": str(config.gamma),
-            "gamma_resolved": params.get("gamma"),
-        },
-        "svm": {"n_support": model["support_indices"].size,
-                **{name: model[name]
-                   for name in ("C", "bias", "kkt_gap", "n_iter", "converged")}},
+        "features": digest,
+        "kernel": params,
+        "svm": model,
         "kernel_structure": structure,
-        "config": dataclasses.asdict(config),
+        "config": {name: value for name, value in dataclasses.asdict(config).items()
+                   if name not in ("work_dir", "input_dir")},
     }
     metrics.write_report(work / f"report_{kind}.json", work / f"roc_{kind}.csv", report, roc)
     log.info("kind=%s dev AUROC %.4f EER %.4f -> %s",

@@ -17,7 +17,7 @@ from .atomic import atomic_write
 from .quantum import fidelity_kernel  # noqa: F401 - perfbench/tracing.py wraps it by name
 from .svm import kernel_matrix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 POSITIVE_LABEL = "bonafide"
 
 
@@ -138,11 +138,11 @@ def kernel_structure(gram_values, labels, features=None,
 
 
 def write_report(json_path, roc_csv_path, metrics: dict, roc: np.ndarray) -> None:
-    """Write the JSON summary and the CSV of roc_points's table."""
+    """Write the JSON summary, its arrays as lists, and the CSV of roc_points's table."""
     payload = {"schema_version": SCHEMA_VERSION, "positive_label": POSITIVE_LABEL}
     payload.update(metrics)
     with atomic_write(json_path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
     with atomic_write(roc_csv_path) as fh:
         np.savetxt(fh, roc, delimiter=",", fmt="%.17g",
                    header="threshold,fpr,tpr,fnr", comments="")

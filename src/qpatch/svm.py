@@ -13,7 +13,6 @@ loop that needs nothing beyond numpy.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 
 import numpy as np
@@ -25,7 +24,7 @@ KERNEL_KINDS = ("quantum", "rbf")
 
 
 def kernel_params(config, kind: str, x_train) -> dict:
-    """The kernel's parameters as the model and report record them, and as
+    """The kernel's parameters as the report records them, and as
     kernel_matrix takes them: kind with config's depth and s3_axis (quantum)
     or gamma (rbf). A gamma of "scale" is resolved on the training rows
     x_train as 1 / (dim * variance of all entries); a numeric one is kept."""
@@ -98,7 +97,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
 
     Returns the model as a dict: dual_coefs holds alpha_i * y_i for the
     support entries only, support_indices maps them back into the training
-    set, with bias, C, n_train, the final kkt_gap, n_iter and converged.
+    set, with bias, the final kkt_gap, n_iter and converged. Every tolerance
+    on the box is relative to C, so a tiny C still moves the first pair.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -109,12 +109,13 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
         raise ValueError("labels must hold both classes, +1 and -1")
     lower = np.where(y > 0, 0.0, -C)
     upper = np.where(y > 0, C, 0.0)
+    eps = 1e-12 * C
     beta = np.zeros(n)
     v = y.copy()  # v = y - K @ beta, maintained incrementally
     converged = True
     for it in range(1, max_iter + 1):  # at beta = 0 both classes can move: gap is set
-        can_up = beta < upper - 1e-12
-        can_dn = beta > lower + 1e-12
+        can_up = beta < upper - eps
+        can_dn = beta > lower + eps
         if not can_up.any() or not can_dn.any():
             break
         i = int(np.flatnonzero(can_up)[np.argmax(v[can_up])])
@@ -136,24 +137,23 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
     beta = np.clip(beta, lower, upper)
     alpha = np.abs(beta)
 
-    unbounded = alpha > 1e-8
-    unbounded &= alpha < C - 1e-8
+    unbounded = alpha > 1e-8 * C
+    unbounded &= alpha < C - 1e-8 * C
     if unbounded.any():
         bias = float(v[unbounded].mean())
     else:
-        can_up = beta < upper - 1e-12
-        can_dn = beta > lower + 1e-12
+        can_up = beta < upper - eps
+        can_dn = beta > lower + eps
         if can_up.any() and can_dn.any():
             bias = float((v[can_up].max() + v[can_dn].min()) / 2.0)
-        elif (alpha > 1e-12).any():
-            bias = float(v[alpha > 1e-12].mean())
+        elif (alpha > eps).any():
+            bias = float(v[alpha > eps].mean())
         else:
             bias = 0.0
 
-    support = np.flatnonzero(alpha > 1e-12)
+    support = np.flatnonzero(alpha > eps)
     return {"dual_coefs": beta[support], "support_indices": support, "bias": bias,
-            "C": C, "n_train": n, "kkt_gap": float(gap), "n_iter": it,
-            "converged": converged}
+            "kkt_gap": float(gap), "n_iter": it, "converged": converged}
 
 
 def decision_scores(model: dict, rows) -> np.ndarray:
@@ -234,11 +234,3 @@ def save_csv(values, csv_path) -> None:
 def load_gram(csv_path) -> np.ndarray:
     """The 2-D kernel block that save_gram wrote to csv_path."""
     return np.loadtxt(csv_path, delimiter=",", ndmin=2)
-
-
-def save_model(model: dict, path) -> None:
-    """Write a model dict as sorted JSON, its arrays as lists."""
-    payload = {**model, "dual_coefs": model["dual_coefs"].tolist(),
-               "support_indices": model["support_indices"].tolist()}
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

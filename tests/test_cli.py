@@ -240,19 +240,19 @@ def prepared(tmp_path):
 
 
 def stored_model(work, kind):
-    """model_<kind>.json as a dict, its arrays rebuilt, after checking that
-    it holds exactly the solver's eight keys and the kernel's two, and that
-    its scores of the dev x train rows in cross_<kind>.csv give the report's AUROC."""
-    model = json.loads((work / f"model_{kind}.json").read_text())
-    assert set(model) == {"dual_coefs", "support_indices", "bias", "C", "n_train",
-                          "kkt_gap", "n_iter", "converged", "kernel_params", "feature_ref"}
+    """The svm block of report_<kind>.json as a model dict, its arrays rebuilt,
+    after checking that it holds exactly the solver's six keys and that its
+    scores of the dev x train rows in cross_<kind>.csv give the report's AUROC."""
+    report = json.loads((work / f"report_{kind}.json").read_text())
+    model = report["svm"]
+    assert set(model) == {"dual_coefs", "support_indices", "bias", "kkt_gap", "n_iter",
+                          "converged"}
     model.update(dual_coefs=np.array(model["dual_coefs"]),
                  support_indices=np.array(model["support_indices"]))
     # the %.17g export holds the cross rows exactly, dev entries in manifest order
     scores = decision_scores(model, np.loadtxt(work / f"cross_{kind}.csv", delimiter=","))
     dev = [int(e.label == "bonafide") for e in read_manifest(work / "manifest.csv")
            if e.split == "dev"]
-    report = json.loads((work / f"report_{kind}.json").read_text())
     assert auroc(scores, dev) == report["auroc"]
     return model
 
@@ -319,9 +319,8 @@ class TestTrainEval:
         assert 0.0 <= report["eer"] <= 1.0
         assert report["n_train"] == 8 and report["n_dev"] == 4
         assert report["positive_label"] == "bonafide"
-        assert report["kernel"]["kind"] == "quantum"
-        assert report["kernel"]["gamma_resolved"] is None
-        assert report["svm"]["n_support"] >= 1
+        assert report["kernel"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
+        assert len(report["svm"]["support_indices"]) >= 1
         structure = report["kernel_structure"]
         assert set(structure) == {"same_sample", "within_class", "cross_class",
                                   "cross_class_per_slot"}
@@ -329,16 +328,14 @@ class TestTrainEval:
         assert roc[0] == "threshold,fpr,tpr,fnr"
 
     def test_rbf_structure_uses_the_models_gamma(self, tmp_path):
-        """The structure block is computed with gamma_resolved (resolved on
+        """The structure block is computed with the kernel's gamma (resolved on
         the train features), not with a gamma re-resolved on the dev set."""
         from qpatch.patches import read_features_csv
         prepared(tmp_path)
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         report = json.loads((tmp_path / "report_rbf.json").read_text())
-        gamma = report["kernel"]["gamma_resolved"]
-        # one dict is the kernel's identity: the model's and the report's
-        model = stored_model(tmp_path, "rbf")
-        assert model["kernel_params"] == {"kind": "rbf", "gamma": gamma}
+        assert set(report["kernel"]) == {"kind", "gamma"}
+        gamma = report["kernel"]["gamma"]
         dev_ids = {e.uid for e in read_manifest(tmp_path / "manifest.csv")
                    if e.split == "dev"}
         dev = [(label, stats) for uid, label, stats
@@ -349,13 +346,20 @@ class TestTrainEval:
         assert got["n_pairs"] == len(cross) == 4
         assert got["mean"] == pytest.approx(np.mean(cross), abs=1e-12)
 
-    def test_model_file_roundtrips(self, tmp_path):
+    def test_report_holds_the_fit_and_the_features_digest(self, tmp_path):
+        """One record per kind: the fit, the features' sha256 and the config,
+        each value once and no path."""
         prepared(tmp_path)
         run_stage(tmp_path, "train-eval", "--kind", "rbf")
-        model = stored_model(tmp_path, "rbf")
-        assert model["n_train"] == 8
-        assert model["kernel_params"]["kind"] == "rbf"
-        assert model["feature_ref"] == str(tmp_path / "features.csv")
+        stored_model(tmp_path, "rbf")
+        report = json.loads((tmp_path / "report_rbf.json").read_text())
+        digest = hashlib.sha256((tmp_path / "features.csv").read_bytes()).hexdigest()
+        assert report["features"] == digest
+        assert report["schema_version"] == 2
+        assert report["n_train"] == 8 and report["kernel"]["kind"] == "rbf"
+        expected = dataclasses.asdict(ExperimentConfig(train_per_class=4, dev_per_class=2))
+        del expected["work_dir"], expected["input_dir"]
+        assert report["config"] == expected
 
     def test_features_rerun_with_another_k_are_refused(self, tmp_path):
         prepared(tmp_path)
@@ -634,14 +638,21 @@ def key_paths(obj, prefix=""):
     return out
 
 
+def work_files(root):
+    """Each file under the work dir root but run.log, by its relative path, as bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*")
+            if path.is_file() and path.name != "run.log"}
+
+
 class TestRunAll:
     def test_produces_both_reports_with_equal_schema(self, tmp_path):
         assert main(base_args(tmp_path) + ["run-all"]) == 0
         q = json.loads((tmp_path / "report_quantum.json").read_text())
         r = json.loads((tmp_path / "report_rbf.json").read_text())
-        assert key_paths(q) == key_paths(r)
-        assert q["kernel"]["gamma_resolved"] is None
-        assert r["kernel"]["gamma_resolved"] > 0
+        # the kernel block is each kind's kernel_params
+        assert key_paths({**q, "kernel": None}) == key_paths({**r, "kernel": None})
+        assert q["kernel"] == {"kind": "quantum", "depth": 1, "s3_axis": "Z"}
+        assert r["kernel"]["gamma"] > 0
         assert q["svm"]["converged"] is True and r["svm"]["converged"] is True
         # per kind, two CSV exports holding the bytes np.savetxt writes for the
         # train Gram and cross rows of the kernel of the stacked train and dev rows
@@ -655,13 +666,21 @@ class TestRunAll:
         x = np.array([rows[e.uid] for split in ("train", "dev")
                       for e in manifest if e.split == split])
         for kind in cli.KINDS:
-            params = json.loads((tmp_path / f"model_{kind}.json").read_text())["kernel_params"]
+            params = json.loads((tmp_path / f"report_{kind}.json").read_text())["kernel"]
             k = kernel_matrix(x, **params)
             for name, block in (("gram", k[:8, :8]), ("cross", k[8:, :8])):
                 expected = io.BytesIO()
                 np.savetxt(expected, block, delimiter=",", fmt="%.17g")
                 csv = tmp_path / f"{name}_{kind}.csv"
                 assert csv.read_bytes() == expected.getvalue(), csv.name
+
+    def test_a_tiny_c_trains_and_reports_both_kinds(self, tmp_path):
+        # SMO's box tolerances scale with C, so a C below 1e-12 trains too
+        assert main(base_args(tmp_path, "--svm-c", "1e-13") + ["run-all"]) == 0
+        for kind in cli.KINDS:
+            report = json.loads((tmp_path / f"report_{kind}.json").read_text())
+            assert report["config"]["svm_c"] == 1e-13
+            assert len(stored_model(tmp_path, kind)["support_indices"]) >= 2
 
     @pytest.mark.parametrize("seed", [7, 8])
     @pytest.mark.parametrize("corpus", ["built_in", "input_dir"])
@@ -678,29 +697,23 @@ class TestRunAll:
         assert_split_by_source(read_manifest(tmp_path / "w" / "manifest.csv"), 4, 2)
 
     def test_two_runs_same_config_are_byte_identical(self, tmp_path, monkeypatch):
-        # same work dir *name* from two different parents, so every stored
-        # path string matches and whole artifacts can be compared as bytes
-        for sub in ("a", "b"):
-            parent = tmp_path / sub
-            parent.mkdir()
-            monkeypatch.chdir(parent)
-            assert main(["--work-dir", "work", "--train-per-class", "4",
+        """run-all is relocatable: one config run in a relative work dir and in
+        an absolute, deeper one writes the same files, every byte but run.log's."""
+        monkeypatch.chdir(tmp_path)
+        for work in ("work", tmp_path / "moved" / "deeper" / "work"):
+            assert main(["--work-dir", str(work), "--train-per-class", "4",
                          "--dev-per-class", "2", "run-all"]) == 0
-        names = ["manifest.csv", "features.csv", "gram_quantum.csv",
-                 "gram_rbf.csv", "cross_quantum.csv", "cross_rbf.csv",
-                 "model_quantum.json", "model_rbf.json",
-                 "report_quantum.json", "report_rbf.json",
-                 "roc_quantum.csv", "roc_rbf.csv"]
-        for name in names:
-            a = (tmp_path / "a" / "work" / name).read_bytes()
-            b = (tmp_path / "b" / "work" / name).read_bytes()
-            assert a == b, f"{name} differs between identical runs"
+        first, second = (work_files(tmp_path / "work"),
+                         work_files(tmp_path / "moved" / "deeper" / "work"))
+        assert "report_rbf.json" in first and sorted(first) == sorted(second)
+        for name, data in first.items():
+            assert second[name] == data, f"{name} differs between identical runs"
 
     def test_stage_by_stage_writes_the_bytes_of_run_all(self, tmp_path, monkeypatch):
         """synth, then train-eval per kind write what run-all
         writes, sidecars included: every file but run.log. Per kind that is
-        the model, report, ROC and the gram_ and cross_ exports, and no
-        stored kernel."""
+        the report, ROC and the gram_ and cross_ exports, and no stored
+        kernel or model."""
         monkeypatch.chdir(tmp_path)
         args = ["--work-dir", "work", "--train-per-class", "4", "--dev-per-class", "2"]
         assert main(args + ["run-all"]) == 0
@@ -709,23 +722,20 @@ class TestRunAll:
         for kind in cli.KINDS:
             assert main(args + ["train-eval", "--kind", kind]) == 0
 
-        def files(root):
-            return sorted(str(path.relative_to(root)) for path in root.rglob("*")
-                          if path.is_file() and path.name != "run.log")
-
-        names = files(tmp_path / "run_all")
-        assert len(names) == 25 and files(tmp_path / "work") == names
+        run_all, staged = work_files(tmp_path / "run_all"), work_files(tmp_path / "work")
+        names = sorted(run_all)
+        assert len(names) == 23 and sorted(staged) == names
         assert {f"{name}_{kind}.{ext}" for kind in cli.KINDS
-                for name, ext in (("model", "json"), ("report", "json"), ("roc", "csv"),
+                for name, ext in (("report", "json"), ("roc", "csv"),
                                   ("gram", "csv"), ("cross", "csv"))} <= set(names)
-        assert not [name for name in names if name.startswith("kernel_")]
+        assert not [name for name in names if name.startswith(("kernel_", "model_"))]
         for name in names:
-            one, two = tmp_path / "run_all" / name, tmp_path / "work" / name
-            assert one.read_bytes() == two.read_bytes(), name
+            assert run_all[name] == staged[name], name
 
     def test_train_eval_is_the_one_stage_per_kind(self, tmp_path, capsys):
         """The kernel subcommand is gone: argparse refuses it. The
-        kernel_<kind>.npy and .json an older qpatch left are never read."""
+        kernel_<kind>.npy and .json and the model_<kind>.json an older qpatch
+        left are never read."""
         prepared(tmp_path)
         with pytest.raises(SystemExit) as done:
             run_stage(tmp_path, "kernel", "--kind", "rbf")
@@ -733,9 +743,9 @@ class TestRunAll:
         assert "invalid choice: 'kernel'" in capsys.readouterr().err
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         written = {path.name: path.read_bytes() for path in tmp_path.glob("*_rbf.*")}
-        assert sorted(written) == ["cross_rbf.csv", "gram_rbf.csv", "model_rbf.json",
-                                   "report_rbf.json", "roc_rbf.csv"]
-        for name in ("kernel_rbf.npy", "kernel_rbf.json"):
+        assert sorted(written) == ["cross_rbf.csv", "gram_rbf.csv", "report_rbf.json",
+                                   "roc_rbf.csv"]
+        for name in ("kernel_rbf.npy", "kernel_rbf.json", "model_rbf.json"):
             (tmp_path / name).write_bytes(b"left by an older qpatch")
         assert run_stage(tmp_path, "train-eval", "--kind", "rbf") == 0
         for name, data in written.items():
@@ -893,16 +903,16 @@ class TestConfigHandling:
         prepared(tmp_path)
         assert main(base_args(tmp_path, "--gamma", "0.25")
                     + ["train-eval", "--kind", "rbf"]) == 0
-        model = json.loads((tmp_path / "model_rbf.json").read_text())
-        assert model["kernel_params"]["gamma"] == 0.25
+        kernel = json.loads((tmp_path / "report_rbf.json").read_text())["kernel"]
+        assert kernel["gamma"] == 0.25
         # a config file's integer gamma is recorded as that integer
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"gamma": 2}))
         assert main(base_args(tmp_path, "--config", config)
                     + ["train-eval", "--kind", "rbf"]) == 0
-        model = json.loads((tmp_path / "model_rbf.json").read_text())
-        assert model["kernel_params"] == {"kind": "rbf", "gamma": 2}
-        assert type(model["kernel_params"]["gamma"]) is int
+        kernel = json.loads((tmp_path / "report_rbf.json").read_text())["kernel"]
+        assert kernel == {"kind": "rbf", "gamma": 2}
+        assert type(kernel["gamma"]) is int
 
     @pytest.mark.parametrize("bad", [{"k": 3}, {"k": 0}, {"depth": 4}, {"depth": 0},
                                      {"s3_axis": "W"}, {"patch_size": 1},

@@ -330,7 +330,7 @@ class TestWriteReport:
         csv_path = tmp_path / "roc.csv"
         write_report(json_path, csv_path, metrics, self._roc())
         parsed = json.loads(json_path.read_text())
-        assert parsed["schema_version"] == 1
+        assert parsed["schema_version"] == 2
         assert parsed["positive_label"] == "bonafide"
         assert parsed["auroc"] == 0.87
         assert parsed["eer"] == 0.148

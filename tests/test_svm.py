@@ -12,6 +12,7 @@ import pytest
 from qpatch import quantum
 from qpatch.cli import build_parser
 from qpatch.config import ExperimentConfig
+from qpatch.metrics import roc_points, write_report
 from qpatch.quantum import _embed_vector, fidelity_kernel, fidelity_matrix
 from qpatch.svm import (
     build_gram,
@@ -22,7 +23,6 @@ from qpatch.svm import (
     load_gram,
     save_csv,
     save_gram,
-    save_model,
     train_svm,
 )
 
@@ -68,8 +68,8 @@ def kkt_gap(k, y, beta, C):
     return float(up.max() - dn.min())
 
 
-def model_beta(model):
-    beta = np.zeros(model["n_train"])
+def model_beta(model, n):
+    beta = np.zeros(n)
     beta[model["support_indices"]] = model["dual_coefs"]
     return beta
 
@@ -332,12 +332,15 @@ class TestCrossGram:
 
 
 class TestTrainSvmTwoPoint:
-    def test_closed_form_identity_kernel(self):
+    # the solver's box tolerances scale with C, so a C at or below 1e-12 trains too
+    @pytest.mark.parametrize("C", [1.0, 1e-12, 1e-13])
+    def test_closed_form_identity_kernel(self, C):
         k = np.eye(2)
-        model = train_svm(k, [1, -1], C=1.0)
-        beta = model_beta(model)
-        np.testing.assert_allclose(np.abs(beta), [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(beta, [1.0, -1.0], atol=1e-12)
+        model = train_svm(k, [1, -1], C=C)
+        beta = model_beta(model, len(k))
+        np.testing.assert_allclose(beta, [min(1.0, C), -min(1.0, C)], rtol=0, atol=1e-12 * C)
+        assert model["support_indices"].tolist() == [0, 1]
+        assert model["converged"] is True
         assert model["bias"] == pytest.approx(0.0, abs=1e-12)
         scores = decision_scores(model, np.eye(2))
         assert scores[0] > 0 > scores[1]
@@ -353,7 +356,7 @@ class TestTrainSvmSeparable:
         assert np.all(np.sign(scores) == y)
         # brute-force primal check: reconstruct w from the duals and verify the
         # primal decision function gives the same scores
-        beta = model_beta(model)
+        beta = model_beta(model, len(k))
         w = beta @ x
         primal = x @ w + model["bias"]
         np.testing.assert_allclose(primal, scores, atol=1e-10)
@@ -372,7 +375,7 @@ class TestTrainSvmRandomProblems:
         given = k.copy()
         model = train_svm(k, y, C=C)
         assert np.array_equal(k, given)  # the solver reads the kernel in place, never writes it
-        beta = model_beta(model)
+        beta = model_beta(model, len(k))
         alpha = np.abs(beta)
         assert np.all(alpha >= -1e-12)
         assert np.all(alpha <= C + 1e-12)
@@ -461,7 +464,7 @@ class TestDecisionScores:
         d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         k = np.exp(-0.5 * d2)
         model = train_svm((k + k.T) / 2, y, C=1.0)
-        beta = model_beta(model)
+        beta = model_beta(model, len(k))
         alpha = np.abs(beta)
         unbounded = np.flatnonzero((alpha > 1e-6) & (alpha < 1.0 - 1e-6))
         assert unbounded.size > 0
@@ -555,21 +558,18 @@ class TestPersistence:
         assert np.loadtxt(tmp_path / "a.csv", delimiter=",").tolist() == k[1:, 0].tolist()
 
     def test_model_roundtrip(self, tmp_path):
+        """The report's svm block gives back every value of the fit, with its type."""
         rng = np.random.default_rng(72)
         k = random_psd_kernel(rng, 8)
         y = np.array([1.0, -1.0] * 4)
         model = train_svm(k, y, C=2.0)
-        path = tmp_path / "model.json"
-        save_model({**model, "kernel_params": QUANTUM, "feature_ref": "features.csv"}, path)
-        back = json.loads(path.read_text())
-        assert set(back) == {"dual_coefs", "support_indices", "bias", "C", "n_train",
-                             "kkt_gap", "n_iter", "converged", "kernel_params", "feature_ref"}
-        assert back.pop("kernel_params") == QUANTUM
-        assert back.pop("feature_ref") == "features.csv"
-        # every value of the solution comes back with its value and type
+        path = tmp_path / "report.json"
+        write_report(path, tmp_path / "roc.csv", {"svm": model}, roc_points([1.0, 0.0], [1, 0]))
+        back = json.loads(path.read_text())["svm"]
+        assert set(back) == {"dual_coefs", "support_indices", "bias", "kkt_gap", "n_iter",
+                             "converged"}
         back.update(dual_coefs=np.array(back["dual_coefs"]),
                     support_indices=np.array(back["support_indices"]))
-        assert set(back) == set(model)
         for name, want in model.items():
             got = back[name]
             if isinstance(want, np.ndarray):
