@@ -39,10 +39,6 @@ log = logging.getLogger("qpatch")
 KINDS = svm.KERNEL_KINDS
 
 
-class CliInputError(Exception):
-    """Bad input or configuration; maps to exit code 2."""
-
-
 def _setup_logging(work_dir: Path) -> None:
     """Send qpatch's log and every Python warning to stderr and run.log."""
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -91,10 +87,7 @@ def cmd_synth(config: ExperimentConfig) -> None:
         wavs = spoof.generate_synthetic_corpus(work / "bonafide", n, config.seed)
     else:
         wavs = sorted(Path(config.input_dir).glob("*.wav"))
-    try:
-        manifest, rows = spoof.build_dataset(wavs, work, config)
-    except ValueError as err:
-        raise CliInputError(str(err))
+    manifest, rows = spoof.build_dataset(wavs, work, config)
     spoof.write_manifest(manifest, work / "manifest.csv")
     log.info("wrote manifest with %d entries to %s", len(manifest), work / "manifest.csv")
     cmd_features(config, rows)
@@ -112,8 +105,9 @@ def cmd_features(config: ExperimentConfig, rows) -> None:
 
 
 def _load_split_features(config: ExperimentConfig):
-    """The sha256 of features.csv, and per split the labels and the (n, 4k)
-    feature matrix, in manifest order.
+    """The sha256 of features.csv, the labels and the (n, 4k) feature matrix
+    with the train rows first, each split in manifest order, and the number
+    of train rows.
 
     Neither file is read before features.json vouches for both: it must
     record this config's facts and the sha256 of manifest.csv and of
@@ -123,67 +117,60 @@ def _load_split_features(config: ExperimentConfig):
     manifest_csv, features_csv = work / "manifest.csv", work / "features.csv"
     for path in (manifest_csv, features_csv):
         if not path.exists():
-            raise CliInputError(f"missing {path}; run synth first")
+            raise ValueError(f"missing {path}; run synth first")
     try:
         record = json.loads((work / "features.json").read_text())
     except (OSError, ValueError):
         record = None
     if not isinstance(record, dict):
-        raise CliInputError(f"{work / 'features.json'} is missing or holds no JSON "
-                            "object; rerun synth")
+        raise ValueError(f"{work / 'features.json'} is missing or holds no JSON "
+                         "object; rerun synth")
     facts = {**_synth_facts(config), "manifest": _sha256(manifest_csv)}
     stale = [key for key in sorted(facts) if record.get(key) != facts[key]]
     if stale:
-        raise CliInputError(f"features.csv was made under another {', '.join(stale)}; "
-                            "rerun synth")
+        raise ValueError(f"features.csv was made under another {', '.join(stale)}; "
+                         "rerun synth")
     if record.get("sha256") != _sha256(features_csv):
-        raise CliInputError("features.csv does not match the sha256 in features.json; "
-                            "rerun synth")
-    split = {"train": ([], []), "dev": ([], [])}
-    for entry, (_, _, stats) in zip(spoof.read_manifest(manifest_csv),
-                                    patches.read_features_csv(features_csv)):
-        split[entry.split][0].append(entry.label)
-        split[entry.split][1].append(stats)
-    return record["sha256"], {name: (labels, np.array(rows))
-                              for name, (labels, rows) in split.items()}
+        raise ValueError("features.csv does not match the sha256 in features.json; "
+                         "rerun synth")
+    entries = spoof.read_manifest(manifest_csv)
+    train = np.array([entry.split == "train" for entry in entries])
+    order = np.argsort(~train, kind="stable")
+    labels = np.array([entry.label for entry in entries])
+    x = np.array([stats for _, _, stats in patches.read_features_csv(features_csv)])
+    return record["sha256"], labels[order], x[order], int(train.sum())
 
 
 def cmd_kernel(config: ExperimentConfig, kind: str):
-    """The sha256 of features.csv, the split features, the kernel's parameters
-    and its kernel over the stacked train and dev rows, after writing the
-    train Gram and the dev x train cross rows as CSV exports to read and
-    compare."""
+    """_load_split_features's four values, the kernel's parameters and its
+    kernel over those rows, after writing the train Gram and the dev x train
+    cross rows as CSV exports to read and compare."""
     work = Path(config.work_dir)
-    digest, split = _load_split_features(config)
-    (_, x_train), (_, x_dev) = split["train"], split["dev"]
+    digest, labels, x, n = _load_split_features(config)
     # resolved on the train features: the structure block uses the model's gamma
-    params = svm.kernel_params(config, kind, x_train)
-    # rows and columns are the manifest's train then dev entries in file order
-    k = svm.kernel_matrix(np.vstack([x_train, x_dev]), **params)
-    n = len(x_train)
-    svm.save_gram([(work / f"gram_{kind}.csv", k[:n, :n]),
-                   (work / f"cross_{kind}.csv", k[n:, :n])])
-    return digest, split, params, k
+    params = svm.kernel_params(config, kind, x[:n])
+    k = svm.kernel_matrix(x, **params)
+    svm.save_gram(k[:n, :n], work / f"gram_{kind}.csv")
+    svm.save_gram(k[n:, :n], work / f"cross_{kind}.csv")
+    return digest, labels, x, n, params, k
 
 
 def cmd_train_eval(config: ExperimentConfig, kind: str) -> None:
     work = Path(config.work_dir)
-    digest, split, params, k = cmd_kernel(config, kind)
-    (train_labels, _), (dev_labels, x_dev) = split["train"], split["dev"]
-    n_train, n_dev = len(train_labels), len(dev_labels)
+    digest, labels, x, n_train, params, k = cmd_kernel(config, kind)
+    n_dev = len(labels) - n_train
+    bonafide = labels == spoof.BONAFIDE
 
-    y_train = np.array([1.0 if label == spoof.BONAFIDE else -1.0
-                        for label in train_labels])
-    model = svm.train_svm(k[:n_train, :n_train], y_train, C=config.svm_c)
+    model = svm.train_svm(k[:n_train, :n_train], np.where(bonafide[:n_train], 1.0, -1.0),
+                          C=config.svm_c)
 
     dev_scores = svm.decision_scores(model, k[n_train:, :n_train])
-    y_dev01 = np.array([1 if label == spoof.BONAFIDE else 0 for label in dev_labels])
-    roc = metrics.roc_points(dev_scores, y_dev01)
-    auroc_value = metrics.auroc(dev_scores, y_dev01)
-    eer_value, eer_tau = metrics.eer(dev_scores, y_dev01)
+    roc = metrics.roc_points(dev_scores, bonafide[n_train:])
+    auroc_value = metrics.auroc(dev_scores, bonafide[n_train:])
+    eer_value, eer_tau = metrics.eer(dev_scores, bonafide[n_train:])
 
-    structure = metrics.kernel_structure(k[n_train:, n_train:], dev_labels,
-                                         features=x_dev, kernel=params)
+    structure = metrics.kernel_structure(k[n_train:, n_train:], labels[n_train:],
+                                         features=x[n_train:], kernel=params)
     # each value once and no path, so a run-all's files do not depend on its work dir
     report = {
         "auroc": auroc_value,
@@ -260,7 +247,7 @@ def main(argv=None) -> int:
             # after synth the two kinds share no file
             ordered_map(lambda kind: cmd_train_eval(config, kind), KINDS)
         return 0
-    except (CliInputError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         log.error("%s", err)
         return 2
     except Exception:  # noqa: BLE001 - last-resort diagnostics

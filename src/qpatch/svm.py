@@ -98,7 +98,8 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
     Returns the model as a dict: dual_coefs holds alpha_i * y_i for the
     support entries only, support_indices maps them back into the training
     set, with bias, the final kkt_gap, n_iter and converged. Every tolerance
-    on the box is relative to C, so a tiny C still moves the first pair.
+    on the box is relative to min(C, 1): a tiny C still moves the first pair,
+    and a C above the hard-margin limit gives that limit's fit.
     """
     k = np.asarray(gram, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -109,15 +110,14 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
         raise ValueError("labels must hold both classes, +1 and -1")
     lower = np.where(y > 0, 0.0, -C)
     upper = np.where(y > 0, C, 0.0)
-    eps = 1e-12 * C
+    eps = 1e-12 * min(C, 1.0)
     beta = np.zeros(n)
     v = y.copy()  # v = y - K @ beta, maintained incrementally
     converged = True
-    for it in range(1, max_iter + 1):  # at beta = 0 both classes can move: gap is set
+    # with both classes present and sum(beta) = 0, some index can move each way
+    for it in range(1, max_iter + 1):
         can_up = beta < upper - eps
         can_dn = beta > lower + eps
-        if not can_up.any() or not can_dn.any():
-            break
         i = int(np.flatnonzero(can_up)[np.argmax(v[can_up])])
         j = int(np.flatnonzero(can_dn)[np.argmin(v[can_dn])])
         gap = v[i] - v[j]
@@ -137,19 +137,14 @@ def train_svm(gram, labels, C: float = 1.0, tol: float = 1e-4, max_iter: int = 1
     beta = np.clip(beta, lower, upper)
     alpha = np.abs(beta)
 
-    unbounded = alpha > 1e-8 * C
-    unbounded &= alpha < C - 1e-8 * C
+    free = 1e-8 * min(C, 1.0)
+    unbounded = (alpha > free) & (alpha < C - free)
     if unbounded.any():
         bias = float(v[unbounded].mean())
     else:
         can_up = beta < upper - eps
         can_dn = beta > lower + eps
-        if can_up.any() and can_dn.any():
-            bias = float((v[can_up].max() + v[can_dn].min()) / 2.0)
-        elif (alpha > eps).any():
-            bias = float(v[alpha > eps].mean())
-        else:
-            bias = 0.0
+        bias = float((v[can_up].max() + v[can_dn].min()) / 2.0)
 
     support = np.flatnonzero(alpha > eps)
     return {"dual_coefs": beta[support], "support_indices": support, "bias": bias,
@@ -189,13 +184,7 @@ def _two_product(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def save_gram(csv_exports) -> None:
-    """Write each (csv_path, block) of csv_exports, a kernel block, as save_csv does."""
-    for csv_path, block in csv_exports:
-        save_csv(block, csv_path)
-
-
-def save_csv(values, csv_path) -> None:
+def save_gram(values, csv_path) -> None:
     """Write the %.17g CSV export of a kernel block row chunk by row chunk, the
     bytes of np.savetxt(delimiter=","), its chunks in (1e-6, 10) laid out in
     numpy from exact 17 digits round(x * 10**(16 - e))."""

@@ -674,12 +674,14 @@ class TestRunAll:
                 csv = tmp_path / f"{name}_{kind}.csv"
                 assert csv.read_bytes() == expected.getvalue(), csv.name
 
-    def test_a_tiny_c_trains_and_reports_both_kinds(self, tmp_path):
-        # SMO's box tolerances scale with C, so a C below 1e-12 trains too
-        assert main(base_args(tmp_path, "--svm-c", "1e-13") + ["run-all"]) == 0
+    # SMO's box tolerances scale with min(C, 1), so a C below 1e-12 trains too,
+    # and a C far above the hard-margin limit still fits it
+    @pytest.mark.parametrize("svm_c", ["1e-13", "1e13"])
+    def test_a_tiny_c_trains_and_reports_both_kinds(self, tmp_path, svm_c):
+        assert main(base_args(tmp_path, "--svm-c", svm_c) + ["run-all"]) == 0
         for kind in cli.KINDS:
             report = json.loads((tmp_path / f"report_{kind}.json").read_text())
-            assert report["config"]["svm_c"] == 1e-13
+            assert report["config"]["svm_c"] == float(svm_c)
             assert len(stored_model(tmp_path, kind)["support_indices"]) >= 2
 
     @pytest.mark.parametrize("seed", [7, 8])
@@ -816,7 +818,7 @@ class TestWorkers:
 
         def refuses_rbf(config, kind):
             if kind == "rbf":
-                raise cli.CliInputError("rbf input refused")
+                raise ValueError("rbf input refused")
             return kernel(config, kind)
 
         monkeypatch.setattr(cli, "cmd_kernel", refuses_rbf)

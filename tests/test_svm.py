@@ -21,7 +21,6 @@ from qpatch.svm import (
     kernel_matrix,
     kernel_params,
     load_gram,
-    save_csv,
     save_gram,
     train_svm,
 )
@@ -57,14 +56,14 @@ def random_psd_kernel(rng, n, unit_diag=False):
 
 
 def kkt_gap(k, y, beta, C):
-    """Recompute the most-violating-pair gap from scratch."""
+    """Recompute the most-violating-pair gap from scratch, with train_svm's box
+    tolerance; with both classes and sum(beta) = 0, some index moves each way."""
     v = y - k @ beta
     lower = np.where(y > 0, 0.0, -C)
     upper = np.where(y > 0, C, 0.0)
-    up = v[beta < upper - 1e-12]
-    dn = v[beta > lower + 1e-12]
-    if up.size == 0 or dn.size == 0:
-        return 0.0
+    up = v[beta < upper - 1e-12 * min(C, 1.0)]
+    dn = v[beta > lower + 1e-12 * min(C, 1.0)]
+    assert up.size and dn.size
     return float(up.max() - dn.min())
 
 
@@ -332,13 +331,15 @@ class TestCrossGram:
 
 
 class TestTrainSvmTwoPoint:
-    # the solver's box tolerances scale with C, so a C at or below 1e-12 trains too
-    @pytest.mark.parametrize("C", [1.0, 1e-12, 1e-13])
+    # the solver's box tolerances scale with min(C, 1), so a C at or below 1e-12
+    # trains too, and any C above the hard-margin limit of 1 gives that limit's fit
+    @pytest.mark.parametrize("C", [1.0, 1e-12, 1e-13, 1e13, 1e300])
     def test_closed_form_identity_kernel(self, C):
         k = np.eye(2)
         model = train_svm(k, [1, -1], C=C)
         beta = model_beta(model, len(k))
-        np.testing.assert_allclose(beta, [min(1.0, C), -min(1.0, C)], rtol=0, atol=1e-12 * C)
+        np.testing.assert_allclose(beta, [min(1.0, C), -min(1.0, C)], rtol=0,
+                                   atol=1e-12 * min(C, 1.0))
         assert model["support_indices"].tolist() == [0, 1]
         assert model["converged"] is True
         assert model["bias"] == pytest.approx(0.0, abs=1e-12)
@@ -363,15 +364,18 @@ class TestTrainSvmSeparable:
 
 
 class TestTrainSvmRandomProblems:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_feasibility_and_kkt(self, seed):
+    # C across the range the box tolerances scale over; None draws C from [0.5, 5)
+    @pytest.mark.parametrize("seed, given_c", [
+        pytest.param(seed, given_c, id=str(seed) if given_c is None else f"{seed}-C{given_c:g}")
+        for given_c in (None, 1e-13, 1e-6, 1e3, 1e6, 1e13, 1e300) for seed in range(20)])
+    def test_feasibility_and_kkt(self, seed, given_c):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 41))
         k = random_psd_kernel(rng, n)
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         if np.all(y == y[0]):
             y[0] = -y[0]
-        C = float(rng.uniform(0.5, 5.0))
+        C = float(rng.uniform(0.5, 5.0)) if given_c is None else given_c
         given = k.copy()
         model = train_svm(k, y, C=C)
         assert np.array_equal(k, given)  # the solver reads the kernel in place, never writes it
@@ -507,7 +511,7 @@ def _ties(rng):
         yield [m / 2.0**k]
 
 
-# each case is a list of blocks, each saved on its own; save_csv formats
+# each case is a list of blocks, each saved on its own; save_gram formats
 # chunks of about 4096 entries, one holding any entry outside (1e-6, 10)
 # through np.savetxt and any other in numpy, so the cases cover both kinds
 G17_BLOCKS = {
@@ -533,7 +537,7 @@ def test_csv_export_is_the_bytes_of_savetxt(tmp_path, name):
     for block in G17_BLOCKS[name](rng):
         expected = io.BytesIO()
         np.savetxt(expected, block, delimiter=",", fmt="%.17g")
-        save_csv(block, tmp_path / "block.csv")
+        save_gram(block, tmp_path / "block.csv")
         assert (tmp_path / "block.csv").read_bytes() == expected.getvalue(), block
 
 
@@ -543,7 +547,7 @@ class TestPersistence:
         rng = np.random.default_rng(70)
         g = build_gram([rng.uniform(-1, 1, 8) for _ in range(4)], QUANTUM)
         path = tmp_path / "gram.csv"
-        save_gram([(path, g)])
+        save_gram(g, path)
         back = load_gram(path)
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, g)
@@ -552,7 +556,7 @@ class TestPersistence:
         rng = np.random.default_rng(71)
         k = build_gram([rng.uniform(-1, 1, 8) for _ in range(3)], QUANTUM)
         for name in ("a", "b"):
-            save_gram([(tmp_path / f"{name}.csv", k[1:, :1])])
+            save_gram(k[1:, :1], tmp_path / f"{name}.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "b.csv"]
         assert np.loadtxt(tmp_path / "a.csv", delimiter=",").tolist() == k[1:, 0].tolist()
